@@ -61,9 +61,10 @@ class Tensor:
         return Tensor(self.value)
 
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        # The first gradient is stored as given and later ones are added out
+        # of place, so gradient arrays may be shared between tensors: nothing
+        # may update a .grad in place.
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output, filling .grad on the tape."""
@@ -380,13 +381,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def getitem(x, key) -> Tensor:
-    """Basic slicing/integer indexing; indices must not repeat."""
+    """Basic or fancy indexing; an element picked more than once receives
+    the sum of its gradients."""
     x = as_tensor(x)
     out_val = x.value[key]
 
     def backward(g):
         full = np.zeros_like(x.value)
-        full[key] = g
+        np.add.at(full, key, g)
         x._accumulate(full)
 
     return _make(out_val, (x,), backward)
@@ -412,19 +414,6 @@ def segment_sum(x, idx: np.ndarray, n: int) -> Tensor:
         x._accumulate(g[idx])
 
     return _make(out_val, (x,), backward)
-
-
-def symmetric_scatter(bits, rows: np.ndarray, cols: np.ndarray, n: int) -> Tensor:
-    """Place a vector of edge values into a symmetric (n, n) matrix."""
-    bits = as_tensor(bits)
-    out_val = np.zeros((n, n), dtype=np.float64)
-    out_val[rows, cols] = bits.value
-    out_val[cols, rows] = bits.value
-
-    def backward(g):
-        bits._accumulate(g[rows, cols] + g[cols, rows])
-
-    return _make(out_val, (bits,), backward)
 
 
 def straight_through(soft: Tensor, hard: Array) -> Tensor:

@@ -107,13 +107,18 @@ def _nb_segment_sum(x, idx, n):
 
 
 def _np_segment_sum(x, idx, n):
-    out = np.zeros((n, x.shape[1]), dtype=np.float64)
-    np.add.at(out, idx, x)
-    return out
+    # One bincount over the flattened (bucket, column) index.  It adds the
+    # rows in input order, as np.add.at does, so the sums are bit-identical.
+    d = x.shape[1]
+    flat = (np.asarray(idx, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=np.ravel(x), minlength=n * d)
+    # an empty input makes bincount return integers
+    return out.astype(np.float64, copy=False).reshape(n, d)
 
 
 def segment_sum(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of x into n buckets given by idx; shape (n, x.shape[1])."""
+    """Sum rows of x into n buckets given by idx, each in [0, n); shape
+    (n, x.shape[1])."""
     if active_backend() == "numba":
         return _nb_segment_sum(np.ascontiguousarray(x, dtype=np.float64), idx, n)
     return _np_segment_sum(x, idx, n)

@@ -3,9 +3,11 @@
 The graph classifier stacks three aggregate convolutions (self weight plus
 weighted-mean neighbor weight, 32 channels each), mean-pools node states,
 and scores classes through a two-layer MLP whose sigmoid outputs are
-renormalized into a distribution.  It accepts real-valued adjacency in
-[0, 1], so a relaxed (partially generated) graph can be classified
-differentiably.  The node classifier is an MLP over final generator states.
+renormalized into a distribution.  The convolutions run on a weighted edge
+list (GraphSAGE's neighbor-list mean aggregation), so one forward serves a
+single discrete graph, a relaxed graph whose edge weights lie in [0, 1] and
+carry gradients, and a union of many graphs pooled per graph with a segment
+sum.  The node classifier is an MLP over final generator states.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .autodiff import (
     as_tensor,
     clip,
     constant,
+    gather_rows,
     he_uniform,
     log_sigmoid,
     log_softmax,
@@ -29,6 +32,7 @@ from .autodiff import (
     matmul,
     parameter,
     relu,
+    segment_sum,
     sigmoid,
     softmax,
 )
@@ -41,18 +45,23 @@ NODE_HIDDEN = (256, 256)
 
 @dataclass
 class ConvLayer:
-    """ReLU(h W_self + mean_w(neighbors) W_neigh + b) with adjacency weights."""
+    """ReLU(h W_self + mean_w(neighbors) W_neigh + b) over a weighted edge list."""
 
     w_self: Tensor
     w_neigh: Tensor
     bias: Tensor
 
-    def __call__(self, h: Tensor, adjacency: Tensor) -> Tensor:
-        neigh_sum = matmul(adjacency, h)
+    def __call__(
+        self, h: Tensor, recv: np.ndarray, send: np.ndarray, weight: Tensor
+    ) -> Tensor:
+        """Edge e carries ``weight[e]`` (an (E, 1) column) from node
+        ``send[e]`` into node ``recv[e]``."""
+        n = h.shape[0]
+        neigh_sum = segment_sum(gather_rows(h, send) * weight, recv, n)
         # floor of 1.0: identical to true mean for integer degrees >= 1 and for
         # isolated nodes (0/1 = 0), but keeps the gradient through low-mass
         # relaxed rows bounded instead of ~1/eps on nearly isolated nodes
-        denom = clip(adjacency.sum(axis=1, keepdims=True), 1.0, np.inf)
+        denom = clip(segment_sum(weight, recv, n), 1.0, np.inf)
         neigh_mean = neigh_sum / denom
         return relu(matmul(h, self.w_self) + matmul(neigh_mean, self.w_neigh) + self.bias)
 
@@ -128,11 +137,41 @@ def uniform_features(n: int, dim: int) -> np.ndarray:
     return np.full((n, dim), 1.0 / dim)
 
 
+def graph_logits(
+    params: GraphClassifierParams,
+    features,
+    recv: np.ndarray,
+    send: np.ndarray,
+    weight: Tensor,
+    graph_of_node: np.ndarray,
+    num_graphs: int,
+) -> Tensor:
+    """Class logits, one row per graph, for a union of graphs given as one
+    weighted edge list; node states are mean-pooled per ``graph_of_node``."""
+    h = as_tensor(features)
+    for conv in params.convs:
+        h = conv(h, recv, send, weight)
+    counts = np.bincount(graph_of_node, minlength=num_graphs)
+    pooled = segment_sum(h, graph_of_node, num_graphs) * constant(1.0 / counts[:, None])
+    return params.head(pooled)
+
+
+def _probabilities(logits: Tensor) -> ClassProbabilities:
+    log_scores = log_sigmoid(logits)
+    return ClassProbabilities(
+        scores=sigmoid(logits),
+        dist=softmax(log_scores),
+        log_dist=log_softmax(log_scores),
+    )
+
+
 def classify_graph(features, adjacency, params: GraphClassifierParams) -> ClassProbabilities:
     """Class scores for a (possibly relaxed) graph.
 
     ``adjacency`` entries weight the neighbor mean, so the forward pass is
-    differentiable with respect to a relaxed adjacency tensor.
+    differentiable with respect to a relaxed adjacency tensor.  All n^2
+    entries enter the edge list in row-major order, zeros included, so each
+    one receives its gradient.
     """
     h = as_tensor(features)
     a = as_tensor(adjacency)
@@ -145,33 +184,57 @@ def classify_graph(features, adjacency, params: GraphClassifierParams) -> ClassP
     if (a.value < 0).any() or (a.value > 1).any():
         raise ValueError("adjacency entries must lie in [0, 1]")
 
-    for conv in params.convs:
-        h = conv(h, a)
-    pooled = h.mean(axis=0)
-    logits = params.head(pooled)
-    log_scores = log_sigmoid(logits)
-    return ClassProbabilities(
-        scores=sigmoid(logits),
-        dist=softmax(log_scores),
-        log_dist=log_softmax(log_scores),
-    )
+    n = h.value.shape[0]
+    recv = np.repeat(np.arange(n), n)
+    send = np.tile(np.arange(n), n)
+    weight = a[recv[:, None], send[:, None]]
+    logits = graph_logits(params, h, recv, send, weight, np.zeros(n, dtype=np.int64), 1)
+    return _probabilities(logits[0])
+
+
+def _discrete_parts(g, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-hot features and (recv, send) edges in row-major adjacency order,
+    the order in which classify_graph meets the nonzero entries."""
+    recv, send = np.nonzero(g.adjacency())
+    return one_hot_features(g.node_labels, feature_dim), recv, send
+
+
+def _discrete_logits(parts, params: GraphClassifierParams) -> Tensor:
+    """Logits of discrete graphs given as (features, recv, send) parts, run as
+    one union: each graph's edges are offset by the nodes of those before."""
+    sizes = [feats.shape[0] for feats, _, _ in parts]
+    offsets = np.cumsum([0] + sizes[:-1])
+    feats = np.concatenate([f for f, _, _ in parts])
+    recv = np.concatenate([r + o for (_, r, _), o in zip(parts, offsets)])
+    send = np.concatenate([s + o for (_, _, s), o in zip(parts, offsets)])
+    weight = constant(np.ones((recv.size, 1)))
+    graph_of_node = np.repeat(np.arange(len(parts)), sizes)
+    return graph_logits(params, feats, recv, send, weight, graph_of_node, len(parts))
 
 
 def classify_discrete(g, params: GraphClassifierParams) -> ClassProbabilities:
     """Classify a discrete graph with one-hot node-label features."""
-    features = one_hot_features(g.node_labels, params.feature_dim)
-    return classify_graph(features, g.adjacency().astype(np.float64), params)
+    logits = _discrete_logits([_discrete_parts(g, params.feature_dim)], params)
+    return _probabilities(logits[0])
 
 
 def predict_graph_class(params: GraphClassifierParams, g) -> int:
     return classify_discrete(g, params).predicted
 
 
+def predict_graph_classes(params: GraphClassifierParams, graphs) -> np.ndarray:
+    """Predicted class of each discrete graph, all classified as one union."""
+    if not graphs:
+        return np.zeros(0, dtype=np.int64)
+    parts = [_discrete_parts(g, params.feature_dim) for g in graphs]
+    return np.argmax(_probabilities(_discrete_logits(parts, params)).dist.value, axis=1)
+
+
 def classifier_accuracy(params: GraphClassifierParams, graphs) -> float:
     if not graphs:
         raise ValueError("accuracy over an empty set is undefined")
-    hits = sum(1 for g in graphs if predict_graph_class(params, g) == g.class_label)
-    return hits / len(graphs)
+    labels = np.asarray([g.class_label for g in graphs])
+    return float(np.mean(predict_graph_classes(params, graphs) == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +276,14 @@ def train_graph_classifier(
     params = init_graph_classifier(feature_dim, num_classes, rng)
     opt = Adam(params.tensors(), lr=hyper.lr)
 
-    def ce(g) -> Tensor:
-        probs = classify_discrete(g, params)
-        return -probs.log_dist[g.class_label]
+    parts = [_discrete_parts(g, feature_dim) for g in train]
+    labels = np.asarray([g.class_label for g in train], dtype=np.int64)
+
+    def batch_loss(idx) -> Tensor:
+        """Mean cross-entropy over one minibatch, run as one union."""
+        logits = _discrete_logits([parts[i] for i in idx], params)
+        log_dist = log_softmax(log_sigmoid(logits), axis=1)
+        return -log_dist[np.arange(len(idx)), labels[idx]].sum() * (1.0 / len(idx))
 
     history = []
     best_acc, best_snap = -1.0, _snapshot(params)
@@ -225,7 +293,7 @@ def train_graph_classifier(
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             opt.zero_grad()
-            loss = sum(ce(train[i]) for i in batch) * (1.0 / len(batch))
+            loss = batch_loss(batch)
             loss.backward()
             opt.step()
             epoch_loss += loss.item() * len(batch)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -148,19 +148,16 @@ def accuracy_per_class(
     trained graph-classifier parameters.
     """
     if callable(clf):
-        predict: Callable[[Graph], int] = clf
+        predicted = [clf(g) for g in generated]
     else:
-        from .classifiers import predict_graph_class
+        from .classifiers import predict_graph_classes
 
-        predict = lambda g: predict_graph_class(clf, g)  # noqa: E731
+        predicted = predict_graph_classes(clf, generated)
 
-    buckets = _bucket_by_class(generated)
-    out: dict[int, Optional[float]] = {}
-    for c in sorted(buckets):
-        members = buckets[c]
-        hits = sum(1 for g in members if predict(g) == c)
-        out[c] = hits / len(members)
-    return out
+    hits: dict[int, list[bool]] = {}
+    for g, p in zip(generated, predicted):
+        hits.setdefault(g.class_label, []).append(bool(p == g.class_label))
+    return {c: sum(hits[c]) / len(hits[c]) for c in sorted(hits)}
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> Optional[float]:

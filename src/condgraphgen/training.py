@@ -6,6 +6,12 @@ partial graphs, and a node-label loss from the node classifier.  Discrete
 edge samples stay differentiable through a straight-through Gumbel-softmax.
 Condition and node-label terms are discounted by gamma^(nodes missing), so
 nearly complete prefixes weigh more.
+
+One optimizer step runs every generation step of every graph in the
+minibatch as a single forward pass over one block-diagonal union graph
+(see _UnionPlan and _BatchUnion).  The frozen classifier reads the relaxed
+partial graphs of that union as a weighted edge list, so memory grows with
+the union's nodes and edges, not with their square.
 """
 
 from __future__ import annotations
@@ -29,18 +35,16 @@ from .autodiff import (
     log_sigmoid,
     log_softmax,
     logsumexp,
-    matmul,
     segment_sum,
     sigmoid,
     straight_through,
-    symmetric_scatter,
 )
 from .classifiers import (
     GraphClassifierParams,
     NodeClassifierParams,
     ClassProbabilities,
-    classify_graph,
     classify_nodes,
+    graph_logits,
     init_node_classifier,
     uniform_features,
 )
@@ -53,11 +57,9 @@ from .generator import (
     NodeStates,
     augmented_edges,
     block_bits,
-    block_log_likelihood,
     candidate_pairs,
     init_generator,
     run_rounds,
-    step_forward,
 )
 from .graphs import Graph, OrderedGraph, block_partition, decompose
 
@@ -275,6 +277,14 @@ def _check_finite(value: float, term: str) -> float:
     return value
 
 
+def _grad_norm(params: Sequence[Tensor]) -> float:
+    sq = 0.0
+    for p in params:
+        if p.grad is not None:
+            sq += float(np.sum(p.grad * p.grad))
+    return float(np.sqrt(sq))
+
+
 def clip_gradients(params: Sequence[Tensor], max_norm: float) -> float:
     """Scale all gradients down so their joint L2 norm is at most ``max_norm``;
     returns the norm before clipping.  Rare huge spikes (straight-through
@@ -282,58 +292,65 @@ def clip_gradients(params: Sequence[Tensor], max_norm: float) -> float:
     optimizer's moment estimates."""
     if max_norm <= 0.0:
         raise ValueError("max_norm must be positive")
-    sq = 0.0
-    for p in params:
-        if p.grad is not None:
-            sq += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(sq))
+    norm = _grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad *= factor
+                # out of place: a gradient array may be shared by two tensors
+                p.grad = p.grad * factor
     return norm
 
 
-def _prefix_matrix(lower_rows: np.ndarray, n_prev: int, n: int) -> np.ndarray:
-    block = lower_rows[:n_prev, :n].astype(np.float64)
-    out = np.zeros((n, n))
-    out[:n_prev, :n] = block
-    return out + out.T
+def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
+    """Name of the first parameter whose gradient holds a NaN or infinity."""
+    names = {id(t): name for name, t in named.items()}
+    for i, p in enumerate(params):
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return names.get(id(p), f"parameter {i}")
+    return "no single parameter (the squared norm overflows)"
 
 
 class _UnionPlan:
     """Index bookkeeping that lays every teacher-forced generation step of one
-    graph side by side in a single block-diagonal 'union' graph.
+    graph side by side in a block-diagonal 'union' graph.
 
     Teacher forcing makes the steps conditionally independent given the
     ground-truth prefix rows, so one forward pass over the union computes all
     steps at once; per-step quantities are recovered with segment sums.
-    Union node u = offsets[t] + i stands for local node i at step t.
+    Union node u = offsets[t] + i stands for local node i at step t.  Indices
+    are local to the graph; _BatchUnion offsets them to stack a minibatch.
+    A plan depends only on the ordered graph, so it is built once per
+    training run.
     """
 
     def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
         n = og.base.num_nodes
         blocks = block_partition(n, block_size).blocks
+        self.num_nodes = n
         self.num_steps = len(blocks)
-        self.gamma = gamma
+        self.rows = og.lower_rows[:n]
 
-        src_idx, x, recv, send = [], [], [], []
+        src_idx, x, recv, send, pre_recv, pre_send = [], [], [], [], [], []
         g_rows, g_cols, pair_seg, pair_counts, bits = [], [], [], [], []
         node_seg, counts, block_idx, w_node = [], [], [], []
         offset = 0
         for t, block in enumerate(blocks):
             n_prev, n_cur = block[0], block[-1] + 1
-            # previous nodes take their embedded adjacency row; new nodes take
-            # the all-zero extra row appended after the n real rows
+            # previous nodes take their embedded adjacency row; new nodes
+            # (marked -1) take an all-zero row
             src_idx.append(np.arange(n_prev))
-            src_idx.append(np.full(len(block), n))
+            src_idx.append(np.full(len(block), -1))
             flags = np.zeros(n_cur)
             flags[n_prev:] = 1.0
             x.append(flags)
             er, es = augmented_edges(og.lower_rows, n_prev, block)
             recv.append(er + offset)
             send.append(es + offset)
+            # observed prefix edges, both directions, for the classifier
+            obs_i, obs_j = np.nonzero(og.lower_rows[:n_prev])
+            pre_recv += [obs_i + offset, obs_j + offset]
+            pre_send += [obs_j + offset, obs_i + offset]
             cr, cc = candidate_pairs(block)
             g_rows.append(cr + offset)
             g_cols.append(cc + offset)
@@ -346,121 +363,167 @@ class _UnionPlan:
             w_node.append(np.full(len(block), gamma ** (n - n_cur) / len(block)))
             offset += n_cur
 
+        def ints(parts):
+            return np.concatenate(parts).astype(np.int64)
+
         self.total_nodes = offset
-        self.src_idx = np.concatenate(src_idx).astype(np.int64)
+        self.src_idx = ints(src_idx)
         self.x = np.concatenate(x)
-        self.edges = (np.concatenate(recv), np.concatenate(send))
-        self.g_rows = np.concatenate(g_rows)
-        self.g_cols = np.concatenate(g_cols)
-        self.pair_seg = np.concatenate(pair_seg).astype(np.int64)
+        self.recv, self.send = ints(recv), ints(send)
+        self.prefix_recv, self.prefix_send = ints(pre_recv), ints(pre_send)
+        self.g_rows = ints(g_rows)
+        self.g_cols = ints(g_cols)
+        self.pair_seg = ints(pair_seg)
         self.pair_offsets = np.concatenate([[0], np.cumsum(pair_counts)])
         self.num_pairs = int(self.pair_offsets[-1])
         self.teacher_bits = np.concatenate(bits)
-        self.node_seg = np.concatenate(node_seg).astype(np.int64)
-        self.counts = np.asarray(counts, dtype=np.float64)
-        self.w_steps = gamma ** (n - self.counts)
-        self.block_idx = np.concatenate(block_idx).astype(np.int64)
+        self.node_seg = ints(node_seg)
+        self.w_steps = gamma ** (n - np.asarray(counts, dtype=np.float64))
+        self.block_idx = ints(block_idx)
         self.w_node = np.concatenate(w_node)
-
-        prefix = np.zeros((offset, offset))
-        pos = 0
-        for block, n_cur in zip(blocks, counts):
-            pm = _prefix_matrix(og.lower_rows, block[0], n_cur)
-            prefix[pos : pos + n_cur, pos : pos + n_cur] = pm
-            pos += n_cur
-        self.prefix_union = prefix
+        self.node_targets = np.asarray(
+            [og.base.node_labels[og.pi[i]] for i in range(n)], dtype=np.int64
+        )
 
 
-def _graph_losses(
-    og: OrderedGraph,
-    label: int,
+class _BatchUnion:
+    """The plans of one minibatch stacked into a single union: each graph's
+    node, step and embedded-row indices are offset by the graphs before it.
+    New nodes of every graph share one all-zero row after the real rows."""
+
+    def __init__(self, plans: Sequence[_UnionPlan], labels: Sequence[int]):
+        def offsets(sizes):
+            return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+
+        node_off = offsets([p.total_nodes for p in plans])
+        self.step_off = offsets([p.num_steps for p in plans])
+        self.pair_off = offsets([p.num_pairs for p in plans])
+        row_off = offsets([p.num_nodes for p in plans])
+
+        def stack(field, offs=None):
+            arrays = [getattr(p, field) for p in plans]
+            if offs is None:
+                return np.concatenate(arrays)
+            return np.concatenate([a + o for a, o in zip(arrays, offs)])
+
+        self.num_steps = int(sum(p.num_steps for p in plans))
+        self.num_pairs = int(sum(p.num_pairs for p in plans))
+        self.rows = stack("rows")
+        pad = self.rows.shape[0]
+        self.src_idx = np.concatenate(
+            [np.where(p.src_idx < 0, pad, p.src_idx + o) for p, o in zip(plans, row_off)]
+        )
+        self.x = stack("x")
+        self.total_nodes = self.x.shape[0]
+        self.node_graph = np.repeat(np.arange(len(plans)), [p.total_nodes for p in plans])
+        self.edges = (stack("recv", node_off), stack("send", node_off))
+        self.g_rows = stack("g_rows", node_off)
+        self.g_cols = stack("g_cols", node_off)
+        self.pair_seg = stack("pair_seg", self.step_off)
+        self.teacher_bits = stack("teacher_bits")
+        self.node_seg = stack("node_seg", self.step_off)
+        self.w_steps = stack("w_steps")
+        self.step_labels = np.repeat(
+            np.asarray(labels, dtype=np.int64), [p.num_steps for p in plans]
+        )
+        self.block_idx = stack("block_idx", node_off)
+        self.w_node = stack("w_node")
+        self.node_targets = stack("node_targets")
+        # classifier edges: observed prefix edges (weight 1), then every
+        # candidate pair in both directions (weight = its straight-through bit)
+        pre_recv = stack("prefix_recv", node_off)
+        pre_send = stack("prefix_send", node_off)
+        self.num_prefix_edges = pre_recv.shape[0]
+        self.clf_edges = (
+            np.concatenate([pre_recv, self.g_rows, self.g_cols]),
+            np.concatenate([pre_send, self.g_cols, self.g_rows]),
+        )
+
+
+def _batch_losses(
+    batch: Sequence[tuple[OrderedGraph, int]],
     gen_params: GeneratorParams,
     clf_params: Optional[GraphClassifierParams],
     nodeclf_params: Optional[NodeClassifierParams],
     config: TrainConfig,
     tau: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
+    plans: Optional[Sequence[_UnionPlan]] = None,
 ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
-    """Per-graph loss terms, summed over generation steps.
+    """Loss terms summed over every generation step of every batch graph.
 
-    All steps run as one union forward pass (see _UnionPlan); the math per
-    step is identical to step_forward + the per-step loss definitions.
+    All steps of all graphs run as one union forward pass (see _BatchUnion);
+    the math per step is identical to step_forward + the per-step loss
+    definitions.  Each graph draws its mixture components and Gumbel noise
+    from its own RNG, step by step, in batch order.  Terms whose weight is
+    zero come back as None.
     """
-    c = ClassConditionVector.for_class(label, gen_params.config.num_classes)
-    n_full = og.base.num_nodes
-    plan = _UnionPlan(og, config.block_size, config.gamma)
-    want_cond = config.lambda_condition > 0.0
-    want_node = config.lambda_node_label > 0.0
+    if plans is None:
+        plans = [_UnionPlan(og, config.block_size, config.gamma) for og, _ in batch]
+    labels = [label for _, label in batch]
+    num_classes = gen_params.config.num_classes
+    onehots = np.stack([ClassConditionVector.for_class(c, num_classes).onehot for c in labels])
+    u = _BatchUnion(plans, labels)
 
     # initial states: embedded prefix rows (each real row embedded once),
-    # zeros for new nodes, class embedding appended everywhere
+    # zeros for new nodes, the graph's class embedding appended everywhere
     hidden_h = gen_params.config.hidden_dim_h
-    embedded = gen_params.row_embed(constant(og.lower_rows[:n_full]))
+    embedded = gen_params.row_embed(constant(u.rows))
     padded = concat([embedded, constant(np.zeros((1, hidden_h)))], axis=0)
-    h_hat = gather_rows(padded, plan.src_idx)
-    c_hat = gen_params.cond_embed(constant(c.onehot[None, :]))
-    c_tiled = matmul(constant(np.ones((plan.total_nodes, 1))), c_hat)
-    states = NodeStates(concat([h_hat, c_tiled], axis=1), plan.x)
-    states = run_rounds(states, plan.edges, gen_params)
+    h_hat = gather_rows(padded, u.src_idx)
+    c_hat = gen_params.cond_embed(constant(onehots))
+    states = NodeStates(concat([h_hat, gather_rows(c_hat, u.node_graph)], axis=1), u.x)
+    states = run_rounds(states, u.edges, gen_params)
 
     # output heads for every step at once
-    diff = gather_rows(states.h, plan.g_rows) - gather_rows(states.h, plan.g_cols)
-    alpha_logits = segment_sum(gen_params.head_alpha(diff), plan.pair_seg, plan.num_steps)
+    diff = gather_rows(states.h, u.g_rows) - gather_rows(states.h, u.g_cols)
+    alpha_logits = segment_sum(gen_params.head_alpha(diff), u.pair_seg, u.num_steps)
     log_alpha = log_softmax(alpha_logits, axis=1)
     theta_logits = gen_params.head_theta(diff)
 
-    b = constant(plan.teacher_bits[:, None])
+    b = constant(u.teacher_bits[:, None])
     pair_ll = b * log_sigmoid(theta_logits) + (1.0 - b) * log_sigmoid(-theta_logits)
-    per_component = segment_sum(pair_ll, plan.pair_seg, plan.num_steps)
+    per_component = segment_sum(pair_ll, u.pair_seg, u.num_steps)
     l_adj = -logsumexp(log_alpha + per_component, axis=1).sum()
 
     l_cond = None
-    if want_cond:
+    if config.lambda_condition > 0.0:
         alpha_vals = np.exp(log_alpha.value)
         if not np.isfinite(alpha_vals).all():
             raise NumericError("non-finite mixture weights during edge sampling")
-        k_per_pair = np.zeros(plan.num_pairs, dtype=np.int64)
-        noise = np.zeros(plan.num_pairs)
-        for t in range(plan.num_steps):
-            k = int(rng.choice(alpha_vals.shape[1], p=alpha_vals[t]))
-            lo, hi = plan.pair_offsets[t], plan.pair_offsets[t + 1]
-            if hi > lo:
-                u = np.clip(rng.random((hi - lo, 2)), 1e-12, 1 - 1e-12)
-                gumbels = -np.log(-np.log(u))
-                noise[lo:hi] = gumbels[:, 0] - gumbels[:, 1]
-                k_per_pair[lo:hi] = k
-        if plan.num_pairs:
+        k_per_pair = np.zeros(u.num_pairs, dtype=np.int64)
+        noise = np.zeros(u.num_pairs)
+        for plan, rng, s0, p0 in zip(plans, rngs, u.step_off, u.pair_off):
+            for t in range(plan.num_steps):
+                k = int(rng.choice(alpha_vals.shape[1], p=alpha_vals[s0 + t]))
+                lo, hi = p0 + plan.pair_offsets[t], p0 + plan.pair_offsets[t + 1]
+                if hi > lo:
+                    draws = np.clip(rng.random((hi - lo, 2)), 1e-12, 1 - 1e-12)
+                    gumbels = -np.log(-np.log(draws))
+                    noise[lo:hi] = gumbels[:, 0] - gumbels[:, 1]
+                    k_per_pair[lo:hi] = k
+        weights = [constant(np.ones((u.num_prefix_edges, 1)))]
+        if u.num_pairs:
             theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
-            theta_sel = theta[np.arange(plan.num_pairs), k_per_pair]
-            soft = _gumbel_soft(theta_sel, tau, noise)
+            theta_sel = theta[np.arange(u.num_pairs)[:, None], k_per_pair[:, None]]
+            soft = _gumbel_soft(theta_sel, tau, noise[:, None])
             st_bits = straight_through(soft, (soft.value > 0.5).astype(np.float64))
-        else:
-            st_bits = constant(np.zeros(0))
-        relaxed = symmetric_scatter(
-            st_bits, plan.g_rows, plan.g_cols, plan.total_nodes
-        ) + constant(plan.prefix_union)
-
-        h = constant(uniform_features(plan.total_nodes, clf_params.feature_dim))
-        for conv in clf_params.convs:
-            h = conv(h, relaxed)
-        pooled = segment_sum(h, plan.node_seg, plan.num_steps) * constant(
-            1.0 / plan.counts[:, None]
+            weights += [st_bits, st_bits]
+        features = uniform_features(u.total_nodes, clf_params.feature_dim)
+        logits = graph_logits(
+            clf_params, features, *u.clf_edges, concat(weights, axis=0),
+            u.node_seg, u.num_steps,
         )
-        log_dist = log_softmax(log_sigmoid(clf_params.head(pooled)), axis=1)
-        picked = log_dist[
-            np.arange(plan.num_steps), np.full(plan.num_steps, label, dtype=np.int64)
-        ]
-        l_cond = -(constant(plan.w_steps) * picked).sum()
+        log_dist = log_softmax(log_sigmoid(logits), axis=1)
+        picked = log_dist[np.arange(u.num_steps), u.step_labels]
+        l_cond = -(constant(u.w_steps) * picked).sum()
 
     l_node = None
-    if want_node:
-        block_states = gather_rows(states.h, plan.block_idx)
+    if config.lambda_node_label > 0.0:
+        block_states = gather_rows(states.h, u.block_idx)
         dists = classify_nodes(block_states, nodeclf_params)
-        targets = np.asarray(
-            [og.base.node_labels[og.pi[i]] for i in range(n_full)], dtype=np.int64
-        )
-        picked = dists[np.arange(n_full), targets]
-        l_node = -(constant(plan.w_node) * log(picked)).sum()
+        picked = dists[np.arange(u.node_targets.shape[0]), u.node_targets]
+        l_node = -(constant(u.w_node) * log(picked)).sum()
     return l_adj, l_cond, l_node
 
 
@@ -473,9 +536,12 @@ def train_step(
     opt: Adam,
     tau: float,
     rngs: Sequence[np.random.Generator],
+    plans: Optional[Sequence[_UnionPlan]] = None,
 ) -> LossBreakdown:
     """One optimizer update on a batch; the graph classifier stays frozen
-    (its tensors are never part of ``opt``)."""
+    (its tensors are never part of ``opt``).  ``plans`` are the batch
+    graphs' union plans when the caller keeps them across steps.  Raises
+    NumericError, before the update, on a non-finite loss term or gradient."""
     if not batch:
         raise ValueError("empty batch")
     if len(rngs) != len(batch):
@@ -485,20 +551,13 @@ def train_step(
     if config.lambda_node_label > 0.0 and nodeclf_params is None:
         raise ValueError("node-label loss requires node-classifier parameters")
 
+    l_adj, l_cond, l_node = _batch_losses(
+        batch, gen_params, clf_params, nodeclf_params, config, tau, rngs, plans
+    )
     scale = 1.0 / len(batch)
-    adj_total = constant(0.0)
-    cond_total = constant(0.0)
-    node_total = constant(0.0)
-    for (og, label), rng in zip(batch, rngs):
-        l_adj, l_cond, l_node = _graph_losses(
-            og, label, gen_params, clf_params, nodeclf_params, config, tau, rng
-        )
-        adj_total = adj_total + scale * l_adj
-        if l_cond is not None:
-            cond_total = cond_total + scale * l_cond
-        if l_node is not None:
-            node_total = node_total + scale * l_node
-
+    adj_total = scale * l_adj
+    cond_total = constant(0.0) if l_cond is None else scale * l_cond
+    node_total = constant(0.0) if l_node is None else scale * l_node
     total = (
         adj_total
         + config.lambda_condition * cond_total
@@ -513,7 +572,16 @@ def train_step(
     opt.zero_grad()
     total.backward()
     if config.clip_norm > 0.0:
-        clip_gradients(opt.params, config.clip_norm)
+        norm = clip_gradients(opt.params, config.clip_norm)
+    else:
+        norm = _grad_norm(opt.params)
+    if not np.isfinite(norm):
+        named = dict(gen_params.named_tensors())
+        if nodeclf_params is not None:
+            named.update(nodeclf_params.named_tensors())
+        raise NumericError(
+            f"non-finite gradient in {_non_finite_gradient(opt.params, named)}"
+        )
     opt.step()
     return breakdown
 
@@ -541,6 +609,7 @@ def train_generator(
         (decompose(g, config.block_size, config.max_nodes)[0], g.class_label)
         for g in graphs
     ]
+    plans = [_UnionPlan(og, config.block_size, config.gamma) for og, _ in ordered]
 
     gen_params = init_generator(
         config.generator_config(num_classes), np.random.default_rng([config.seed, 0])
@@ -560,7 +629,8 @@ def train_generator(
             batch = [ordered[i] for i in idx]
             rngs = [np.random.default_rng([config.seed, 3, epoch, int(i)]) for i in idx]
             bd = train_step(
-                batch, gen_params, clf_params, nodeclf_params, config, opt, tau, rngs
+                batch, gen_params, clf_params, nodeclf_params, config, opt, tau, rngs,
+                plans=[plans[i] for i in idx],
             )
             sums += np.array([bd.l_adj, bd.l_condition, bd.l_node_label, bd.total]) * len(idx)
         means = sums / len(ordered)

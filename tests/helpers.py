@@ -1,6 +1,9 @@
-"""Shared test utilities: finite-difference gradient oracle and error norms."""
+"""Shared test utilities: finite-difference gradient oracle, error norms and
+the dense relaxed-adjacency helpers of the per-step training oracle."""
 
 import numpy as np
+
+from condgraphgen.autodiff import Tensor, as_tensor
 
 
 def finite_diff(f, arrays, eps=1e-5):
@@ -32,3 +35,25 @@ def rel_error(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def symmetric_scatter(bits, rows: np.ndarray, cols: np.ndarray, n: int) -> Tensor:
+    """Place a vector of edge values into a symmetric (n, n) matrix."""
+    bits = as_tensor(bits)
+    out_val = np.zeros((n, n), dtype=np.float64)
+    out_val[rows, cols] = bits.value
+    out_val[cols, rows] = bits.value
+
+    def backward(g):
+        bits._accumulate(g[rows, cols] + g[cols, rows])
+
+    return Tensor(out_val, bits.requires_grad, (bits,), backward)
+
+
+def prefix_matrix(lower_rows: np.ndarray, n_prev: int, n: int) -> np.ndarray:
+    """Dense symmetric adjacency of the first n_prev ordered nodes, padded
+    to n x n: the observed prefix of a generation step."""
+    block = lower_rows[:n_prev, :n].astype(np.float64)
+    out = np.zeros((n, n))
+    out[:n_prev, :n] = block
+    return out + out.T

@@ -224,8 +224,8 @@ def test_acceptance_3_gradient_integrity():
     for seed in range(20):
         for t in gen2.tensors():
             t.grad = None
-        _, l_cond, _ = T._graph_losses(
-            og2, 1, gen2, clf2, None, tcfg, 1.0, np.random.default_rng(seed)
+        _, l_cond, _ = T._batch_losses(
+            [(og2, 1)], gen2, clf2, None, tcfg, 1.0, [np.random.default_rng(seed)]
         )
         l_cond.backward()
         if any(t.grad is not None and np.any(t.grad != 0.0) for t in gen2.tensors()):

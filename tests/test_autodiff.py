@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condgraphgen import autodiff as ad
-from helpers import finite_diff, rel_error
+from condgraphgen import backend
+from helpers import finite_diff, rel_error, symmetric_scatter
 
 RNG = np.random.default_rng(42)
 
@@ -115,6 +116,30 @@ def test_gather_and_segment_sum_grads():
     check_grad(lambda t: (ad.segment_sum(t, idx, 4) * np.arange(12).reshape(4, 3)).sum(), [y])
 
 
+def test_segment_sum_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for rows, cols, n in [(500, 7, 40), (64, 1, 3), (30, 16, 1), (0, 4, 5)]:
+        # magnitudes spread over 16 decades, so a change of summation order
+        # shows up in the last bits
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
+        idx = rng.integers(0, n, rows)
+        want = np.zeros((n, cols))
+        np.add.at(want, idx, x)
+        got = backend.segment_sum(x, idx, n)
+        assert got.dtype == np.float64 and got.shape == (n, cols)
+        assert np.array_equal(got, want)
+
+
+def test_getitem_repeated_indices_add_gradients():
+    x = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x[[0, 0, 1]].sum().backward()
+    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
+    c, w = arr(4, 3), arr(5, 3)
+    rows, picks = np.array([2, 0, 2, 2, 3]), np.array([1, 1, 1, 0, 1])
+    check_grad(lambda t: (t[rows, picks] * w[:, 0]).sum(), [c])
+    check_grad(lambda t: (t[rows] * w).sum(), [c])
+
+
 def test_symmetric_scatter_grads():
     bits = RNG.random(3)
     rows = np.array([1, 2, 3])
@@ -122,10 +147,10 @@ def test_symmetric_scatter_grads():
     weights = arr(4, 4)
 
     def build(t):
-        m = ad.symmetric_scatter(t, rows, cols, 4)
+        m = symmetric_scatter(t, rows, cols, 4)
         return (m * weights).sum()
 
-    m = ad.symmetric_scatter(ad.Tensor(bits), rows, cols, 4)
+    m = symmetric_scatter(ad.Tensor(bits), rows, cols, 4)
     assert m.value[1, 0] == bits[0] and m.value[0, 1] == bits[0]
     assert np.allclose(m.value, m.value.T)
     check_grad(build, [bits])

@@ -14,6 +14,7 @@ from condgraphgen.classifiers import (
     node_label_scores,
     one_hot_features,
     predict_graph_class,
+    predict_graph_classes,
     train_graph_classifier,
     uniform_features,
 )
@@ -216,3 +217,7 @@ def test_predict_matches_argmax(toy_split):
     params, _ = train_graph_classifier(toy_split, ClassifierTrainConfig(epochs=2, seed=0))
     g = toy_split.train[0]
     assert predict_graph_class(params, g) == classify_discrete(g, params).predicted
+    graphs = list(toy_split.train)
+    batched = predict_graph_classes(params, graphs)
+    assert batched.tolist() == [predict_graph_class(params, g) for g in graphs]
+    assert predict_graph_classes(params, []).shape == (0,)

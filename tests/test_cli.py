@@ -219,3 +219,31 @@ def test_numeric_failures_exit_four(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "train_generator", explode)
     assert main(["train", "--out", str(run), "--config", write_config(tmp_path)]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exits_four(tmp_path, monkeypatch, capsys):
+    from condgraphgen import training
+    from condgraphgen.autodiff import Tensor
+
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
+    assert main(["train-classifier", "--out", str(run)]) == 0
+
+    made = []
+    init_generator = training.init_generator
+    backward = Tensor.backward
+
+    def init_and_keep(*args, **kwargs):
+        made.append(init_generator(*args, **kwargs))
+        return made[-1]
+
+    def poisoned(self):
+        backward(self)
+        if made:  # the generator's first step: poison one gradient
+            w = made[0].cond_embed.W
+            w.grad = np.full_like(w.value, np.nan)
+
+    monkeypatch.setattr(training, "init_generator", init_and_keep)
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    assert main(["train", "--out", str(run), "--config", write_config(tmp_path)]) == 4
+    assert "non-finite gradient in gen/Wc" in capsys.readouterr().err

@@ -1,12 +1,13 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
-from helpers import finite_diff, rel_error
+from helpers import finite_diff, prefix_matrix, rel_error, symmetric_scatter
 
 from condgraphgen import training as T
-from condgraphgen.autodiff import Adam, constant, exp, parameter, sigmoid
+from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoid
 from condgraphgen.classifiers import ClassProbabilities, init_graph_classifier
 from condgraphgen.errors import ConfigError, NumericError
 from condgraphgen.generator import MixtureParams
@@ -135,6 +136,17 @@ def test_clip_gradients_below_cap_is_identity():
     assert np.array_equal(a.grad, np.array([0.3, 0.4]))
     with pytest.raises(ValueError):
         clip_gradients([a], 0.0)
+
+
+def test_clip_gradients_scales_a_shared_gradient_once():
+    a = parameter(np.ones(2))
+    b = parameter(np.ones(2))
+    (a + b).sum().backward()
+    assert a.grad is b.grad  # add hands both leaves the same upstream array
+    before = clip_gradients([a, b], 1.0)  # joint norm sqrt(4) = 2
+    assert before == pytest.approx(2.0)
+    assert np.array_equal(a.grad, [0.5, 0.5])
+    assert np.array_equal(b.grad, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +383,8 @@ def test_condition_gradient_reaches_generator():
     og, label = batch[0]
     found = False
     for seed in range(20):
-        _, l_cond, _ = T._graph_losses(
-            og, label, gen, clf, nodeclf, cfg, 1.0, np.random.default_rng(seed)
+        _, l_cond, _ = T._batch_losses(
+            [(og, label)], gen, clf, nodeclf, cfg, 1.0, [np.random.default_rng(seed)]
         )
         for t in gen.tensors():
             t.grad = None
@@ -397,6 +409,25 @@ def test_non_finite_mixture_weights_raise_numeric_error():
         train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
 
 
+@pytest.mark.parametrize("clip_norm", [5.0, 0.0])
+def test_non_finite_gradient_names_parameter(monkeypatch, clip_norm):
+    cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
+    cfg = dataclasses.replace(cfg, clip_norm=clip_norm)
+    target = gen.round_weights[0].gru.un
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        target.grad = np.full_like(target.value, np.nan)
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    before = [t.value.copy() for t in gen.tensors() + nodeclf.tensors()]
+    with pytest.raises(NumericError, match="gradient in gen/round/0/gru/un"):
+        train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
+    for t, value in zip(gen.tensors() + nodeclf.tensors(), before):
+        assert np.array_equal(t.value, value)
+
+
 def test_step_argument_errors():
     cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
     with pytest.raises(ValueError):
@@ -411,7 +442,7 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
     """Step-by-step oracle: runs each generation step independently through
     the public single-step operations and accumulates the loss terms."""
     from condgraphgen.autodiff import constant as const
-    from condgraphgen.autodiff import gather_rows, symmetric_scatter
+    from condgraphgen.autodiff import gather_rows
     from condgraphgen.classifiers import classify_graph, classify_nodes, uniform_features
     from condgraphgen.generator import (
         ClassConditionVector,
@@ -432,7 +463,7 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
         bits = sample_block_relaxed(mix, tau, rng)
         rows, cols = candidate_pairs(block)
         relaxed = symmetric_scatter(bits, rows, cols, n_cur) + const(
-            T._prefix_matrix(og.lower_rows, n_prev, n_cur)
+            prefix_matrix(og.lower_rows, n_prev, n_cur)
         )
         probs = classify_graph(
             uniform_features(n_cur, clf.feature_dim), relaxed, clf
@@ -453,8 +484,8 @@ def test_union_losses_match_per_step_oracle(block_size):
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
     for gi, g in enumerate(small_corpus(6, seed=11)):
         og, _ = decompose(g, cfg.block_size, cfg.max_nodes)
-        got = T._graph_losses(
-            og, g.class_label, gen, clf, nodeclf, cfg, 0.7, np.random.default_rng(gi)
+        got = T._batch_losses(
+            [(og, g.class_label)], gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(gi)]
         )
         want = reference_graph_losses(
             og, g.class_label, gen, clf, nodeclf, cfg, 0.7, np.random.default_rng(gi)
@@ -462,6 +493,27 @@ def test_union_losses_match_per_step_oracle(block_size):
         assert got[0].item() == pytest.approx(want[0], abs=1e-9)
         assert got[1].item() == pytest.approx(want[1], abs=1e-9)
         assert got[2].item() == pytest.approx(want[2], abs=1e-9)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_batch_losses_match_sum_of_per_graph_oracle(block_size):
+    cfg = TrainConfig(**{**SMALL, "block_size": block_size})
+    clf = small_clf()
+    gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(0))
+    nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
+    graphs = small_corpus(5, seed=13) + [Graph(1, frozenset(), (2,), 1)]
+    batch = [(decompose(g, cfg.block_size, cfg.max_nodes)[0], g.class_label) for g in graphs]
+    assert len({og.base.num_nodes for og, _ in batch}) > 2
+    got = T._batch_losses(
+        batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(i) for i in range(len(batch))]
+    )
+    want = np.zeros(3)
+    for i, (og, label) in enumerate(batch):
+        want += reference_graph_losses(
+            og, label, gen, clf, nodeclf, cfg, 0.7, np.random.default_rng(i)
+        )
+    for term, expected in zip(got, want):
+        assert term.item() == pytest.approx(expected, abs=1e-9)
 
 
 def test_adjacency_loss_gradient_matches_fd():
@@ -475,13 +527,13 @@ def test_adjacency_loss_gradient_matches_fd():
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
 
     def loss_value():
-        l_adj, _, _ = T._graph_losses(
-            og, 1, gen, None, None, cfg, 1.0, np.random.default_rng(0)
+        l_adj, _, _ = T._batch_losses(
+            [(og, 1)], gen, None, None, cfg, 1.0, [np.random.default_rng(0)]
         )
         return l_adj.item()
 
     numeric = finite_diff(loss_value, [t.value for t in checked])
-    l_adj, _, _ = T._graph_losses(og, 1, gen, None, None, cfg, 1.0, np.random.default_rng(0))
+    l_adj, _, _ = T._batch_losses([(og, 1)], gen, None, None, cfg, 1.0, [np.random.default_rng(0)])
     for t in gen.tensors():
         t.grad = None
     l_adj.backward()
