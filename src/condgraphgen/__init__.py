@@ -8,7 +8,6 @@ the generated nodes.  Statistics-based evaluation compares generated and
 reference corpora.
 """
 
-from .backend import active_backend, use_backend
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .classifiers import (
     ClassifierTrainConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "TrainConfig",
     "TuFormatError",
     "accuracy_per_class",
-    "active_backend",
     "auc",
     "build_manifest",
     "build_report",
@@ -120,5 +118,4 @@ __all__ = [
     "train_generator",
     "train_graph_classifier",
     "train_step",
-    "use_backend",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,11 @@ def save_checkpoint(
     graph_classifier: Optional[GraphClassifierParams] = None,
     node_classifier: Optional[NodeClassifierParams] = None,
 ) -> None:
-    """Write the given parameter sets to one archive."""
+    """Write the given parameter sets to one archive at exactly ``path``.
+
+    The archive is written to a temporary file next to ``path`` and renamed
+    over it, so an interrupted save leaves the previous archive intact.
+    """
     if generator is None and graph_classifier is None and node_classifier is None:
         raise ValueError("nothing to save")
     header: dict = {}
@@ -78,7 +83,18 @@ def save_checkpoint(
         for name, t in arrays.items()
     }
     payload[_HEADER_KEY] = np.array(json.dumps(header, sort_keys=True))
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -10,7 +10,6 @@ and AUC.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -80,12 +79,8 @@ def graph_stats(g: Graph) -> GraphStats:
 
 
 def corpus_stats(graphs: Sequence[Graph]) -> list[GraphStats]:
-    """Per-graph statistics as an order-preserving parallel map."""
-    workers = backend.thread_cap()
-    if workers == 1 or len(graphs) < 32:
-        return [graph_stats(g) for g in graphs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(graph_stats, graphs))
+    """Per-graph statistics, in input order."""
+    return [graph_stats(g) for g in graphs]
 
 
 def mean_stats(stats: Sequence[GraphStats]) -> GraphStats:

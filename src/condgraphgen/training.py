@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -599,7 +600,9 @@ def train_generator(
 ) -> tuple[GeneratorParams, NodeClassifierParams, list[dict]]:
     """Full training run over a corpus; returns generator and node-classifier
     parameters plus one epoch record per epoch (also written to
-    ``log_stream`` as JSON lines when given)."""
+    ``log_stream`` as JSON lines when given, each with the epoch's wall
+    ``seconds``, which the returned records leave out so that seeded runs
+    return identical histories)."""
     if not graphs:
         raise ValueError("training needs at least one graph")
     num_classes = max(g.class_label for g in graphs) + 1
@@ -621,6 +624,7 @@ def train_generator(
 
     history = []
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         tau = config.tau_at(epoch)
         order = np.random.default_rng([config.seed, 2, epoch]).permutation(len(ordered))
         sums = np.zeros(4)
@@ -640,9 +644,11 @@ def train_generator(
             "l_condition": float(means[1]),
             "l_node_label": float(means[2]),
             "total": float(means[3]),
+            "tau": tau,
         }
         history.append(record)
         if log_stream is not None:
-            log_stream.write(json.dumps(record) + "\n")
+            seconds = time.perf_counter() - started
+            log_stream.write(json.dumps({**record, "seconds": seconds}) + "\n")
             log_stream.flush()
     return gen_params, nodeclf_params, history

@@ -215,3 +215,26 @@ def test_identical_saves_are_byte_identical(tmp_path):
     save_checkpoint(first, gen, node_classifier=nodeclf)
     save_checkpoint(second, gen, node_classifier=nodeclf)
     assert checkpoint_hash(first) == checkpoint_hash(second)
+
+
+def test_interrupted_save_keeps_previous_archive(tmp_path, monkeypatch):
+    gen, _, _ = make_params()
+    path = tmp_path / "gen.npz"
+    save_checkpoint(path, gen)
+    before = path.read_bytes()
+
+    def failing_savez(file, **arrays):
+        file.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    other, _, _ = make_params(seed=5)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, other)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.npz"]
+    assert path.read_bytes() == before
+    loaded = load_checkpoint(path).generator.named_tensors()
+    for name, tensor in gen.named_tensors().items():
+        assert np.array_equal(loaded[name].value, tensor.value), name

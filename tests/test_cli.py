@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condgraphgen.cli import main
+from condgraphgen.training import load_train_config
 
 FAST_CONFIG = {
     "block_size": 2,
@@ -123,8 +124,17 @@ def test_train_writes_resolved_config_and_log(pipeline_run):
     }
     log = [json.loads(l) for l in (pipeline_run / "logs" / "train.jsonl").read_text().splitlines()]
     assert len(log) == FAST_CONFIG["epochs"]
-    assert set(log[0]) == {"epoch", "l_adj", "l_condition", "l_node_label", "total"}
+    assert set(log[0]) == {"epoch", "l_adj", "l_condition", "l_node_label", "total", "tau", "seconds"}
     assert (pipeline_run / "checkpoints" / "generator.npz").is_file()
+
+
+def test_train_log_records_temperature_and_timing(pipeline_run):
+    config = load_train_config(pipeline_run / "config.json")
+    log = [json.loads(l) for l in (pipeline_run / "logs" / "train.jsonl").read_text().splitlines()]
+    assert [rec["epoch"] for rec in log] == [0, 1]
+    for rec in log:
+        assert rec["tau"] == config.tau_at(rec["epoch"])
+        assert rec["seconds"] > 0
 
 
 def test_generate_writes_samples_and_manifest(pipeline_run):

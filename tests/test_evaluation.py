@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condgraphgen import backend, evaluation
+from condgraphgen import evaluation
 from condgraphgen.evaluation import (
     EvalReport,
     GraphStats,
@@ -141,18 +141,54 @@ def test_stats_permutation_invariant():
         assert_stats_close(graph_stats(g), graph_stats(h))
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(77)
-    graphs = [random_graph(rng) for _ in range(40)]
-    try:
-        backend.use_backend("numpy")
-        np_stats = [graph_stats(g) for g in graphs]
-        backend.use_backend("numba")
-        nb_stats = [graph_stats(g) for g in graphs]
-    finally:
-        backend.use_backend("auto")
-    for a, b in zip(np_stats, nb_stats):
-        assert_stats_close(a, b)
+def molecule_like_graph(n, rng, rings):
+    """A random tree on n nodes plus ``rings`` ring closures between nodes
+    four to six tree steps apart, like the rings of a molecule."""
+    parent = [int(rng.integers(0, i)) for i in range(1, n)]
+    edges = {(p, i + 1) for i, p in enumerate(parent)}
+    closed = 0
+    while closed < rings:
+        v = int(rng.integers(1, n))
+        u = v
+        for _ in range(int(rng.integers(4, 7))):
+            u = parent[u - 1] if u > 0 else u
+        if u != v and (u, v) not in edges:
+            edges.add((u, v))
+            closed += 1
+    return make_graph(n, edges)
+
+
+def test_stats_match_oracle_on_molecule_like_graphs():
+    rng = np.random.default_rng(2024)
+    for n in (60, 90, 120, 180, 240, 300):
+        g = molecule_like_graph(n, rng, rings=int(rng.integers(2, 8)))
+        assert_stats_close(graph_stats(g), oracle_stats(g))
+
+
+@pytest.mark.parametrize(
+    "triangle, path, want_cpl",
+    [
+        ((0, 1, 2), (3, 4, 5), 1.0),
+        ((3, 4, 5), (0, 1, 2), 4 / 3),
+        ((1, 3, 5), (0, 2, 4), 4 / 3),
+    ],
+)
+def test_tied_largest_components_use_lowest_node_id(triangle, path, want_cpl):
+    a, b, c = triangle
+    p, q, r = path
+    g = make_graph(6, [(a, b), (b, c), (a, c), (p, q), (q, r)])
+    s = graph_stats(g)
+    assert s.lcc == 3
+    assert s.cpl == pytest.approx(want_cpl)
+    assert_stats_close(s, oracle_stats(g))
+
+
+def test_complete_graph_300():
+    n = 300
+    s = graph_stats(make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    assert s.tc == 4_455_100
+    assert s.cpl == 1.0
+    assert (s.lcc, s.mean_d, s.gini) == (300, 299.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +207,6 @@ def test_mean_stats():
 def test_corpus_stats_preserves_order():
     graphs = synthesize_toy_corpus(60, (6, 12), seed=3)
     assert corpus_stats(graphs) == [graph_stats(g) for g in graphs]
-
-
-def test_corpus_stats_single_thread(monkeypatch):
-    monkeypatch.setenv("CCGG_THREADS", "1")
-    graphs = synthesize_toy_corpus(40, (6, 12), seed=3)
-    assert corpus_stats(graphs) == [graph_stats(g) for g in graphs]
-
-
-def test_thread_cap_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("CCGG_THREADS", "zero")
-    with pytest.raises(ValueError):
-        backend.thread_cap()
-    monkeypatch.setenv("CCGG_THREADS", "0")
-    with pytest.raises(ValueError):
-        backend.thread_cap()
-    monkeypatch.setenv("CCGG_THREADS", "3")
-    assert backend.thread_cap() == 3
 
 
 def test_identical_sets_zero_diff():

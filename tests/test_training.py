@@ -551,9 +551,11 @@ def test_train_generator_history_and_log():
     stream = io.StringIO()
     gen, nodeclf, history = train_generator(graphs, small_clf(), cfg, log_stream=stream)
     assert len(history) == cfg.epochs
-    for record in history:
-        assert set(record) == {"epoch", "l_adj", "l_condition", "l_node_label", "total"}
+    for epoch, record in enumerate(history):
+        assert set(record) == {"epoch", "l_adj", "l_condition", "l_node_label", "total", "tau"}
+        assert record["tau"] == cfg.tau_at(epoch)
     logged = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert all(line.pop("seconds") > 0 for line in logged)
     assert logged == history
 
 
