@@ -47,12 +47,7 @@ from .evaluation import (
     graph_stats,
     mean_stats,
 )
-from .generator import (
-    GeneratorConfig,
-    GeneratorParams,
-    graph_log_likelihood,
-    init_generator,
-)
+from .generator import GeneratorConfig, GeneratorParams, init_generator
 from .graphs import Graph, OrderedGraph, decompose, synthesize_toy_corpus
 from .sampling import generate, generate_batch, sample_num_nodes
 from .training import (
@@ -97,7 +92,6 @@ __all__ = [
     "decompose",
     "generate",
     "generate_batch",
-    "graph_log_likelihood",
     "graph_stats",
     "histogram_from_manifest",
     "init_generator",

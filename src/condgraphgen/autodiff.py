@@ -233,12 +233,10 @@ def relu(x) -> Tensor:
 
 
 def _sigmoid_val(v: Array) -> Array:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # e = exp(-|v|) never overflows; 1/(1+e) for v >= 0 and e/(1+e) below
+    # are the two stable branches, evaluated without masked copies
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x) -> Tensor:

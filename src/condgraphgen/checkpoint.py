@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .classifiers import (
 )
 from .errors import DataError
 from .generator import GeneratorConfig, GeneratorParams, init_generator
+from .tu_io import atomic_open
 
 _HEADER_KEY = "__config__"
 _GEN_HEADER_FIELDS = ("B", "N", "K", "R", "hidden_dim_h", "cond_dim", "m")
@@ -83,18 +83,8 @@ def save_checkpoint(
         for name, t in arrays.items()
     }
     payload[_HEADER_KEY] = np.array(json.dumps(header, sort_keys=True))
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def _load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:

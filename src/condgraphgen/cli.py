@@ -40,7 +40,7 @@ from .training import (
     train_config_to_dict,
     train_generator,
 )
-from .tu_io import load_graph_json, load_graph_list, load_tu, save_graph_json
+from .tu_io import atomic_open, load_graph_json, load_graph_list, load_tu, save_graph_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +75,11 @@ def _resolve_config(args) -> TrainConfig:
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require_checkpoint(path: Path, hint: str):
@@ -153,9 +158,7 @@ def cmd_train(args) -> int:
         if clf_params is None:
             raise DependencyError(f"{clf_path} holds no graph-classifier parameters")
 
-    (out / "config.json").write_text(
-        json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "config.json", train_config_to_dict(config))
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     with open(out / "logs" / "train.jsonl", "w", encoding="utf-8") as fh:
@@ -213,17 +216,21 @@ def cmd_generate(args) -> int:
         "checkpoint_sha256": checkpoint_hash(ckpt_path),
         "files": files,
     }
-    (batch_dir / "manifest.json").write_text(
-        json.dumps(batch_manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(batch_dir / "manifest.json", batch_manifest)
     print(f"wrote {len(files)} samples for class {args.class_label} under {batch_dir}")
     return EXIT_OK
 
 
 def _collect_samples(out: Path):
+    """The samples each class's manifest lists; files left over from an
+    earlier, larger ``generate`` of the class are not read."""
     graphs = []
-    for path in sorted((out / "samples").glob("class*/sample_*.json")):
-        graphs.append(load_graph_json(path))
+    for path in sorted((out / "samples").glob("class*/manifest.json")):
+        try:
+            files = json.loads(path.read_text())["files"]
+            graphs += [load_graph_json(out / rel) for rel in files]
+        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            raise DataError(f"cannot read the samples listed in {path}: {exc}") from exc
     return graphs
 
 
@@ -258,7 +265,8 @@ def cmd_evaluate(args) -> int:
     report = build_report(
         reference, generated, clf=clf_params, scores=scores, score_labels=labels
     )
-    (out / "report.json").write_text(report.to_json() + "\n")
+    with atomic_open(out / "report.json") as fh:
+        fh.write(report.to_json() + "\n")
     print(render_table(report))
     return EXIT_OK
 

@@ -6,6 +6,9 @@ subvector to every node state, runs attentive gated message passing over the
 observed-plus-candidate edge set, and scores all candidate edges of the new
 block with a mixture of Bernoulli heads.  Training maximizes the
 teacher-forced sum of per-block log-likelihoods.
+
+There is one forward, ``step_forward`` over a ``UnionPlan``: training runs
+every step of a minibatch as one union, sampling runs one step at a time.
 """
 
 from __future__ import annotations
@@ -20,22 +23,16 @@ from .autodiff import (
     Linear,
     MLP,
     Tensor,
-    clip,
     concat,
     constant,
     gather_rows,
     he_uniform,
-    log_sigmoid,
     log_softmax,
-    logsumexp,
     make_mlp,
-    matmul,
     parameter,
     segment_sum,
     sigmoid,
-    softmax,
 )
-from .graphs import block_partition
 
 
 @dataclass(frozen=True)
@@ -103,36 +100,6 @@ class NodeStates:
     @property
     def num_nodes(self) -> int:
         return self.h.shape[0]
-
-
-@dataclass
-class MixtureParams:
-    """Mixture-of-Bernoulli output for one block's candidate edges.
-
-    theta rows follow the canonical candidate order: new nodes ascending,
-    and for each new node i all partners j < i ascending.
-    """
-
-    alpha: Tensor
-    theta: Tensor
-    log_alpha: Tensor
-    theta_logits: Tensor
-
-    @property
-    def num_pairs(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def num_components(self) -> int:
-        return self.alpha.shape[0]
-
-    def validate(self) -> None:
-        a = self.alpha.value
-        if abs(float(a.sum()) - 1.0) > 1e-6 or (a < 0).any():
-            raise AssertionError("alpha is not a probability simplex")
-        th = self.theta.value
-        if th.size and ((th <= 0).any() or (th >= 1).any()):
-            raise AssertionError("theta must lie strictly inside (0, 1)")
 
 
 @dataclass
@@ -245,48 +212,109 @@ def block_bits(lower_rows: np.ndarray, block: Sequence[int]) -> np.ndarray:
     return np.concatenate([lower_rows[i, :i] for i in block]).astype(np.float64)
 
 
+def _ints(parts) -> np.ndarray:
+    return np.concatenate(parts).astype(np.int64)
+
+
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+
+
+class UnionPlan:
+    """Index bookkeeping that lays generation steps side by side in one
+    block-diagonal 'union' graph, so a single forward pass runs them all.
+
+    Given its prefix rows a step does not depend on the other steps, so
+    training runs every teacher-forced step of a minibatch at once and
+    sampling runs the current block of one sample; per-step quantities come
+    back through segment sums.  Union node ``offset_t + i`` stands for node
+    ``i`` at step ``t``.  A plan is built for one graph from ``lower_rows``
+    (every row is embedded once, so pass only the rows the steps read) and
+    its ``blocks``; ``stack`` offsets several plans into one.
+
+    Fields: ``rows`` to embed; ``src_idx``, each union node's embedded row,
+    where new nodes read the shared zero row after the real rows; the
+    new-node flags ``x``; the augmented ``edges`` (receiver, sender);
+    candidate ``pairs`` (new node, partner) in canonical order and their
+    step ``pair_seg``; ``node_graph``, each node's graph; and the per-graph
+    ``node_off`` and ``step_off``.
+    """
+
+    def __init__(self, lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]):
+        src_idx, x, recv, send, rows, cols, pair_seg = [], [], [], [], [], [], []
+        offset = 0
+        for t, block in enumerate(blocks):
+            n_prev, n_cur = block[0], block[-1] + 1
+            src_idx += [np.arange(n_prev), np.full(len(block), lower_rows.shape[0])]
+            flags = np.zeros(n_cur)
+            flags[n_prev:] = 1.0
+            x.append(flags)
+            er, es = augmented_edges(lower_rows, n_prev, block)
+            recv.append(er + offset)
+            send.append(es + offset)
+            cr, cc = candidate_pairs(block)
+            rows.append(cr + offset)
+            cols.append(cc + offset)
+            pair_seg.append(np.full(cr.shape[0], t))
+            offset += n_cur
+        self.rows = lower_rows
+        self.src_idx = _ints(src_idx)
+        self.x = np.concatenate(x)
+        self.edges = (_ints(recv), _ints(send))
+        self.pairs = (_ints(rows), _ints(cols))
+        self.pair_seg = _ints(pair_seg)
+        self.num_steps = len(blocks)
+        self.node_graph = np.zeros(offset, dtype=np.int64)
+        self.node_off = self.step_off = np.zeros(1, dtype=np.int64)
+
+    @classmethod
+    def stack(cls, plans: Sequence["UnionPlan"]) -> "UnionPlan":
+        """One union of single-graph plans: each graph's node, step and row
+        indices are offset by the graphs before it, and the new nodes of
+        every graph share one zero row after all real rows."""
+        out = cls.__new__(cls)
+        out.node_off = node_off = _offsets([p.num_nodes for p in plans])
+        out.step_off = step_off = _offsets([p.num_steps for p in plans])
+        row_off = _offsets([p.rows.shape[0] for p in plans])
+        out.rows = np.concatenate([p.rows for p in plans])
+        pad = out.rows.shape[0]
+        out.src_idx = np.concatenate([
+            np.where(p.src_idx == p.rows.shape[0], pad, p.src_idx + o)
+            for p, o in zip(plans, row_off)
+        ])
+        out.x = np.concatenate([p.x for p in plans])
+
+        def shifted(arrays, offs):
+            return np.concatenate([a + o for a, o in zip(arrays, offs)])
+
+        out.edges = tuple(shifted([p.edges[i] for p in plans], node_off) for i in (0, 1))
+        out.pairs = tuple(shifted([p.pairs[i] for p in plans], node_off) for i in (0, 1))
+        out.pair_seg = shifted([p.pair_seg for p in plans], step_off)
+        out.num_steps = int(sum(p.num_steps for p in plans))
+        out.node_graph = np.repeat(np.arange(len(plans)), [p.num_nodes for p in plans])
+        return out
+
+    @property
+    def num_nodes(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def num_pairs(self) -> int:
+        return self.pair_seg.shape[0]
+
+    @property
+    def new_nodes(self) -> np.ndarray:
+        """Union indices of every step's new block, ascending."""
+        return np.flatnonzero(self.x)
+
+    def pair_bounds(self) -> np.ndarray:
+        """Step s owns the candidate pairs [bounds[s], bounds[s + 1])."""
+        counts = np.bincount(self.pair_seg, minlength=self.num_steps)
+        return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # forward passes
-
-
-def init_representations(
-    lower_rows_so_far,
-    c: ClassConditionVector,
-    t: int,
-    params: GeneratorParams,
-    new_nodes: int,
-) -> NodeStates:
-    """Initial node states for step t: embedded adjacency rows for previous
-    nodes, zeros for the new block, class subvector appended everywhere."""
-    if not isinstance(c, ClassConditionVector):
-        c = ClassConditionVector(c)
-    if c.num_classes != params.config.num_classes:
-        raise ValueError("condition vector width does not match the model")
-    if t < 1:
-        raise ValueError("step index starts at 1")
-    rows = np.asarray(lower_rows_so_far, dtype=np.float64)
-    if rows.size == 0:
-        rows = rows.reshape(0, params.config.max_nodes)
-    n_prev = rows.shape[0]
-    if (t == 1) != (n_prev == 0):
-        raise ValueError("step 1 must see no previous rows, later steps must")
-    if rows.shape[1] != params.config.max_nodes:
-        raise ValueError("adjacency rows must be padded to max_nodes")
-    if new_nodes < 1:
-        raise ValueError("a step must add at least one node")
-
-    n = n_prev + new_nodes
-    block_zeros = constant(np.zeros((new_nodes, params.config.hidden_dim_h)))
-    if n_prev:
-        h_hat = concat([params.row_embed(constant(rows)), block_zeros], axis=0)
-    else:
-        h_hat = block_zeros
-    c_hat = params.cond_embed(constant(c.onehot[None, :]))
-    c_tiled = matmul(constant(np.ones((n, 1))), c_hat)
-    h0 = concat([h_hat, c_tiled], axis=1)
-    x = np.zeros(n)
-    x[n_prev:] = 1.0
-    return NodeStates(h0, x)
 
 
 def gnn_round(
@@ -322,66 +350,43 @@ def run_rounds(
     return states
 
 
-def output_heads(
-    states_final: NodeStates, block: Sequence[int], params: GeneratorParams
-) -> MixtureParams:
-    """Mixture weights from pooled pair scores and per-pair edge logits."""
-    block = sorted(int(i) for i in block)
-    if not block:
-        raise ValueError("output heads need a nonempty block")
-    rows, cols = candidate_pairs(block)
-    diff = gather_rows(states_final.h, rows) - gather_rows(states_final.h, cols)
-    alpha_logits = params.head_alpha(diff).sum(axis=0)
-    log_alpha = log_softmax(alpha_logits)
-    alpha = softmax(alpha_logits)
-    theta_logits = params.head_theta(diff)
-    theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
-    mix = MixtureParams(alpha, theta, log_alpha, theta_logits)
-    mix.validate()
-    return mix
 
 
-def block_log_likelihood(mix: MixtureParams, observed_row_bits) -> Tensor:
-    """Log-probability of the observed candidate-edge bits under the mixture,
-    evaluated in log space."""
-    bits = np.asarray(observed_row_bits, dtype=np.float64).reshape(-1)
-    if bits.shape[0] != mix.num_pairs:
-        raise ValueError(
-            f"got {bits.shape[0]} bits for {mix.num_pairs} candidate edges"
-        )
-    s = mix.theta_logits
-    b = constant(bits[:, None])
-    pair_ll = b * log_sigmoid(s) + (1.0 - b) * log_sigmoid(-s)
-    per_component = pair_ll.sum(axis=0)
-    return logsumexp(mix.log_alpha + per_component)
+def initial_states(
+    plan: UnionPlan, labels: Sequence[int], params: GeneratorParams
+) -> NodeStates:
+    """Union input states: embedded prefix rows (zeros for new nodes) with
+    the class embedding of each node's graph appended; ``labels`` holds one
+    class per graph of the plan."""
+    config = params.config
+    onehots = np.stack(
+        [ClassConditionVector.for_class(c, config.num_classes).onehot for c in labels]
+    )
+    embedded = params.row_embed(constant(plan.rows))
+    padded = concat([embedded, constant(np.zeros((1, config.hidden_dim_h)))], axis=0)
+    h_hat = gather_rows(padded, plan.src_idx)
+    c_hat = params.cond_embed(constant(onehots))
+    return NodeStates(concat([h_hat, gather_rows(c_hat, plan.node_graph)], axis=1), plan.x)
+
+
+def mixture_heads(
+    states: NodeStates, plan: UnionPlan, params: GeneratorParams
+) -> tuple[Tensor, Tensor]:
+    """Mixture-of-Bernoulli heads: per-step log mixture weights (steps x K)
+    from the summed pair scores, and per-pair edge logits (pairs x K) in
+    canonical candidate order."""
+    rows, cols = plan.pairs
+    diff = gather_rows(states.h, rows) - gather_rows(states.h, cols)
+    alpha_logits = segment_sum(params.head_alpha(diff), plan.pair_seg, plan.num_steps)
+    return log_softmax(alpha_logits, axis=1), params.head_theta(diff)
 
 
 def step_forward(
-    lower_rows: np.ndarray,
-    block: Sequence[int],
-    c: ClassConditionVector,
-    t: int,
-    params: GeneratorParams,
-) -> tuple[MixtureParams, NodeStates]:
-    """Full forward pass for one step given the (teacher-forced or sampled)
-    prefix rows; returns the mixture plus final states for downstream heads."""
-    n_prev = int(block[0])
-    states = init_representations(lower_rows[:n_prev], c, t, params, len(block))
-    edges = augmented_edges(lower_rows, n_prev, block)
-    states = run_rounds(states, edges, params)
-    return output_heads(states, block, params), states
-
-
-def graph_log_likelihood(
-    og, c: ClassConditionVector, params: GeneratorParams, block_size: int
-) -> Tensor:
-    """Teacher-forced log-likelihood of an ordered graph: the sum of
-    per-block terms with ground-truth prefixes fed at every step."""
-    if og.N != params.config.max_nodes:
-        raise ValueError("ordered graph padding does not match the model")
-    parts = block_partition(og.base.num_nodes, block_size)
-    total = constant(0.0)
-    for t, block in enumerate(parts.blocks, start=1):
-        mix, _ = step_forward(og.lower_rows, block, c, t, params)
-        total = total + block_log_likelihood(mix, block_bits(og.lower_rows, block))
-    return total
+    plan: UnionPlan, labels: Sequence[int], params: GeneratorParams
+) -> tuple[Tensor, Tensor, NodeStates]:
+    """The generator forward over a union plan: log mixture weights, edge
+    logits and the final node states."""
+    states = initial_states(plan, labels, params)
+    states = run_rounds(states, plan.edges, params)
+    log_alpha, theta_logits = mixture_heads(states, plan, params)
+    return log_alpha, theta_logits, states

@@ -1,11 +1,12 @@
 """Inference-time class-conditional graph generation.
 
-Generation mirrors the training-time forward pass but draws hard samples:
-one mixture component per block, then an independent Bernoulli draw per
-candidate edge (no relaxation).  Node labels come from the node classifier
-applied to each block's final states.  The target node count is drawn from
-the per-class empirical histogram of the training split, since the
-autoregressive model itself has no stopping rule.
+Generation runs the training-time forward (``step_forward``) on a one-step
+union plan of the sampled prefix and draws hard samples: one mixture
+component per block, then an independent Bernoulli draw per candidate edge
+(no relaxation).  Node labels come from the node classifier applied to each
+block's final states.  The target node count is drawn from the per-class
+empirical histogram of the training split, since the autoregressive model
+itself has no stopping rule.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import gather_rows
+from .autodiff import gather_rows, sigmoid
 from .classifiers import NodeClassifierParams, classify_nodes
-from .errors import CapacityError
-from .generator import (
-    ClassConditionVector,
-    GeneratorParams,
-    candidate_pairs,
-    step_forward,
-)
+from .errors import CapacityError, NumericError
+from .generator import GeneratorParams, UnionPlan, step_forward
 from .graphs import Graph, block_partition, decompose
 
 Histogram = Mapping[int, Mapping[int, int]]
@@ -42,6 +38,15 @@ def sample_num_nodes(
     return int(rng.choice(sizes, p=weights / weights.sum()))
 
 
+def _check_mixture(alpha: np.ndarray, theta: np.ndarray) -> None:
+    if not np.isfinite(alpha).all():
+        raise NumericError("non-finite mixture weights during sampling")
+    if abs(float(alpha.sum()) - 1.0) > 1e-6 or (alpha < 0).any():
+        raise NumericError("mixture weights are not a probability simplex")
+    if not ((theta > 0) & (theta < 1)).all():
+        raise NumericError("edge probabilities must lie strictly inside (0, 1)")
+
+
 def generate(
     class_label: int,
     gen_params: GeneratorParams,
@@ -57,7 +62,8 @@ def generate(
     from ``histogram``.  Blocks are emitted autoregressively: forward pass on
     the sampled prefix, hard component draw k ~ alpha, edge bits ~
     Bernoulli(theta_k), block node labels = argmax of the node classifier on
-    the block's final states.
+    the block's final states.  Raises NumericError when the mixture weights
+    or edge probabilities are not finite.
 
     When ``start`` is given, its canonically ordered structure and node
     labels become the first nodes of the output and generation continues from
@@ -77,8 +83,9 @@ def generate(
         raise CapacityError(
             f"requested {n} nodes but the model capacity is {config.max_nodes}"
         )
+    if not 0 <= class_label < config.num_classes:
+        raise ValueError(f"class {class_label} outside [0, {config.num_classes})")
 
-    c = ClassConditionVector.for_class(class_label, config.num_classes)
     lower = np.zeros((n, config.max_nodes))
     labels = np.zeros(n, dtype=np.int64)
     n_fixed = 0
@@ -92,17 +99,21 @@ def generate(
         lower[:n_fixed] = og.lower_rows
         labels[:n_fixed] = [start.node_labels[og.pi[i]] for i in range(n_fixed)]
 
-    for t, block in enumerate(block_partition(n, config.block_size).blocks, start=1):
+    for block in block_partition(n, config.block_size).blocks:
         if block[-1] < n_fixed:
             continue
-        mix, states = step_forward(lower, block, c, t, gen_params)
-        if mix.num_pairs:
-            k = int(rng.choice(mix.num_components, p=mix.alpha.value))
-            bits = rng.random(mix.num_pairs) < mix.theta.value[:, k]
-            rows, cols = candidate_pairs(block)
+        plan = UnionPlan(lower[: block[0]], [block])
+        log_alpha, theta_logits, states = step_forward(plan, [class_label], gen_params)
+        alpha = np.exp(log_alpha.value[0])
+        theta = np.clip(sigmoid(theta_logits).value, 1e-12, 1.0 - 1e-12)
+        _check_mixture(alpha, theta)
+        if plan.num_pairs:
+            k = int(rng.choice(alpha.shape[0], p=alpha))
+            bits = rng.random(plan.num_pairs) < theta[:, k]
+            rows, cols = plan.pairs
             keep = rows >= n_fixed
             lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
-        block_states = gather_rows(states.h, np.asarray(block, dtype=np.int64))
+        block_states = gather_rows(states.h, plan.new_nodes)
         dists = classify_nodes(block_states, nodeclf_params)
         predicted = np.argmax(dists.value, axis=1)
         for pos, i in enumerate(block):

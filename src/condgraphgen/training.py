@@ -9,9 +9,9 @@ nearly complete prefixes weigh more.
 
 One optimizer step runs every generation step of every graph in the
 minibatch as a single forward pass over one block-diagonal union graph
-(see _UnionPlan and _BatchUnion).  The frozen classifier reads the relaxed
-partial graphs of that union as a weighted edge list, so memory grows with
-the union's nodes and edges, not with their square.
+(see generator.UnionPlan and _TeacherPlan).  The frozen classifier reads
+the relaxed partial graphs of that union as a weighted edge list, so memory
+grows with the union's nodes and edges, not with their square.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .autodiff import (
 from .classifiers import (
     GraphClassifierParams,
     NodeClassifierParams,
-    ClassProbabilities,
     classify_nodes,
     graph_logits,
     init_node_classifier,
@@ -51,15 +50,13 @@ from .classifiers import (
 )
 from .errors import ConfigError, NumericError
 from .generator import (
-    ClassConditionVector,
     GeneratorConfig,
     GeneratorParams,
-    MixtureParams,
-    NodeStates,
-    augmented_edges,
+    UnionPlan,
     block_bits,
-    candidate_pairs,
     init_generator,
+    initial_states,
+    mixture_heads,
     run_rounds,
 )
 from .graphs import Graph, OrderedGraph, block_partition, decompose
@@ -177,83 +174,6 @@ def _gumbel_soft(p: Tensor, tau: float, noise_diff: np.ndarray) -> Tensor:
     return sigmoid((logit + constant(noise_diff)) * (1.0 / tau))
 
 
-def gumbel_noise_diff(u) -> np.ndarray:
-    u1, u2 = np.asarray(u, dtype=np.float64).reshape(2)
-    if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
-        raise ValueError("uniform draws must lie strictly in (0, 1)")
-    g1, g2 = -np.log(-np.log(u1)), -np.log(-np.log(u2))
-    return np.asarray(g1 - g2)
-
-
-def gumbel_soft_sample(p_edge, tau: float, u) -> Tensor:
-    """The relaxed (strictly interior) sample before straight-through."""
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
-    return _gumbel_soft(as_tensor(p_edge), tau, gumbel_noise_diff(u))
-
-
-def gumbel_softmax_edge(p_edge, tau: float, u) -> Tensor:
-    """Straight-through edge bit: forward value is the hard argmax of the
-    two-category Gumbel-softmax, gradient follows the soft sample."""
-    soft = gumbel_soft_sample(p_edge, tau, u)
-    hard = (soft.value > 0.5).astype(np.float64)
-    return straight_through(soft, hard)
-
-
-def sample_block_relaxed(
-    mix: MixtureParams, tau: float, rng: np.random.Generator
-) -> Tensor:
-    """Sample one mixture component, then straight-through bits for every
-    candidate edge of the block (canonical order).  The component choice is
-    a hard categorical draw; gradients flow only through the edge path."""
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
-    if not np.isfinite(mix.alpha.value).all():
-        raise NumericError("non-finite mixture weights during edge sampling")
-    k = int(rng.choice(mix.num_components, p=mix.alpha.value))
-    if mix.num_pairs == 0:
-        return constant(np.zeros(0))
-    u = rng.random((mix.num_pairs, 2))
-    if not ((u > 0).all() and (u < 1).all()):  # pragma: no cover - measure zero
-        u = np.clip(u, 1e-12, 1 - 1e-12)
-    noise = -np.log(-np.log(u))
-    soft = _gumbel_soft(mix.theta[:, k], tau, noise[:, 0] - noise[:, 1])
-    hard = (soft.value > 0.5).astype(np.float64)
-    return straight_through(soft, hard)
-
-
-# ---------------------------------------------------------------------------
-# discounted loss terms
-
-
-def _discount(gamma: float, n_full: int, n_prefix: int) -> float:
-    if n_prefix > n_full:
-        raise ValueError("prefix cannot be larger than the full graph")
-    return float(gamma ** (n_full - n_prefix))
-
-
-def condition_loss(
-    probs: ClassProbabilities, target: int, n_full: int, n_prefix: int, gamma: float
-) -> Tensor:
-    """Classifier cross-entropy at the requested class, discounted by
-    gamma^(nodes still missing)."""
-    if not 0 <= target < probs.dist.shape[0]:
-        raise ValueError(f"target class {target} out of range")
-    return _discount(gamma, n_full, n_prefix) * -probs.log_dist[target]
-
-
-def node_label_loss(
-    node_dists: Tensor, targets, n_full: int, n_prefix: int, gamma: float
-) -> Tensor:
-    """Mean cross-entropy of per-node label distributions at the ground-truth
-    labels, discounted like the condition loss."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim != 1 or targets.shape[0] != node_dists.shape[0]:
-        raise ValueError("one target per block node required")
-    picked = node_dists[np.arange(targets.shape[0]), targets]
-    return _discount(gamma, n_full, n_prefix) * -log(picked).mean()
-
-
 # ---------------------------------------------------------------------------
 # one optimization step
 
@@ -312,132 +232,37 @@ def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
     return "no single parameter (the squared norm overflows)"
 
 
-class _UnionPlan:
-    """Index bookkeeping that lays every teacher-forced generation step of one
-    graph side by side in a block-diagonal 'union' graph.
-
-    Teacher forcing makes the steps conditionally independent given the
-    ground-truth prefix rows, so one forward pass over the union computes all
-    steps at once; per-step quantities are recovered with segment sums.
-    Union node u = offsets[t] + i stands for local node i at step t.  Indices
-    are local to the graph; _BatchUnion offsets them to stack a minibatch.
-    A plan depends only on the ordered graph, so it is built once per
-    training run.
+class _TeacherPlan:
+    """One graph's teacher-forced union plan (every generation step, see
+    UnionPlan) plus the loss bookkeeping: teacher bits, the classifier's
+    observed prefix edges, the discount weights and the node targets.
+    Indices are local to the graph.  A plan depends only on the ordered
+    graph, so it is built once per training run.
     """
 
     def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
         n = og.base.num_nodes
         blocks = block_partition(n, block_size).blocks
-        self.num_nodes = n
-        self.num_steps = len(blocks)
-        self.rows = og.lower_rows[:n]
-
-        src_idx, x, recv, send, pre_recv, pre_send = [], [], [], [], [], []
-        g_rows, g_cols, pair_seg, pair_counts, bits = [], [], [], [], []
-        node_seg, counts, block_idx, w_node = [], [], [], []
+        self.forward = UnionPlan(og.lower_rows, blocks)
+        pre_recv, pre_send, bits, counts, w_node = [], [], [], [], []
         offset = 0
-        for t, block in enumerate(blocks):
+        for block in blocks:
             n_prev, n_cur = block[0], block[-1] + 1
-            # previous nodes take their embedded adjacency row; new nodes
-            # (marked -1) take an all-zero row
-            src_idx.append(np.arange(n_prev))
-            src_idx.append(np.full(len(block), -1))
-            flags = np.zeros(n_cur)
-            flags[n_prev:] = 1.0
-            x.append(flags)
-            er, es = augmented_edges(og.lower_rows, n_prev, block)
-            recv.append(er + offset)
-            send.append(es + offset)
-            # observed prefix edges, both directions, for the classifier
             obs_i, obs_j = np.nonzero(og.lower_rows[:n_prev])
             pre_recv += [obs_i + offset, obs_j + offset]
             pre_send += [obs_j + offset, obs_i + offset]
-            cr, cc = candidate_pairs(block)
-            g_rows.append(cr + offset)
-            g_cols.append(cc + offset)
-            pair_seg.append(np.full(cr.shape[0], t))
-            pair_counts.append(cr.shape[0])
             bits.append(block_bits(og.lower_rows, block))
-            node_seg.append(np.full(n_cur, t))
             counts.append(n_cur)
-            block_idx.append(np.asarray(block) + offset)
             w_node.append(np.full(len(block), gamma ** (n - n_cur) / len(block)))
             offset += n_cur
-
-        def ints(parts):
-            return np.concatenate(parts).astype(np.int64)
-
-        self.total_nodes = offset
-        self.src_idx = ints(src_idx)
-        self.x = np.concatenate(x)
-        self.recv, self.send = ints(recv), ints(send)
-        self.prefix_recv, self.prefix_send = ints(pre_recv), ints(pre_send)
-        self.g_rows = ints(g_rows)
-        self.g_cols = ints(g_cols)
-        self.pair_seg = ints(pair_seg)
-        self.pair_offsets = np.concatenate([[0], np.cumsum(pair_counts)])
-        self.num_pairs = int(self.pair_offsets[-1])
+        self.prefix_recv = np.concatenate(pre_recv).astype(np.int64)
+        self.prefix_send = np.concatenate(pre_send).astype(np.int64)
         self.teacher_bits = np.concatenate(bits)
-        self.node_seg = ints(node_seg)
+        self.node_seg = np.repeat(np.arange(len(blocks)), counts)
         self.w_steps = gamma ** (n - np.asarray(counts, dtype=np.float64))
-        self.block_idx = ints(block_idx)
         self.w_node = np.concatenate(w_node)
         self.node_targets = np.asarray(
             [og.base.node_labels[og.pi[i]] for i in range(n)], dtype=np.int64
-        )
-
-
-class _BatchUnion:
-    """The plans of one minibatch stacked into a single union: each graph's
-    node, step and embedded-row indices are offset by the graphs before it.
-    New nodes of every graph share one all-zero row after the real rows."""
-
-    def __init__(self, plans: Sequence[_UnionPlan], labels: Sequence[int]):
-        def offsets(sizes):
-            return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-
-        node_off = offsets([p.total_nodes for p in plans])
-        self.step_off = offsets([p.num_steps for p in plans])
-        self.pair_off = offsets([p.num_pairs for p in plans])
-        row_off = offsets([p.num_nodes for p in plans])
-
-        def stack(field, offs=None):
-            arrays = [getattr(p, field) for p in plans]
-            if offs is None:
-                return np.concatenate(arrays)
-            return np.concatenate([a + o for a, o in zip(arrays, offs)])
-
-        self.num_steps = int(sum(p.num_steps for p in plans))
-        self.num_pairs = int(sum(p.num_pairs for p in plans))
-        self.rows = stack("rows")
-        pad = self.rows.shape[0]
-        self.src_idx = np.concatenate(
-            [np.where(p.src_idx < 0, pad, p.src_idx + o) for p, o in zip(plans, row_off)]
-        )
-        self.x = stack("x")
-        self.total_nodes = self.x.shape[0]
-        self.node_graph = np.repeat(np.arange(len(plans)), [p.total_nodes for p in plans])
-        self.edges = (stack("recv", node_off), stack("send", node_off))
-        self.g_rows = stack("g_rows", node_off)
-        self.g_cols = stack("g_cols", node_off)
-        self.pair_seg = stack("pair_seg", self.step_off)
-        self.teacher_bits = stack("teacher_bits")
-        self.node_seg = stack("node_seg", self.step_off)
-        self.w_steps = stack("w_steps")
-        self.step_labels = np.repeat(
-            np.asarray(labels, dtype=np.int64), [p.num_steps for p in plans]
-        )
-        self.block_idx = stack("block_idx", node_off)
-        self.w_node = stack("w_node")
-        self.node_targets = stack("node_targets")
-        # classifier edges: observed prefix edges (weight 1), then every
-        # candidate pair in both directions (weight = its straight-through bit)
-        pre_recv = stack("prefix_recv", node_off)
-        pre_send = stack("prefix_send", node_off)
-        self.num_prefix_edges = pre_recv.shape[0]
-        self.clf_edges = (
-            np.concatenate([pre_recv, self.g_rows, self.g_cols]),
-            np.concatenate([pre_send, self.g_cols, self.g_rows]),
         )
 
 
@@ -449,40 +274,31 @@ def _batch_losses(
     config: TrainConfig,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    plans: Optional[Sequence[_UnionPlan]] = None,
+    plans: Optional[Sequence[_TeacherPlan]] = None,
 ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """Loss terms summed over every generation step of every batch graph.
 
-    All steps of all graphs run as one union forward pass (see _BatchUnion);
-    the math per step is identical to step_forward + the per-step loss
-    definitions.  Each graph draws its mixture components and Gumbel noise
-    from its own RNG, step by step, in batch order.  Terms whose weight is
-    zero come back as None.
+    All steps of all graphs run as one union forward pass (UnionPlan.stack).
+    Each graph draws its mixture components and Gumbel noise from its own
+    RNG, step by step, in batch order.  Terms whose weight is zero come back
+    as None.
     """
     if plans is None:
-        plans = [_UnionPlan(og, config.block_size, config.gamma) for og, _ in batch]
+        plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in batch]
     labels = [label for _, label in batch]
-    num_classes = gen_params.config.num_classes
-    onehots = np.stack([ClassConditionVector.for_class(c, num_classes).onehot for c in labels])
-    u = _BatchUnion(plans, labels)
+    u = UnionPlan.stack([p.forward for p in plans])
 
-    # initial states: embedded prefix rows (each real row embedded once),
-    # zeros for new nodes, the graph's class embedding appended everywhere
-    hidden_h = gen_params.config.hidden_dim_h
-    embedded = gen_params.row_embed(constant(u.rows))
-    padded = concat([embedded, constant(np.zeros((1, hidden_h)))], axis=0)
-    h_hat = gather_rows(padded, u.src_idx)
-    c_hat = gen_params.cond_embed(constant(onehots))
-    states = NodeStates(concat([h_hat, gather_rows(c_hat, u.node_graph)], axis=1), u.x)
+    def stack(field, offs=None):
+        arrays = [getattr(p, field) for p in plans]
+        if offs is None:
+            return np.concatenate(arrays)
+        return np.concatenate([a + o for a, o in zip(arrays, offs)])
+
+    states = initial_states(u, labels, gen_params)
     states = run_rounds(states, u.edges, gen_params)
+    log_alpha, theta_logits = mixture_heads(states, u, gen_params)
 
-    # output heads for every step at once
-    diff = gather_rows(states.h, u.g_rows) - gather_rows(states.h, u.g_cols)
-    alpha_logits = segment_sum(gen_params.head_alpha(diff), u.pair_seg, u.num_steps)
-    log_alpha = log_softmax(alpha_logits, axis=1)
-    theta_logits = gen_params.head_theta(diff)
-
-    b = constant(u.teacher_bits[:, None])
+    b = constant(stack("teacher_bits")[:, None])
     pair_ll = b * log_sigmoid(theta_logits) + (1.0 - b) * log_sigmoid(-theta_logits)
     per_component = segment_sum(pair_ll, u.pair_seg, u.num_steps)
     l_adj = -logsumexp(log_alpha + per_component, axis=1).sum()
@@ -494,37 +310,47 @@ def _batch_losses(
             raise NumericError("non-finite mixture weights during edge sampling")
         k_per_pair = np.zeros(u.num_pairs, dtype=np.int64)
         noise = np.zeros(u.num_pairs)
-        for plan, rng, s0, p0 in zip(plans, rngs, u.step_off, u.pair_off):
-            for t in range(plan.num_steps):
-                k = int(rng.choice(alpha_vals.shape[1], p=alpha_vals[s0 + t]))
-                lo, hi = p0 + plan.pair_offsets[t], p0 + plan.pair_offsets[t + 1]
+        bounds = u.pair_bounds()
+        step_end = np.append(u.step_off[1:], u.num_steps)
+        for rng, s0, s1 in zip(rngs, u.step_off, step_end):
+            for s in range(s0, s1):
+                k = int(rng.choice(alpha_vals.shape[1], p=alpha_vals[s]))
+                lo, hi = bounds[s], bounds[s + 1]
                 if hi > lo:
                     draws = np.clip(rng.random((hi - lo, 2)), 1e-12, 1 - 1e-12)
                     gumbels = -np.log(-np.log(draws))
                     noise[lo:hi] = gumbels[:, 0] - gumbels[:, 1]
                     k_per_pair[lo:hi] = k
-        weights = [constant(np.ones((u.num_prefix_edges, 1)))]
+        # classifier edges: observed prefix edges (weight 1), then every
+        # candidate pair in both directions (weight = its straight-through bit)
+        pre_recv = stack("prefix_recv", u.node_off)
+        weights = [constant(np.ones((pre_recv.shape[0], 1)))]
         if u.num_pairs:
             theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
             theta_sel = theta[np.arange(u.num_pairs)[:, None], k_per_pair[:, None]]
             soft = _gumbel_soft(theta_sel, tau, noise[:, None])
             st_bits = straight_through(soft, (soft.value > 0.5).astype(np.float64))
             weights += [st_bits, st_bits]
-        features = uniform_features(u.total_nodes, clf_params.feature_dim)
+        rows, cols = u.pairs
+        features = uniform_features(u.num_nodes, clf_params.feature_dim)
         logits = graph_logits(
-            clf_params, features, *u.clf_edges, concat(weights, axis=0),
-            u.node_seg, u.num_steps,
+            clf_params, features,
+            np.concatenate([pre_recv, rows, cols]),
+            np.concatenate([stack("prefix_send", u.node_off), cols, rows]),
+            concat(weights, axis=0), stack("node_seg", u.step_off), u.num_steps,
         )
         log_dist = log_softmax(log_sigmoid(logits), axis=1)
-        picked = log_dist[np.arange(u.num_steps), u.step_labels]
-        l_cond = -(constant(u.w_steps) * picked).sum()
+        step_labels = np.repeat(labels, [p.forward.num_steps for p in plans])
+        picked = log_dist[np.arange(u.num_steps), step_labels]
+        l_cond = -(constant(stack("w_steps")) * picked).sum()
 
     l_node = None
     if config.lambda_node_label > 0.0:
-        block_states = gather_rows(states.h, u.block_idx)
+        block_states = gather_rows(states.h, u.new_nodes)
         dists = classify_nodes(block_states, nodeclf_params)
-        picked = dists[np.arange(u.node_targets.shape[0]), u.node_targets]
-        l_node = -(constant(u.w_node) * log(picked)).sum()
+        targets = stack("node_targets")
+        picked = dists[np.arange(targets.shape[0]), targets]
+        l_node = -(constant(stack("w_node")) * log(picked)).sum()
     return l_adj, l_cond, l_node
 
 
@@ -537,7 +363,7 @@ def train_step(
     opt: Adam,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    plans: Optional[Sequence[_UnionPlan]] = None,
+    plans: Optional[Sequence[_TeacherPlan]] = None,
 ) -> LossBreakdown:
     """One optimizer update on a batch; the graph classifier stays frozen
     (its tensors are never part of ``opt``).  ``plans`` are the batch
@@ -612,7 +438,7 @@ def train_generator(
         (decompose(g, config.block_size, config.max_nodes)[0], g.class_label)
         for g in graphs
     ]
-    plans = [_UnionPlan(og, config.block_size, config.gamma) for og, _ in ordered]
+    plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in ordered]
 
     gen_params = init_generator(
         config.generator_config(num_classes), np.random.default_rng([config.seed, 0])

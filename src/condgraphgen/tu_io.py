@@ -6,16 +6,43 @@ TU layout (all indices 1-based): ``<name>_A.txt`` holds "i, j" edge pairs,
 ``<name>_node_labels.txt`` one label per node line. Labels are remapped to
 contiguous 0-based vocabularies at load time; the mappings are returned so
 callers can persist them.
+
+``atomic_open`` is how the package writes every file of a run directory
+that a later command reads: checkpoints, config, samples, manifests and the
+report.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IngestionError, TuFormatError
 from .graphs import Graph
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing.  When the block
+    ends normally the file is flushed, fsynced and renamed over ``path``;
+    when it raises, the temporary file is removed.  Either way ``path``
+    holds a complete file: the previous one or the new one."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -176,7 +203,8 @@ def graph_from_dict(d: dict) -> Graph:
 
 
 def save_graph_json(path, g: Graph) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(g), indent=None, sort_keys=True))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(graph_to_dict(g), indent=None, sort_keys=True))
 
 
 def load_graph_json(path) -> Graph:

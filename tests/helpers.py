@@ -1,9 +1,47 @@
-"""Shared test utilities: finite-difference gradient oracle, error norms and
-the dense relaxed-adjacency helpers of the per-step training oracle."""
+"""Shared test utilities: finite-difference gradient oracle, error norms, and
+the per-step reference oracle for the generator.
+
+The package runs one forward, ``generator.step_forward`` over a union plan.
+The oracle below is the independent per-step formulation it replaced: each
+generation step gets its own forward (``step_forward`` here), its own mixture
+(``MixtureParams``) and its own loss terms, and ``oracle_generate`` samples
+through it.  Tests hold the union path to this oracle.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from condgraphgen.autodiff import Tensor, as_tensor
+from condgraphgen.autodiff import (
+    Tensor,
+    as_tensor,
+    clip,
+    concat,
+    constant,
+    gather_rows,
+    log,
+    log_sigmoid,
+    log_softmax,
+    logsumexp,
+    matmul,
+    sigmoid,
+    softmax,
+    straight_through,
+)
+from condgraphgen.classifiers import ClassProbabilities, classify_nodes
+from condgraphgen.errors import NumericError
+from condgraphgen.generator import (
+    ClassConditionVector,
+    GeneratorParams,
+    NodeStates,
+    augmented_edges,
+    block_bits,
+    candidate_pairs,
+    run_rounds,
+)
+from condgraphgen.graphs import Graph, block_partition, decompose
+from condgraphgen.training import _gumbel_soft
 
 
 def finite_diff(f, arrays, eps=1e-5):
@@ -57,3 +95,269 @@ def prefix_matrix(lower_rows: np.ndarray, n_prev: int, n: int) -> np.ndarray:
     out = np.zeros((n, n))
     out[:n_prev, :n] = block
     return out + out.T
+
+
+# ---------------------------------------------------------------------------
+# per-step generator forward
+
+
+@dataclass
+class MixtureParams:
+    """Mixture-of-Bernoulli output for one block's candidate edges.
+
+    theta rows follow the canonical candidate order: new nodes ascending,
+    and for each new node i all partners j < i ascending.
+    """
+
+    alpha: Tensor
+    theta: Tensor
+    log_alpha: Tensor
+    theta_logits: Tensor
+
+    @property
+    def num_pairs(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def num_components(self) -> int:
+        return self.alpha.shape[0]
+
+    def validate(self) -> None:
+        a = self.alpha.value
+        if abs(float(a.sum()) - 1.0) > 1e-6 or (a < 0).any():
+            raise AssertionError("alpha is not a probability simplex")
+        th = self.theta.value
+        if th.size and ((th <= 0).any() or (th >= 1).any()):
+            raise AssertionError("theta must lie strictly inside (0, 1)")
+
+
+def init_representations(
+    lower_rows_so_far,
+    c: ClassConditionVector,
+    t: int,
+    params: GeneratorParams,
+    new_nodes: int,
+) -> NodeStates:
+    """Initial node states for step t: embedded adjacency rows for previous
+    nodes, zeros for the new block, class subvector appended everywhere."""
+    if not isinstance(c, ClassConditionVector):
+        c = ClassConditionVector(c)
+    if c.num_classes != params.config.num_classes:
+        raise ValueError("condition vector width does not match the model")
+    if t < 1:
+        raise ValueError("step index starts at 1")
+    rows = np.asarray(lower_rows_so_far, dtype=np.float64)
+    if rows.size == 0:
+        rows = rows.reshape(0, params.config.max_nodes)
+    n_prev = rows.shape[0]
+    if (t == 1) != (n_prev == 0):
+        raise ValueError("step 1 must see no previous rows, later steps must")
+    if rows.shape[1] != params.config.max_nodes:
+        raise ValueError("adjacency rows must be padded to max_nodes")
+    if new_nodes < 1:
+        raise ValueError("a step must add at least one node")
+
+    n = n_prev + new_nodes
+    block_zeros = constant(np.zeros((new_nodes, params.config.hidden_dim_h)))
+    if n_prev:
+        h_hat = concat([params.row_embed(constant(rows)), block_zeros], axis=0)
+    else:
+        h_hat = block_zeros
+    c_hat = params.cond_embed(constant(c.onehot[None, :]))
+    c_tiled = matmul(constant(np.ones((n, 1))), c_hat)
+    h0 = concat([h_hat, c_tiled], axis=1)
+    x = np.zeros(n)
+    x[n_prev:] = 1.0
+    return NodeStates(h0, x)
+
+
+def output_heads(
+    states_final: NodeStates, block: Sequence[int], params: GeneratorParams
+) -> MixtureParams:
+    """Mixture weights from pooled pair scores and per-pair edge logits."""
+    block = sorted(int(i) for i in block)
+    if not block:
+        raise ValueError("output heads need a nonempty block")
+    rows, cols = candidate_pairs(block)
+    diff = gather_rows(states_final.h, rows) - gather_rows(states_final.h, cols)
+    alpha_logits = params.head_alpha(diff).sum(axis=0)
+    log_alpha = log_softmax(alpha_logits)
+    alpha = softmax(alpha_logits)
+    theta_logits = params.head_theta(diff)
+    theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
+    mix = MixtureParams(alpha, theta, log_alpha, theta_logits)
+    mix.validate()
+    return mix
+
+
+def block_log_likelihood(mix: MixtureParams, observed_row_bits) -> Tensor:
+    """Log-probability of the observed candidate-edge bits under the mixture,
+    evaluated in log space."""
+    bits = np.asarray(observed_row_bits, dtype=np.float64).reshape(-1)
+    if bits.shape[0] != mix.num_pairs:
+        raise ValueError(
+            f"got {bits.shape[0]} bits for {mix.num_pairs} candidate edges"
+        )
+    s = mix.theta_logits
+    b = constant(bits[:, None])
+    pair_ll = b * log_sigmoid(s) + (1.0 - b) * log_sigmoid(-s)
+    per_component = pair_ll.sum(axis=0)
+    return logsumexp(mix.log_alpha + per_component)
+
+
+def step_forward(
+    lower_rows: np.ndarray,
+    block: Sequence[int],
+    c: ClassConditionVector,
+    t: int,
+    params: GeneratorParams,
+) -> tuple[MixtureParams, NodeStates]:
+    """Full forward pass for one step given the (teacher-forced or sampled)
+    prefix rows; returns the mixture plus final states for downstream heads."""
+    n_prev = int(block[0])
+    states = init_representations(lower_rows[:n_prev], c, t, params, len(block))
+    edges = augmented_edges(lower_rows, n_prev, block)
+    states = run_rounds(states, edges, params)
+    return output_heads(states, block, params), states
+
+
+def graph_log_likelihood(
+    og, c: ClassConditionVector, params: GeneratorParams, block_size: int
+) -> Tensor:
+    """Teacher-forced log-likelihood of an ordered graph: the sum of
+    per-block terms with ground-truth prefixes fed at every step."""
+    if og.N != params.config.max_nodes:
+        raise ValueError("ordered graph padding does not match the model")
+    parts = block_partition(og.base.num_nodes, block_size)
+    total = constant(0.0)
+    for t, block in enumerate(parts.blocks, start=1):
+        mix, _ = step_forward(og.lower_rows, block, c, t, params)
+        total = total + block_log_likelihood(mix, block_bits(og.lower_rows, block))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# per-step straight-through Gumbel sampling and discounted losses
+
+
+def gumbel_noise_diff(u) -> np.ndarray:
+    u1, u2 = np.asarray(u, dtype=np.float64).reshape(2)
+    if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
+        raise ValueError("uniform draws must lie strictly in (0, 1)")
+    g1, g2 = -np.log(-np.log(u1)), -np.log(-np.log(u2))
+    return np.asarray(g1 - g2)
+
+
+def gumbel_soft_sample(p_edge, tau: float, u) -> Tensor:
+    """The relaxed (strictly interior) sample before straight-through."""
+    if tau <= 0.0:
+        raise ValueError("temperature must be positive")
+    return _gumbel_soft(as_tensor(p_edge), tau, gumbel_noise_diff(u))
+
+
+def gumbel_softmax_edge(p_edge, tau: float, u) -> Tensor:
+    """Straight-through edge bit: forward value is the hard argmax of the
+    two-category Gumbel-softmax, gradient follows the soft sample."""
+    soft = gumbel_soft_sample(p_edge, tau, u)
+    hard = (soft.value > 0.5).astype(np.float64)
+    return straight_through(soft, hard)
+
+
+def sample_block_relaxed(
+    mix: MixtureParams, tau: float, rng: np.random.Generator
+) -> Tensor:
+    """Sample one mixture component, then straight-through bits for every
+    candidate edge of the block (canonical order).  The component choice is
+    a hard categorical draw; gradients flow only through the edge path."""
+    if tau <= 0.0:
+        raise ValueError("temperature must be positive")
+    if not np.isfinite(mix.alpha.value).all():
+        raise NumericError("non-finite mixture weights during edge sampling")
+    k = int(rng.choice(mix.num_components, p=mix.alpha.value))
+    if mix.num_pairs == 0:
+        return constant(np.zeros(0))
+    u = rng.random((mix.num_pairs, 2))
+    if not ((u > 0).all() and (u < 1).all()):  # pragma: no cover - measure zero
+        u = np.clip(u, 1e-12, 1 - 1e-12)
+    noise = -np.log(-np.log(u))
+    soft = _gumbel_soft(mix.theta[:, k], tau, noise[:, 0] - noise[:, 1])
+    hard = (soft.value > 0.5).astype(np.float64)
+    return straight_through(soft, hard)
+
+
+def discount(gamma: float, n_full: int, n_prefix: int) -> float:
+    if n_prefix > n_full:
+        raise ValueError("prefix cannot be larger than the full graph")
+    return float(gamma ** (n_full - n_prefix))
+
+
+def condition_loss(
+    probs: ClassProbabilities, target: int, n_full: int, n_prefix: int, gamma: float
+) -> Tensor:
+    """Classifier cross-entropy at the requested class, discounted by
+    gamma^(nodes still missing)."""
+    if not 0 <= target < probs.dist.shape[0]:
+        raise ValueError(f"target class {target} out of range")
+    return discount(gamma, n_full, n_prefix) * -probs.log_dist[target]
+
+
+def node_label_loss(
+    node_dists: Tensor, targets, n_full: int, n_prefix: int, gamma: float
+) -> Tensor:
+    """Mean cross-entropy of per-node label distributions at the ground-truth
+    labels, discounted like the condition loss."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 1 or targets.shape[0] != node_dists.shape[0]:
+        raise ValueError("one target per block node required")
+    picked = node_dists[np.arange(targets.shape[0]), targets]
+    return discount(gamma, n_full, n_prefix) * -log(picked).mean()
+
+
+# ---------------------------------------------------------------------------
+# per-step sampler
+
+
+def oracle_generate(class_label, gen_params, nodeclf_params, rng, num_nodes, start=None):
+    """``sampling.generate`` on the per-step forward, with an explicit node
+    count: the same draws in the same order."""
+    config = gen_params.config
+    n = int(num_nodes)
+    c = ClassConditionVector.for_class(class_label, config.num_classes)
+    lower = np.zeros((n, config.max_nodes))
+    labels = np.zeros(n, dtype=np.int64)
+    n_fixed = 0
+    if start is not None:
+        n_fixed = start.num_nodes
+        og, _ = decompose(start, config.block_size, config.max_nodes)
+        lower[:n_fixed] = og.lower_rows
+        labels[:n_fixed] = [start.node_labels[og.pi[i]] for i in range(n_fixed)]
+
+    for t, block in enumerate(block_partition(n, config.block_size).blocks, start=1):
+        if block[-1] < n_fixed:
+            continue
+        mix, states = step_forward(lower, block, c, t, gen_params)
+        if mix.num_pairs:
+            k = int(rng.choice(mix.num_components, p=mix.alpha.value))
+            bits = rng.random(mix.num_pairs) < mix.theta.value[:, k]
+            rows, cols = candidate_pairs(block)
+            keep = rows >= n_fixed
+            lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
+        block_states = gather_rows(states.h, np.asarray(block, dtype=np.int64))
+        predicted = np.argmax(classify_nodes(block_states, nodeclf_params).value, axis=1)
+        for pos, i in enumerate(block):
+            if i >= n_fixed:
+                labels[i] = predicted[pos]
+
+    src, dst = np.nonzero(lower[:, :n])
+    edges = frozenset((int(i), int(j)) for i, j in zip(src, dst))
+    return Graph(n, edges, tuple(int(l) for l in labels), int(class_label))
+
+
+def oracle_generate_batch(class_label, count, gen_params, nodeclf_params, seed, num_nodes,
+                          start=None):
+    """``sampling.generate_batch`` on the per-step sampler (same substreams)."""
+    return [
+        oracle_generate(class_label, gen_params, nodeclf_params,
+                        np.random.default_rng([seed, 4, class_label, i]), num_nodes, start)
+        for i in range(count)
+    ]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import finite_diff, rel_error
+from helpers import finite_diff, graph_log_likelihood, gumbel_softmax_edge, rel_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_evaluation import oracle_stats, random_graph
@@ -44,12 +44,11 @@ from condgraphgen.generator import (
     GeneratorConfig,
     NodeStates,
     gnn_round,
-    graph_log_likelihood,
     init_generator,
 )
 from condgraphgen.graphs import Graph, decompose, synthesize_toy_corpus
 from condgraphgen.sampling import generate_batch
-from condgraphgen.training import TrainConfig, gumbel_softmax_edge, train_generator, train_step
+from condgraphgen.training import TrainConfig, train_generator, train_step
 from condgraphgen.tu_io import load_tu
 
 

@@ -74,6 +74,32 @@ def test_elementwise_grads():
     check_grad(lambda t: ad.log_sigmoid(t).sum(), [x * 3])
 
 
+def _masked_sigmoid(v):
+    """The former two-branch sigmoid built from boolean-masked copies."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 710.0, -710.0,
+                         745.0, -745.0, 36.7, -36.7])
+    for v in (rng.standard_normal(100_000), 40.0 * rng.standard_normal((300, 7)), specials):
+        with np.errstate(over="ignore"):
+            want = _masked_sigmoid(v)
+        got = ad._sigmoid_val(v)
+        assert got.shape == v.shape and got.dtype == np.float64
+        # NaN stays NaN (its sign bit carries no value); every other entry
+        # has the same bits
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 def test_softplus_extreme_values_stable():
     x = ad.Tensor(np.array([-800.0, 0.0, 800.0]))
     y = ad.softplus(x)

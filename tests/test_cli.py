@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from condgraphgen.cli import main
+from condgraphgen.evaluation import corpus_stats, mean_stats
+from condgraphgen.tu_io import load_graph_json
 from condgraphgen.training import load_train_config
 
 FAST_CONFIG = {
@@ -205,6 +209,52 @@ def test_evaluate_writes_report(pipeline_run, capsys):
         assert entry["accuracy"] is not None
         assert entry["reference"] is not None and entry["generated"] is not None
     assert report["auc"] is None or 0.0 <= report["auc"] <= 1.0
+
+
+def test_evaluate_reads_only_the_latest_samples(tmp_path, pipeline_run):
+    run = tmp_path / "run"
+    for name in ("manifest.json", "splits", "checkpoints"):
+        src = pipeline_run / name
+        if src.is_dir():
+            shutil.copytree(src, run / name)
+        else:
+            run.mkdir()
+            shutil.copy(src, run / name)
+    for count in ("3", "1"):
+        assert main([
+            "generate", "--out", str(run), "--class", "1", "--count", count, "--seed", "2",
+        ]) == 0
+    on_disk = sorted((run / "samples" / "class1").glob("sample_*.json"))
+    assert len(on_disk) == 3
+    assert main(["evaluate", "--out", str(run)]) == 0
+    generated = json.loads((run / "report.json").read_text())["classes"]["1"]["generated"]
+    # the class mean is the statistics of the one listed sample, not of all three files
+    latest = mean_stats(corpus_stats([load_graph_json(on_disk[0])]))
+    stale = mean_stats(corpus_stats([load_graph_json(p) for p in on_disk]))
+    assert generated == pytest.approx(latest.as_dict())
+    assert generated != pytest.approx(stale.as_dict())
+
+
+def test_interrupted_report_write_keeps_previous_report(pipeline_run, monkeypatch):
+    assert main([
+        "generate", "--out", str(pipeline_run), "--class", "0", "--count", "2", "--seed", "4",
+    ]) == 0
+    assert main(["evaluate", "--out", str(pipeline_run)]) == 0
+    report = pipeline_run / "report.json"
+    before = report.read_bytes()
+    assert main([
+        "generate", "--out", str(pipeline_run), "--class", "0", "--count", "5", "--seed", "5",
+    ]) == 0
+
+    def crash(fd):  # the new report is written but not yet durable
+        raise OSError("power cut")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="power cut"):
+        main(["evaluate", "--out", str(pipeline_run)])
+    monkeypatch.undo()
+    assert report.read_bytes() == before
+    assert not list(pipeline_run.glob("report.json.*"))
 
 
 def test_evaluate_with_explicit_reference(pipeline_run, tmp_path):

@@ -1,26 +1,30 @@
 import numpy as np
 import pytest
-from helpers import finite_diff, rel_error
+from helpers import (
+    MixtureParams,
+    block_log_likelihood,
+    finite_diff,
+    graph_log_likelihood,
+    init_representations,
+    output_heads,
+    rel_error,
+    step_forward,
+)
 
 from condgraphgen import generator as G
 from condgraphgen.autodiff import constant, sigmoid
-from condgraphgen.graphs import Graph, decompose
+from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
     ClassConditionVector,
     GeneratorConfig,
-    MixtureParams,
     NodeStates,
+    UnionPlan,
     augmented_edges,
     block_bits,
-    block_log_likelihood,
     candidate_pairs,
-    graph_log_likelihood,
     gnn_round,
     init_generator,
-    init_representations,
-    output_heads,
     run_rounds,
-    step_forward,
 )
 
 HID_H, COND, HID = 5, 3, 8
@@ -357,6 +361,64 @@ def test_capacity_mismatch_rejected():
     og, _ = decompose(g, 2, 16)
     with pytest.raises(ValueError):
         graph_log_likelihood(og, ClassConditionVector.for_class(0, 2), params, 2)
+
+
+# ---------------------------------------------------------------------------
+# union forward
+
+
+def test_one_step_plan_matches_per_step_oracle_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for block_size in (1, 2, 3):
+        params = small_params(26, block_size=block_size)
+        for label in (0, 1):
+            og = random_ordered(rng, int(rng.integers(1, 9)), params)
+            c = ClassConditionVector.for_class(label, 2)
+            for t, block in enumerate(block_partition(og.base.num_nodes, block_size).blocks, 1):
+                plan = UnionPlan(og.lower_rows[: block[0]], [block])
+                log_alpha, theta_logits, states = G.step_forward(plan, [label], params)
+                mix, want = step_forward(og.lower_rows, block, c, t, params)
+                assert np.array_equal(log_alpha.value[0], mix.log_alpha.value)
+                assert np.array_equal(theta_logits.value, mix.theta_logits.value)
+                assert np.array_equal(states.h.value, want.h.value)
+                assert np.array_equal(plan.new_nodes, block)
+
+
+def test_stacked_plan_matches_each_graph_alone():
+    rng = np.random.default_rng(27)
+    params = small_params(28)
+    ogs = [random_ordered(rng, n, params) for n in (5, 1, 8, 3)]
+    labels = [1, 0, 0, 1]
+    plans = [UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, 2).blocks) for og in ogs]
+    u = UnionPlan.stack(plans)
+    log_alpha, theta_logits, states = G.step_forward(u, labels, params)
+    bounds = u.pair_bounds()
+    for plan, label, n0, s0 in zip(plans, labels, u.node_off, u.step_off):
+        la, tl, st = G.step_forward(plan, [label], params)
+        steps = slice(s0, s0 + plan.num_steps)
+        assert np.allclose(log_alpha.value[steps], la.value, rtol=0, atol=1e-12)
+        pairs = slice(bounds[s0], bounds[s0 + plan.num_steps])
+        assert np.allclose(theta_logits.value[pairs], tl.value, rtol=0, atol=1e-12)
+        assert np.allclose(states.h.value[n0 : n0 + plan.num_nodes], st.h.value, rtol=0, atol=1e-12)
+
+
+def test_stack_offsets_and_shared_zero_row():
+    lower = np.zeros((3, 8))
+    lower[1, 0] = lower[2, 1] = 1.0
+    a = UnionPlan(lower, [[0], [1], [2]])
+    b = UnionPlan(lower[:2], [[0, 1]])
+    assert a.num_nodes == 1 + 2 + 3 and a.num_steps == 3 and a.num_pairs == 0 + 1 + 2
+    assert a.src_idx.tolist() == [3, 0, 3, 0, 1, 3]
+    assert a.pair_bounds().tolist() == [0, 0, 1, 3]
+    u = UnionPlan.stack([a, b])
+    assert u.rows.shape == (5, 8)
+    # new nodes of both graphs read the one zero row after the five real rows
+    assert u.src_idx.tolist() == [5, 0, 5, 0, 1, 5, 5, 5]
+    assert u.node_off.tolist() == [0, 6] and u.step_off.tolist() == [0, 3]
+    assert u.node_graph.tolist() == [0] * 6 + [1] * 2
+    assert u.pair_seg.tolist() == [1, 2, 2, 3]
+    assert u.pairs[0].tolist() == [2, 5, 5, 7] and u.pairs[1].tolist() == [1, 3, 4, 6]
+    assert u.new_nodes.tolist() == [0, 2, 5, 6, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from helpers import oracle_generate_batch
 
-from condgraphgen.classifiers import init_node_classifier
-from condgraphgen.errors import CapacityError
+from condgraphgen.classifiers import init_graph_classifier, init_node_classifier
+from condgraphgen.errors import CapacityError, NumericError
 from condgraphgen.generator import GeneratorConfig, init_generator
-from condgraphgen.graphs import Graph
+from condgraphgen.graphs import Graph, synthesize_toy_corpus
 from condgraphgen.sampling import generate, generate_batch, sample_num_nodes
+from condgraphgen.training import TrainConfig, train_generator
 
 CONFIG = GeneratorConfig(
     max_nodes=8,
@@ -187,3 +189,58 @@ def test_batch_substreams_independent_of_order(model):
     ]
     restored = [g for _, g in sorted(zip(np.random.default_rng(0).permutation(8), shuffled_order))]
     assert restored == batch
+
+
+# ---------------------------------------------------------------------------
+# golden set: the union forward against the per-step oracle sampler
+
+_START = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 4)}), (0, 1, 2, 0, 1), 0)
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda b: f"block{b}")
+def golden_models(request):
+    """Random and briefly trained weights for one block size."""
+    block_size = request.param
+    cfg = TrainConfig(
+        block_size=block_size, max_nodes=10, mixture_k=3, rounds=2, hidden_dim_h=6,
+        cond_dim=4, epochs=2, batch_size=4, lr=1e-2, seed=block_size,
+    )
+    corpus = synthesize_toy_corpus(12, (4, 10), seed=block_size)
+    clf = init_graph_classifier(3, 2, np.random.default_rng(0))
+    trained = train_generator(corpus, clf, cfg)[:2]
+    gen = init_generator(cfg.generator_config(2), np.random.default_rng(10 + block_size))
+    nodeclf = init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(20))
+    return {"random": (gen, nodeclf), "trained": trained}
+
+
+@pytest.mark.parametrize("weights", ["random", "trained"])
+@pytest.mark.parametrize("start", [None, _START], ids=["scratch", "start"])
+def test_generate_batch_matches_per_step_oracle(golden_models, weights, start):
+    gen, nodeclf = golden_models[weights]
+    for class_label in (0, 1):
+        for seed, num_nodes in ((3, 5), (4, 7), (5, 10)):
+            got = generate_batch(
+                class_label, 12, gen, nodeclf, None, seed, num_nodes=num_nodes, start=start
+            )
+            want = oracle_generate_batch(
+                class_label, 12, gen, nodeclf, seed, num_nodes, start=start
+            )
+            assert got == want  # structure, node labels and class
+
+
+@pytest.mark.parametrize("poisoned", ["row_embed", "head_theta"])
+def test_non_finite_weights_raise_numeric_error(poisoned):
+    gen = init_generator(CONFIG, np.random.default_rng(0))
+    nodeclf = init_node_classifier(CONFIG.hidden_dim, 3, np.random.default_rng(1))
+    if poisoned == "row_embed":  # every mixture weight from the second step on
+        gen.row_embed.W.value[0, 0] = np.nan
+    else:  # the edge probabilities only; the mixture weights stay finite
+        gen.head_theta.layers[-1].b.value[0] = np.nan
+    with pytest.raises(NumericError):
+        generate(0, gen, nodeclf, None, np.random.default_rng(0), num_nodes=6)
+
+
+def test_class_label_out_of_range(model):
+    gen, nodeclf = model
+    with pytest.raises(ValueError, match="class 2"):
+        generate(2, gen, nodeclf, None, np.random.default_rng(0), num_nodes=3)

@@ -4,24 +4,31 @@ import json
 
 import numpy as np
 import pytest
-from helpers import finite_diff, prefix_matrix, rel_error, symmetric_scatter
+from helpers import (
+    MixtureParams,
+    block_log_likelihood,
+    condition_loss,
+    finite_diff,
+    gumbel_soft_sample,
+    gumbel_softmax_edge,
+    node_label_loss,
+    prefix_matrix,
+    rel_error,
+    sample_block_relaxed,
+    step_forward,
+    symmetric_scatter,
+)
 
 from condgraphgen import training as T
 from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoid
 from condgraphgen.classifiers import ClassProbabilities, init_graph_classifier
 from condgraphgen.errors import ConfigError, NumericError
-from condgraphgen.generator import MixtureParams
 from condgraphgen.graphs import Graph, decompose, synthesize_toy_corpus
 from condgraphgen.training import (
     LossBreakdown,
     TrainConfig,
     clip_gradients,
-    condition_loss,
-    gumbel_soft_sample,
-    gumbel_softmax_edge,
     load_train_config,
-    node_label_loss,
-    sample_block_relaxed,
     train_config_from_dict,
     train_config_to_dict,
     train_generator,
@@ -440,17 +447,11 @@ def test_step_argument_errors():
 
 def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
     """Step-by-step oracle: runs each generation step independently through
-    the public single-step operations and accumulates the loss terms."""
+    the per-step forward of tests/helpers.py and accumulates the loss terms."""
     from condgraphgen.autodiff import constant as const
     from condgraphgen.autodiff import gather_rows
     from condgraphgen.classifiers import classify_graph, classify_nodes, uniform_features
-    from condgraphgen.generator import (
-        ClassConditionVector,
-        block_bits,
-        block_log_likelihood,
-        candidate_pairs,
-        step_forward,
-    )
+    from condgraphgen.generator import ClassConditionVector, block_bits, candidate_pairs
     from condgraphgen.graphs import block_partition
 
     c = ClassConditionVector.for_class(label, gen.config.num_classes)
