@@ -14,8 +14,6 @@ from .classifiers import (
     GraphClassifierParams,
     NodeClassifierParams,
     classifier_accuracy,
-    classify_discrete,
-    classify_graph,
     classify_nodes,
     init_graph_classifier,
     init_node_classifier,
@@ -85,8 +83,6 @@ __all__ = [
     "build_manifest",
     "build_report",
     "classifier_accuracy",
-    "classify_discrete",
-    "classify_graph",
     "classify_nodes",
     "corpus_stats",
     "decompose",

@@ -18,7 +18,6 @@ import numpy as np
 
 from .autodiff import (
     Adam,
-    Linear,
     MLP,
     Tensor,
     as_tensor,
@@ -33,7 +32,6 @@ from .autodiff import (
     parameter,
     relu,
     segment_sum,
-    sigmoid,
     softmax,
 )
 from .datasets import DatasetSplit
@@ -94,19 +92,6 @@ class GraphClassifierParams:
         return named
 
 
-@dataclass
-class ClassProbabilities:
-    """Sigmoid per-class scores plus their renormalized distribution."""
-
-    scores: Tensor
-    dist: Tensor
-    log_dist: Tensor
-
-    @property
-    def predicted(self) -> int:
-        return int(np.argmax(self.dist.value))
-
-
 def init_graph_classifier(
     feature_dim: int, num_classes: int, rng: np.random.Generator
 ) -> GraphClassifierParams:
@@ -156,45 +141,8 @@ def graph_logits(
     return params.head(pooled)
 
 
-def _probabilities(logits: Tensor) -> ClassProbabilities:
-    log_scores = log_sigmoid(logits)
-    return ClassProbabilities(
-        scores=sigmoid(logits),
-        dist=softmax(log_scores),
-        log_dist=log_softmax(log_scores),
-    )
-
-
-def classify_graph(features, adjacency, params: GraphClassifierParams) -> ClassProbabilities:
-    """Class scores for a (possibly relaxed) graph.
-
-    ``adjacency`` entries weight the neighbor mean, so the forward pass is
-    differentiable with respect to a relaxed adjacency tensor.  All n^2
-    entries enter the edge list in row-major order, zeros included, so each
-    one receives its gradient.
-    """
-    h = as_tensor(features)
-    a = as_tensor(adjacency)
-    if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if a.value.shape[0] != h.value.shape[0]:
-        raise ValueError("adjacency size does not match feature rows")
-    if h.value.shape[1] != params.feature_dim:
-        raise ValueError("feature width does not match the classifier")
-    if (a.value < 0).any() or (a.value > 1).any():
-        raise ValueError("adjacency entries must lie in [0, 1]")
-
-    n = h.value.shape[0]
-    recv = np.repeat(np.arange(n), n)
-    send = np.tile(np.arange(n), n)
-    weight = a[recv[:, None], send[:, None]]
-    logits = graph_logits(params, h, recv, send, weight, np.zeros(n, dtype=np.int64), 1)
-    return _probabilities(logits[0])
-
-
 def _discrete_parts(g, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-hot features and (recv, send) edges in row-major adjacency order,
-    the order in which classify_graph meets the nonzero entries."""
+    """One-hot features and (recv, send) edges in row-major adjacency order."""
     recv, send = np.nonzero(g.adjacency())
     return one_hot_features(g.node_labels, feature_dim), recv, send
 
@@ -212,22 +160,22 @@ def _discrete_logits(parts, params: GraphClassifierParams) -> Tensor:
     return graph_logits(params, feats, recv, send, weight, graph_of_node, len(parts))
 
 
-def classify_discrete(g, params: GraphClassifierParams) -> ClassProbabilities:
-    """Classify a discrete graph with one-hot node-label features."""
-    logits = _discrete_logits([_discrete_parts(g, params.feature_dim)], params)
-    return _probabilities(logits[0])
-
-
-def predict_graph_class(params: GraphClassifierParams, g) -> int:
-    return classify_discrete(g, params).predicted
+def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
+    """Class distribution of each discrete graph, one row per graph, all
+    classified as one union: sigmoid class scores renormalized to sum to 1."""
+    if not graphs:
+        return np.zeros((0, params.num_classes))
+    parts = [_discrete_parts(g, params.feature_dim) for g in graphs]
+    return softmax(log_sigmoid(_discrete_logits(parts, params)), axis=1).value
 
 
 def predict_graph_classes(params: GraphClassifierParams, graphs) -> np.ndarray:
-    """Predicted class of each discrete graph, all classified as one union."""
-    if not graphs:
-        return np.zeros(0, dtype=np.int64)
-    parts = [_discrete_parts(g, params.feature_dim) for g in graphs]
-    return np.argmax(_probabilities(_discrete_logits(parts, params)).dist.value, axis=1)
+    """Predicted class of each discrete graph."""
+    return np.argmax(class_distributions(params, graphs), axis=1)
+
+
+def predict_graph_class(params: GraphClassifierParams, g) -> int:
+    return int(predict_graph_classes(params, [g])[0])
 
 
 def classifier_accuracy(params: GraphClassifierParams, graphs) -> float:
@@ -339,14 +287,9 @@ def init_node_classifier(
     return NodeClassifierParams(num_labels, input_dim, mlp)
 
 
-def node_label_scores(states, params: NodeClassifierParams) -> Tensor:
-    """Raw per-node label logits from final node states."""
-    h = states.h if hasattr(states, "h") else as_tensor(states)
+def classify_nodes(states, params: NodeClassifierParams) -> Tensor:
+    """Per-node label distributions (rows sum to 1) from final node states."""
+    h = as_tensor(states)
     if h.value.shape[1] != params.input_dim:
         raise ValueError("state width does not match the node classifier")
-    return params.mlp(h)
-
-
-def classify_nodes(states, params: NodeClassifierParams) -> Tensor:
-    """Per-node label distributions (rows sum to 1)."""
-    return softmax(node_label_scores(states, params), axis=1)
+    return softmax(params.mlp(h), axis=1)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
-from .classifiers import ClassifierTrainConfig, classify_discrete, train_graph_classifier
+from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
 from .datasets import (
     build_manifest,
     histogram_from_manifest,
@@ -68,6 +68,8 @@ def _load_run(run_dir: Path):
         return load_run_dataset(run_dir)
     except OSError as exc:
         raise DataError(f"run directory {run_dir} is missing split files: {exc}") from exc
+    except ValueError as exc:  # a class of the splits is absent from the train split
+        raise DataError(f"run directory {run_dir} holds inconsistent splits: {exc}") from exc
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -136,10 +138,8 @@ def cmd_train_classifier(args) -> int:
     with open(out / "logs" / "classifier.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
             fh.write(json.dumps(record) + "\n")
-    print(
-        f"classifier saved to {ckpt_path}; "
-        f"validation accuracy {history[-1]['val_accuracy']:.3f}"
-    )
+    best = max(record["val_accuracy"] for record in history)
+    print(f"classifier saved to {ckpt_path}; validation accuracy {best:.3f}")
     return EXIT_OK
 
 
@@ -217,13 +217,17 @@ def cmd_generate(args) -> int:
         "files": files,
     }
     _write_json(batch_dir / "manifest.json", batch_manifest)
+    listed = {Path(rel).name for rel in files}
+    for path in batch_dir.glob("sample_*.json"):
+        if path.name not in listed:  # left over from an earlier, larger generate
+            path.unlink()
     print(f"wrote {len(files)} samples for class {args.class_label} under {batch_dir}")
     return EXIT_OK
 
 
 def _collect_samples(out: Path):
-    """The samples each class's manifest lists; files left over from an
-    earlier, larger ``generate`` of the class are not read."""
+    """The samples each class's manifest lists; sample files that no manifest
+    lists are not read."""
     graphs = []
     for path in sorted((out / "samples").glob("class*/manifest.json")):
         try:
@@ -260,7 +264,7 @@ def cmd_evaluate(args) -> int:
 
     scores = labels = None
     if clf_params is not None and clf_params.num_classes == 2:
-        scores = [float(classify_discrete(g, clf_params).dist.value[1]) for g in generated]
+        scores = class_distributions(clf_params, generated)[:, 1].tolist()
         labels = [g.class_label for g in generated]
     report = build_report(
         reference, generated, clf=clf_params, scores=scores, score_labels=labels

@@ -116,7 +116,8 @@ def write_run_dataset(run_dir, split: DatasetSplit, manifest: dict) -> None:
     (run_dir / "splits").mkdir(parents=True, exist_ok=True)
     for name in SPLIT_NAMES:
         tu_io.save_graph_list(run_dir / manifest["splits"][name], split.split(name))
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with tu_io.atomic_open(run_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_run_dataset(run_dir) -> tuple[DatasetSplit, dict]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import backend
 from .graphs import Graph
@@ -155,6 +154,12 @@ def accuracy_per_class(
     return {c: sum(hits[c]) / len(hits[c]) for c in sorted(hits)}
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse]
+
+
 def auc(scores: Sequence[float], labels: Sequence[int]) -> Optional[float]:
     """Rank-based AUC of class-1 scores; ties count half.
 
@@ -169,7 +174,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> Optional[float]:
     n0 = labels.shape[0] - n1
     if n1 == 0 or n0 == 0:
         return None
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 

@@ -61,35 +61,6 @@ class GeneratorConfig:
         return self.hidden_dim_h + self.cond_dim
 
 
-class ClassConditionVector:
-    """One-hot class indicator appended (after projection) to node states."""
-
-    def __init__(self, onehot):
-        arr = np.asarray(onehot, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("condition vector must be a nonempty 1-d vector")
-        ones = np.flatnonzero(arr == 1.0)
-        if ones.size != 1 or np.count_nonzero(arr) != 1:
-            raise ValueError("condition vector must be one-hot")
-        self.onehot = arr
-
-    @classmethod
-    def for_class(cls, label: int, num_classes: int) -> "ClassConditionVector":
-        if not 0 <= label < num_classes:
-            raise ValueError(f"class {label} outside [0, {num_classes})")
-        v = np.zeros(num_classes)
-        v[label] = 1.0
-        return cls(v)
-
-    @property
-    def label(self) -> int:
-        return int(np.argmax(self.onehot))
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.onehot.size)
-
-
 @dataclass
 class NodeStates:
     """Per-node hidden vectors plus the new-block indicator flag."""
@@ -350,8 +321,6 @@ def run_rounds(
     return states
 
 
-
-
 def initial_states(
     plan: UnionPlan, labels: Sequence[int], params: GeneratorParams
 ) -> NodeStates:
@@ -359,13 +328,14 @@ def initial_states(
     the class embedding of each node's graph appended; ``labels`` holds one
     class per graph of the plan."""
     config = params.config
-    onehots = np.stack(
-        [ClassConditionVector.for_class(c, config.num_classes).onehot for c in labels]
-    )
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= config.num_classes)]
+    if bad.size:
+        raise ValueError(f"class {bad[0]} outside [0, {config.num_classes})")
     embedded = params.row_embed(constant(plan.rows))
     padded = concat([embedded, constant(np.zeros((1, config.hidden_dim_h)))], axis=0)
     h_hat = gather_rows(padded, plan.src_idx)
-    c_hat = params.cond_embed(constant(onehots))
+    c_hat = params.cond_embed(constant(np.eye(config.num_classes)[labels]))
     return NodeStates(concat([h_hat, gather_rows(c_hat, plan.node_graph)], axis=1), plan.x)
 
 

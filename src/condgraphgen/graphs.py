@@ -99,15 +99,6 @@ class OrderedGraph:
             if self.lower_rows[i, i:].any():
                 raise ValueError(f"lower_rows[{i}] has entries on/above the diagonal")
 
-    def reconstructed_edges(self) -> frozenset[Edge]:
-        """Un-permute L + L^T back to the original edge set."""
-        out = set()
-        for i in range(self.base.num_nodes):
-            for j in np.flatnonzero(self.lower_rows[i, :i]):
-                u, v = self.pi[i], self.pi[int(j)]
-                out.add((min(u, v), max(u, v)))
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class BlockPartition:
@@ -179,27 +170,6 @@ def decompose(g: Graph, B: int, N: int) -> tuple[OrderedGraph, BlockPartition]:
         rows[a, b] = 1
     og = OrderedGraph(base=g, pi=pi, lower_rows=rows, N=N)
     return og, block_partition(g.num_nodes, B)
-
-
-def prefix_subgraph(og: OrderedGraph, t: int, B: int) -> Graph:
-    """Induced subgraph on the first min(t*B, n) ordered nodes."""
-    n = og.base.num_nodes
-    T = (n + B - 1) // B
-    if not 1 <= t <= T:
-        raise IndexError(f"step {t} out of range [1, {T}]")
-    k = min(t * B, n)
-    edges = set()
-    for i in range(k):
-        for j in np.flatnonzero(og.lower_rows[i, :i]):
-            edges.add((int(j), i))
-    labels = tuple(og.base.node_labels[og.pi[i]] for i in range(k))
-    return Graph(
-        num_nodes=k,
-        edges=frozenset(edges),
-        node_labels=labels,
-        class_label=og.base.class_label,
-        dataset_id=og.base.dataset_id,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ contiguous 0-based vocabularies at load time; the mappings are returned so
 callers can persist them.
 
 ``atomic_open`` is how the package writes every file of a run directory
-that a later command reads: checkpoints, config, samples, manifests and the
-report.
+that a later command reads: checkpoints, config, dataset splits, samples,
+manifests and the report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IngestionError, TuFormatError
+from .errors import DataError, IngestionError, TuFormatError
 from .graphs import Graph
 
 
@@ -152,11 +152,6 @@ def load_tu(directory, name: str) -> TuDataset:
     return TuDataset(graphs=graphs, graph_label_map=graph_label_map, node_label_map=node_label_map)
 
 
-def load_tu_dataset(directory, name: str) -> list[Graph]:
-    """Load a TU-format dataset directory into Graph objects."""
-    return load_tu(directory, name).graphs
-
-
 def save_tu_dataset(directory, name: str, graphs: list[Graph]) -> None:
     """Serialize graphs in TU text format (edges written in both directions)."""
     directory = Path(directory)
@@ -207,15 +202,25 @@ def save_graph_json(path, g: Graph) -> None:
         fh.write(json.dumps(graph_to_dict(g), indent=None, sort_keys=True))
 
 
+def _load_graph_file(path, build):
+    """``build`` applied to the parsed JSON of ``path``; malformed JSON or
+    graph data raises DataError naming the file."""
+    text = Path(path).read_text()
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed graph file {path}: {exc}") from exc
+
+
 def load_graph_json(path) -> Graph:
-    return graph_from_dict(json.loads(Path(path).read_text()))
+    return _load_graph_file(path, graph_from_dict)
 
 
 def save_graph_list(path, graphs: list[Graph]) -> None:
     payload = {"graphs": [graph_to_dict(g) for g in graphs]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def load_graph_list(path) -> list[Graph]:
-    payload = json.loads(Path(path).read_text())
-    return [graph_from_dict(d) for d in payload["graphs"]]
+    return _load_graph_file(path, lambda payload: [graph_from_dict(d) for d in payload["graphs"]])

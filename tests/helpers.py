@@ -1,11 +1,13 @@
-"""Shared test utilities: finite-difference gradient oracle, error norms, and
-the per-step reference oracle for the generator.
+"""Shared test utilities: finite-difference gradient oracle, error norms, the
+round-trip oracle for ordered graphs, and the per-step reference oracle for
+the generator and the graph classifier.
 
 The package runs one forward, ``generator.step_forward`` over a union plan.
 The oracle below is the independent per-step formulation it replaced: each
 generation step gets its own forward (``step_forward`` here), its own mixture
-(``MixtureParams``) and its own loss terms, and ``oracle_generate`` samples
-through it.  Tests hold the union path to this oracle.
+(``MixtureParams``), its own dense classifier pass (``classify_graph``) and
+its own loss terms, and ``oracle_generate`` samples through it.  Tests hold
+the union path to this oracle.
 """
 
 from dataclasses import dataclass
@@ -29,10 +31,9 @@ from condgraphgen.autodiff import (
     softmax,
     straight_through,
 )
-from condgraphgen.classifiers import ClassProbabilities, classify_nodes
+from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
 from condgraphgen.errors import NumericError
 from condgraphgen.generator import (
-    ClassConditionVector,
     GeneratorParams,
     NodeStates,
     augmented_edges,
@@ -97,8 +98,70 @@ def prefix_matrix(lower_rows: np.ndarray, n_prev: int, n: int) -> np.ndarray:
     return out + out.T
 
 
+def reconstructed_edges(og) -> frozenset:
+    """Un-permute L + L^T of an ordered graph back to the original edge set."""
+    out = set()
+    for i in range(og.base.num_nodes):
+        for j in np.flatnonzero(og.lower_rows[i, :i]):
+            u, v = og.pi[i], og.pi[int(j)]
+            out.add((min(u, v), max(u, v)))
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# dense graph-classifier forward
+
+
+@dataclass
+class ClassProbabilities:
+    """Sigmoid per-class scores plus their renormalized distribution."""
+
+    scores: Tensor
+    dist: Tensor
+    log_dist: Tensor
+
+    @property
+    def predicted(self) -> int:
+        return int(np.argmax(self.dist.value))
+
+
+def classify_graph(features, adjacency, params: GraphClassifierParams) -> ClassProbabilities:
+    """Class scores for a (possibly relaxed) graph.
+
+    ``adjacency`` entries weight the neighbor mean, so the forward pass is
+    differentiable with respect to a relaxed adjacency tensor.  All n^2
+    entries enter the edge list in row-major order, zeros included, so each
+    one receives its gradient.
+    """
+    h = as_tensor(features)
+    a = as_tensor(adjacency)
+    if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if a.value.shape[0] != h.value.shape[0]:
+        raise ValueError("adjacency size does not match feature rows")
+    if h.value.shape[1] != params.feature_dim:
+        raise ValueError("feature width does not match the classifier")
+    if (a.value < 0).any() or (a.value > 1).any():
+        raise ValueError("adjacency entries must lie in [0, 1]")
+
+    n = h.value.shape[0]
+    recv = np.repeat(np.arange(n), n)
+    send = np.tile(np.arange(n), n)
+    weight = a[recv[:, None], send[:, None]]
+    logits = graph_logits(params, h, recv, send, weight, np.zeros(n, dtype=np.int64), 1)[0]
+    log_scores = log_sigmoid(logits)
+    return ClassProbabilities(
+        scores=sigmoid(logits), dist=softmax(log_scores), log_dist=log_softmax(log_scores)
+    )
+
+
 # ---------------------------------------------------------------------------
 # per-step generator forward
+
+
+def one_hot(label: int, num_classes: int) -> np.ndarray:
+    """The class-condition vector of ``label``."""
+    return np.eye(num_classes)[label]
 
 
 @dataclass
@@ -133,17 +196,19 @@ class MixtureParams:
 
 def init_representations(
     lower_rows_so_far,
-    c: ClassConditionVector,
+    c: np.ndarray,
     t: int,
     params: GeneratorParams,
     new_nodes: int,
 ) -> NodeStates:
     """Initial node states for step t: embedded adjacency rows for previous
-    nodes, zeros for the new block, class subvector appended everywhere."""
-    if not isinstance(c, ClassConditionVector):
-        c = ClassConditionVector(c)
-    if c.num_classes != params.config.num_classes:
+    nodes, zeros for the new block, class subvector appended everywhere.
+    ``c`` is the one-hot class-condition vector."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (params.config.num_classes,):
         raise ValueError("condition vector width does not match the model")
+    if np.count_nonzero(c) != 1 or c.max() != 1.0:
+        raise ValueError("condition vector must be one-hot")
     if t < 1:
         raise ValueError("step index starts at 1")
     rows = np.asarray(lower_rows_so_far, dtype=np.float64)
@@ -163,7 +228,7 @@ def init_representations(
         h_hat = concat([params.row_embed(constant(rows)), block_zeros], axis=0)
     else:
         h_hat = block_zeros
-    c_hat = params.cond_embed(constant(c.onehot[None, :]))
+    c_hat = params.cond_embed(constant(c[None, :]))
     c_tiled = matmul(constant(np.ones((n, 1))), c_hat)
     h0 = concat([h_hat, c_tiled], axis=1)
     x = np.zeros(n)
@@ -208,7 +273,7 @@ def block_log_likelihood(mix: MixtureParams, observed_row_bits) -> Tensor:
 def step_forward(
     lower_rows: np.ndarray,
     block: Sequence[int],
-    c: ClassConditionVector,
+    c: np.ndarray,
     t: int,
     params: GeneratorParams,
 ) -> tuple[MixtureParams, NodeStates]:
@@ -222,7 +287,7 @@ def step_forward(
 
 
 def graph_log_likelihood(
-    og, c: ClassConditionVector, params: GeneratorParams, block_size: int
+    og, c: np.ndarray, params: GeneratorParams, block_size: int
 ) -> Tensor:
     """Teacher-forced log-likelihood of an ordered graph: the sum of
     per-block terms with ground-truth prefixes fed at every step."""
@@ -322,7 +387,7 @@ def oracle_generate(class_label, gen_params, nodeclf_params, rng, num_nodes, sta
     count: the same draws in the same order."""
     config = gen_params.config
     n = int(num_nodes)
-    c = ClassConditionVector.for_class(class_label, config.num_classes)
+    c = one_hot(class_label, config.num_classes)
     lower = np.zeros((n, config.max_nodes))
     labels = np.zeros(n, dtype=np.int64)
     n_fixed = 0

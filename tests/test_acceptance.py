@@ -23,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import finite_diff, graph_log_likelihood, gumbel_softmax_edge, rel_error
+from helpers import (
+    classify_graph,
+    finite_diff,
+    graph_log_likelihood,
+    gumbel_softmax_edge,
+    one_hot,
+    rel_error,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_evaluation import oracle_stats, random_graph
@@ -32,7 +39,6 @@ from condgraphgen import training as T
 from condgraphgen.autodiff import constant, parameter
 from condgraphgen.classifiers import (
     ClassifierTrainConfig,
-    classify_graph,
     init_graph_classifier,
     predict_graph_class,
     train_graph_classifier,
@@ -40,7 +46,6 @@ from condgraphgen.classifiers import (
 from condgraphgen.datasets import build_manifest, histogram_from_manifest, stratified_split
 from condgraphgen.evaluation import STAT_FIELDS, auc, corpus_stats, graph_stats, mean_stats
 from condgraphgen.generator import (
-    ClassConditionVector,
     GeneratorConfig,
     NodeStates,
     gnn_round,
@@ -175,7 +180,7 @@ def test_acceptance_3_gradient_integrity():
     for t in gen.tensors():  # move off ReLU kinks
         t.value += 0.05 * jitter.standard_normal(t.value.shape)
     og, _ = decompose(_six_node_graph(2), cfg.block_size, cfg.max_nodes)
-    c = ClassConditionVector.for_class(1, cfg.num_classes)
+    c = one_hot(1, cfg.num_classes)
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
 
     def ll_value():

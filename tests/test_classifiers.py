@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from helpers import finite_diff, rel_error
+from helpers import classify_graph, finite_diff, rel_error
 
 from condgraphgen.autodiff import Tensor, constant, parameter
 from condgraphgen.classifiers import (
     ClassifierTrainConfig,
-    classify_discrete,
-    classify_graph,
+    class_distributions,
     classify_nodes,
     classifier_accuracy,
     init_graph_classifier,
     init_node_classifier,
-    node_label_scores,
     one_hot_features,
     predict_graph_class,
     predict_graph_classes,
@@ -64,8 +62,8 @@ def test_binary_relaxation_matches_discrete():
     soft = classify_graph(
         one_hot_features(g.node_labels, 3), g.adjacency().astype(np.float64), params
     )
-    hard = classify_discrete(g, params)
-    assert np.array_equal(soft.dist.value, hard.dist.value)
+    hard = class_distributions(params, [g])[0]
+    assert np.array_equal(soft.dist.value, hard)
 
 
 def test_classify_graph_permutation_invariant():
@@ -187,8 +185,7 @@ def test_node_distributions_normalized():
     h = np.random.default_rng(4).standard_normal((7, 8))
     dist = classify_nodes(constant(h), params).value
     assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-6)
-    scores = node_label_scores(constant(h), params)
-    assert scores.shape == (7, 5)
+    assert dist.shape == (7, 5)
 
 
 def test_node_classifier_width_mismatch():
@@ -216,7 +213,10 @@ def test_uniform_features_rows():
 def test_predict_matches_argmax(toy_split):
     params, _ = train_graph_classifier(toy_split, ClassifierTrainConfig(epochs=2, seed=0))
     g = toy_split.train[0]
-    assert predict_graph_class(params, g) == classify_discrete(g, params).predicted
+    dense = classify_graph(
+        one_hot_features(g.node_labels, params.feature_dim), g.adjacency(), params
+    )
+    assert predict_graph_class(params, g) == dense.predicted
     graphs = list(toy_split.train)
     batched = predict_graph_classes(params, graphs)
     assert batched.tolist() == [predict_graph_class(params, g) for g in graphs]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -220,17 +221,20 @@ def test_evaluate_reads_only_the_latest_samples(tmp_path, pipeline_run):
         else:
             run.mkdir()
             shutil.copy(src, run / name)
+    earlier = []
     for count in ("3", "1"):
         assert main([
             "generate", "--out", str(run), "--class", "1", "--count", count, "--seed", "2",
         ]) == 0
-    on_disk = sorted((run / "samples" / "class1").glob("sample_*.json"))
-    assert len(on_disk) == 3
+        on_disk = sorted((run / "samples" / "class1").glob("sample_*.json"))
+        earlier = earlier or [load_graph_json(p) for p in on_disk]
+    # the second generate removed the two files its manifest does not list
+    assert len(on_disk) == 1
     assert main(["evaluate", "--out", str(run)]) == 0
     generated = json.loads((run / "report.json").read_text())["classes"]["1"]["generated"]
-    # the class mean is the statistics of the one listed sample, not of all three files
+    # the class mean is the statistics of the one listed sample, not of all three
     latest = mean_stats(corpus_stats([load_graph_json(on_disk[0])]))
-    stale = mean_stats(corpus_stats([load_graph_json(p) for p in on_disk]))
+    stale = mean_stats(corpus_stats(earlier))
     assert generated == pytest.approx(latest.as_dict())
     assert generated != pytest.approx(stale.as_dict())
 
@@ -255,6 +259,105 @@ def test_interrupted_report_write_keeps_previous_report(pipeline_run, monkeypatc
     monkeypatch.undo()
     assert report.read_bytes() == before
     assert not list(pipeline_run.glob("report.json.*"))
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _graph(edges):
+    return {"num_nodes": 3, "edges": edges, "node_labels": [0, 0, 0], "class_label": 0}
+
+
+def _truncated_split(run, tmp_path):
+    _truncate(run / "splits" / "train.json")
+    return ["train-classifier", "--out", str(run)], "train.json"
+
+
+def _truncated_reference(run, tmp_path):
+    ref = tmp_path / "ref.json"
+    shutil.copy(run / "splits" / "test.json", ref)
+    _truncate(ref)
+    return ["evaluate", "--out", str(run), "--reference", str(ref)], "ref.json"
+
+
+def _self_loop_reference(run, tmp_path):
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"graphs": [_graph([[0, 1], [2, 2]])]}))
+    return ["evaluate", "--out", str(run), "--reference", str(ref)], "ref.json"
+
+
+def _out_of_range_sample(run, tmp_path):
+    rel = "samples/class0/sample_00000.json"
+    (run / "samples" / "class0").mkdir(parents=True)
+    (run / rel).write_text(json.dumps(_graph([[0, 7]])))
+    (run / "samples" / "class0" / "manifest.json").write_text(json.dumps({"files": [rel]}))
+    return ["evaluate", "--out", str(run)], "sample_00000.json"
+
+
+def _class_missing_from_train(run, tmp_path):
+    path = run / "splits" / "train.json"
+    payload = json.loads(path.read_text())
+    payload["graphs"] = [g for g in payload["graphs"] if g["class_label"] == 0]
+    path.write_text(json.dumps(payload))
+    return ["train-classifier", "--out", str(run)], "absent from the train split"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_truncated_split, _truncated_reference, _self_loop_reference, _out_of_range_sample,
+     _class_missing_from_train],
+    ids=["truncated-split", "truncated-reference", "self-loop-reference", "out-of-range-sample",
+         "class-missing-from-train"],
+)
+def test_malformed_run_files_exit_three(tmp_path, capsys, corrupt):
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
+    argv, culprit = corrupt(run, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert culprit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing_fsync", [1, 4], ids=["first-split", "manifest"])
+def test_interrupted_ingest_keeps_previous_manifest(tmp_path, monkeypatch, failing_fsync):
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "20", "--out", str(run), "--seed", "1"]) == 0
+    before = (run / "manifest.json").read_bytes()
+    fsync = os.fsync
+    calls = []
+
+    def crash(fd):  # splits are written first (three files), then the manifest
+        calls.append(fd)
+        if len(calls) == failing_fsync:
+            raise OSError("power cut")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="power cut"):
+        main(["ingest", "--toy", "20", "--out", str(run), "--seed", "2"])
+    monkeypatch.undo()
+    assert (run / "manifest.json").read_bytes() == before
+    assert not list(run.rglob("*.tmp"))
+
+
+def test_train_classifier_reports_the_saved_accuracy(tmp_path, monkeypatch, capsys):
+    from condgraphgen import cli
+
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
+    train = cli.train_graph_classifier
+
+    def peaks_early(split, hyper):  # the saved parameters are epoch 1's
+        params, history = train(split, dataclasses.replace(hyper, epochs=3))
+        for record, acc in zip(history, (0.5, 0.875, 0.625)):
+            record["val_accuracy"] = acc
+        return params, history
+
+    monkeypatch.setattr(cli, "train_graph_classifier", peaks_early)
+    capsys.readouterr()
+    assert main(["train-classifier", "--out", str(run)]) == 0
+    assert "validation accuracy 0.875" in capsys.readouterr().out
 
 
 def test_evaluate_with_explicit_reference(pipeline_run, tmp_path):

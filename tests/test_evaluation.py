@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from condgraphgen.evaluation import (
     GraphStats,
     accuracy_per_class,
     auc,
+    average_ranks,
     build_report,
     corpus_stats,
     graph_stats,
@@ -280,6 +284,29 @@ def test_auc_monotone_transform_invariant(scores, data):
     base = auc(scores, labels)
     squashed = auc([np.tanh(s) + 7 for s in scores], labels)
     assert base == pytest.approx(squashed, abs=1e-12)
+
+
+def test_average_ranks_share_tied_ranks():
+    assert average_ranks(np.array([0.3, 0.1, 0.3, 0.2, 0.3])).tolist() == [4, 1, 4, 2, 4]
+    assert average_ranks(np.array([1.0, 1.0])).tolist() == [1.5, 1.5]
+
+
+def test_average_ranks_match_scipy_rankdata():
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        size = int(rng.integers(1, 200))
+        if i % 2:  # heavy ties: a handful of distinct values
+            x = rng.integers(0, int(rng.integers(1, 6)), size=size) / 7.0
+        else:
+            x = rng.standard_normal(size)
+        assert np.array_equal(average_ranks(x), rankdata(x))
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, condgraphgen; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

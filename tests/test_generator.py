@@ -6,6 +6,7 @@ from helpers import (
     finite_diff,
     graph_log_likelihood,
     init_representations,
+    one_hot,
     output_heads,
     rel_error,
     step_forward,
@@ -15,7 +16,6 @@ from condgraphgen import generator as G
 from condgraphgen.autodiff import constant, sigmoid
 from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
-    ClassConditionVector,
     GeneratorConfig,
     NodeStates,
     UnionPlan,
@@ -67,23 +67,30 @@ def random_ordered(rng, n, params, p=0.4):
 # condition vector
 
 
-def test_condition_vector_accepts_one_hot():
-    c = ClassConditionVector([0.0, 1.0])
-    assert c.label == 1 and c.num_classes == 2
-    assert ClassConditionVector.for_class(0, 3).label == 0
+def test_initial_states_embed_each_graphs_class_one_hot():
+    params = small_params(1, num_classes=3)
+    plans = [UnionPlan(np.zeros((0, 8)), [(0, 1)]), UnionPlan(np.zeros((0, 8)), [(0,)])]
+    states = G.initial_states(UnionPlan.stack(plans), [2, 0], params)
+    wc, bc = params.cond_embed.W.value, params.cond_embed.b.value
+    h = states.h.value
+    assert np.array_equal(h[:2, HID_H:], np.tile(wc[2] + bc, (2, 1)))
+    assert np.array_equal(h[2:, HID_H:], (wc[0] + bc)[None, :])
 
 
 @pytest.mark.parametrize(
     "bad", [[0.5, 0.5], [1.0, 1.0], [2.0, 0.0], [], [[1.0, 0.0]], [0.0, 0.0]]
 )
 def test_condition_vector_rejects_non_one_hot(bad):
+    """The per-step oracle takes the class condition as a one-hot vector."""
     with pytest.raises(ValueError):
-        ClassConditionVector(bad)
+        init_representations(np.zeros((0, 8)), bad, 1, small_params(), 1)
 
 
 def test_condition_vector_label_range():
-    with pytest.raises(ValueError):
-        ClassConditionVector.for_class(2, 2)
+    plan = UnionPlan(np.zeros((0, 8)), [(0,)])
+    for label in (2, -1):
+        with pytest.raises(ValueError, match="outside"):
+            G.initial_states(plan, [label], small_params())
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +100,14 @@ def test_condition_vector_label_range():
 def test_init_zero_weights_gives_zero_states():
     params = zero_params(small_params())
     rows = np.zeros((2, 8))
-    states = init_representations(rows, ClassConditionVector.for_class(0, 2), 2, params, 2)
+    states = init_representations(rows, one_hot(0, 2), 2, params, 2)
     assert np.all(states.h.value == 0.0)
 
 
 def test_init_step_one_has_zero_row_part_and_shared_condition():
     params = small_params(1)
     states = init_representations(
-        np.zeros((0, 8)), ClassConditionVector.for_class(1, 2), 1, params, 3
+        np.zeros((0, 8)), one_hot(1, 2), 1, params, 3
     )
     h = states.h.value
     assert h.shape == (3, HID)
@@ -114,13 +121,13 @@ def test_init_matches_direct_matrix_arithmetic():
     rng = np.random.default_rng(3)
     rows = (rng.random((4, 8)) < 0.3).astype(np.float64)
     rows[:, 4:] = 0.0
-    c = ClassConditionVector.for_class(1, 2)
+    c = one_hot(1, 2)
     states = init_representations(rows, c, 3, params, 2)
 
     wh, bh = params.row_embed.W.value, params.row_embed.b.value
     wc, bc = params.cond_embed.W.value, params.cond_embed.b.value
     expect_prev = rows @ wh + bh
-    expect_cond = c.onehot @ wc + bc
+    expect_cond = c @ wc + bc
     assert np.allclose(states.h.value[:4, :HID_H], expect_prev)
     assert np.all(states.h.value[4:, :HID_H] == 0.0)
     assert np.allclose(states.h.value[:, HID_H:], expect_cond)
@@ -131,15 +138,15 @@ def test_init_condition_changes_only_condition_slice():
     params = small_params(4)
     rows = np.zeros((2, 8))
     rows[1, 0] = 1.0
-    s0 = init_representations(rows, ClassConditionVector.for_class(0, 2), 2, params, 2)
-    s1 = init_representations(rows, ClassConditionVector.for_class(1, 2), 2, params, 2)
+    s0 = init_representations(rows, one_hot(0, 2), 2, params, 2)
+    s1 = init_representations(rows, one_hot(1, 2), 2, params, 2)
     assert np.array_equal(s0.h.value[:, :HID_H], s1.h.value[:, :HID_H])
     assert not np.allclose(s0.h.value[:, HID_H:], s1.h.value[:, HID_H:])
 
 
 def test_init_validation_errors():
     params = small_params()
-    c = ClassConditionVector.for_class(0, 2)
+    c = one_hot(0, 2)
     with pytest.raises(ValueError):
         init_representations(np.zeros((1, 8)), c, 1, params, 2)
     with pytest.raises(ValueError):
@@ -151,7 +158,7 @@ def test_init_validation_errors():
     with pytest.raises(ValueError):
         init_representations(np.zeros((1, 8)), [0.5, 0.5], 2, params, 1)
     with pytest.raises(ValueError):
-        init_representations(np.zeros((1, 8)), ClassConditionVector.for_class(0, 3), 2, params, 1)
+        init_representations(np.zeros((1, 8)), one_hot(0, 3), 2, params, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +326,14 @@ def test_single_node_graph_scores_zero():
     params = small_params(16)
     g = Graph(1, frozenset(), (0,), 0)
     og, _ = decompose(g, 2, 8)
-    ll = graph_log_likelihood(og, ClassConditionVector.for_class(0, 2), params, 2)
+    ll = graph_log_likelihood(og, one_hot(0, 2), params, 2)
     assert ll.item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_log_likelihood_never_positive():
     rng = np.random.default_rng(17)
     params = small_params(18)
-    c = ClassConditionVector.for_class(1, 2)
+    c = one_hot(1, 2)
     for _ in range(10):
         og = random_ordered(rng, int(rng.integers(2, 9)), params)
         assert graph_log_likelihood(og, c, params, 2).item() <= 1e-9
@@ -334,7 +341,7 @@ def test_log_likelihood_never_positive():
 
 def test_blocks_add_up():
     params = small_params(19)
-    c = ClassConditionVector.for_class(0, 2)
+    c = one_hot(0, 2)
     g = Graph(4, frozenset({(0, 1), (1, 2), (0, 3)}), (0, 0, 0, 0), 0)
     og, parts = decompose(g, 2, 8)
     total = graph_log_likelihood(og, c, params, 2)
@@ -350,8 +357,8 @@ def test_condition_changes_likelihood():
     rng = np.random.default_rng(20)
     params = small_params(21)
     og = random_ordered(rng, 6, params)
-    l0 = graph_log_likelihood(og, ClassConditionVector.for_class(0, 2), params, 2)
-    l1 = graph_log_likelihood(og, ClassConditionVector.for_class(1, 2), params, 2)
+    l0 = graph_log_likelihood(og, one_hot(0, 2), params, 2)
+    l1 = graph_log_likelihood(og, one_hot(1, 2), params, 2)
     assert abs(l0.item() - l1.item()) > 1e-8
 
 
@@ -360,7 +367,7 @@ def test_capacity_mismatch_rejected():
     g = Graph(3, frozenset({(0, 1)}), (0, 0, 0), 0)
     og, _ = decompose(g, 2, 16)
     with pytest.raises(ValueError):
-        graph_log_likelihood(og, ClassConditionVector.for_class(0, 2), params, 2)
+        graph_log_likelihood(og, one_hot(0, 2), params, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,7 @@ def test_one_step_plan_matches_per_step_oracle_bit_for_bit():
         params = small_params(26, block_size=block_size)
         for label in (0, 1):
             og = random_ordered(rng, int(rng.integers(1, 9)), params)
-            c = ClassConditionVector.for_class(label, 2)
+            c = one_hot(label, 2)
             for t, block in enumerate(block_partition(og.base.num_nodes, block_size).blocks, 1):
                 plan = UnionPlan(og.lower_rows[: block[0]], [block])
                 log_alpha, theta_logits, states = G.step_forward(plan, [label], params)
@@ -464,7 +471,7 @@ def test_gradients_match_finite_differences():
     for t in params.tensors():
         t.value += rng.normal(scale=0.05, size=t.value.shape)
     og = random_ordered(rng, 5, params)
-    c = ClassConditionVector.for_class(1, 2)
+    c = one_hot(1, 2)
 
     def loss():
         return -graph_log_likelihood(og, c, params, 2).item()

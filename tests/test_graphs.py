@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import reconstructed_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from condgraphgen.graphs import (
     block_partition,
     canonical_ordering,
     decompose,
-    prefix_subgraph,
     synthesize_toy_corpus,
 )
 
@@ -119,60 +119,7 @@ class TestDecompose:
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, g):
         og, _ = decompose(g, B=2, N=10)
-        assert og.reconstructed_edges() == g.edges
-
-
-class TestPrefixSubgraph:
-    def test_triangle_prefix(self):
-        g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-        og, _ = decompose(g, B=1, N=5)
-        p = prefix_subgraph(og, 2, 1)
-        assert p.num_nodes == 2 and p.num_edges == 1
-
-    def test_full_prefix_matches_base(self):
-        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        og, part = decompose(g, B=2, N=8)
-        p = prefix_subgraph(og, part.num_blocks, 2)
-        assert p.num_nodes == g.num_nodes and p.num_edges == g.num_edges
-        # relabeling back through pi recovers the original edges
-        back = {(min(og.pi[u], og.pi[v]), max(og.pi[u], og.pi[v])) for u, v in p.edges}
-        assert frozenset(back) == g.edges
-
-    def test_six_node_induced_subgraph_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-            mask = rng.random(len(pairs)) < 0.4
-            g = make_graph(6, [p for p, m in zip(pairs, mask) if m])
-            og, _ = decompose(g, B=2, N=8)
-            p = prefix_subgraph(og, 2, 2)
-            assert p.num_nodes == 4
-            # brute-force oracle: filter base edges through the first 4 positions
-            keep = {og.pi[k] for k in range(4)}
-            pos = {orig: k for k, orig in enumerate(og.pi)}
-            want = {
-                (min(pos[u], pos[v]), max(pos[u], pos[v]))
-                for u, v in g.edges
-                if u in keep and v in keep
-            }
-            assert p.edges == frozenset(want)
-
-    def test_prefix_nesting(self):
-        g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-        og, part = decompose(g, B=2, N=8)
-        for t in range(1, part.num_blocks):
-            small = prefix_subgraph(og, t, 2)
-            big = prefix_subgraph(og, t + 1, 2)
-            assert small.edges <= big.edges
-            assert small.node_labels == big.node_labels[: small.num_nodes]
-
-    def test_step_out_of_range(self):
-        g = make_graph(3, [(0, 1)])
-        og, _ = decompose(g, B=1, N=4)
-        with pytest.raises(IndexError):
-            prefix_subgraph(og, 4, 1)
-        with pytest.raises(IndexError):
-            prefix_subgraph(og, 0, 1)
+        assert reconstructed_edges(og) == g.edges
 
 
 class TestToyCorpus:

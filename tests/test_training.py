@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 from helpers import (
+    ClassProbabilities,
     MixtureParams,
     block_log_likelihood,
+    classify_graph,
     condition_loss,
     finite_diff,
     gumbel_soft_sample,
     gumbel_softmax_edge,
     node_label_loss,
+    one_hot,
     prefix_matrix,
     rel_error,
     sample_block_relaxed,
@@ -21,7 +24,7 @@ from helpers import (
 
 from condgraphgen import training as T
 from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoid
-from condgraphgen.classifiers import ClassProbabilities, init_graph_classifier
+from condgraphgen.classifiers import init_graph_classifier
 from condgraphgen.errors import ConfigError, NumericError
 from condgraphgen.graphs import Graph, decompose, synthesize_toy_corpus
 from condgraphgen.training import (
@@ -450,11 +453,11 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
     the per-step forward of tests/helpers.py and accumulates the loss terms."""
     from condgraphgen.autodiff import constant as const
     from condgraphgen.autodiff import gather_rows
-    from condgraphgen.classifiers import classify_graph, classify_nodes, uniform_features
-    from condgraphgen.generator import ClassConditionVector, block_bits, candidate_pairs
+    from condgraphgen.classifiers import classify_nodes, uniform_features
+    from condgraphgen.generator import block_bits, candidate_pairs
     from condgraphgen.graphs import block_partition
 
-    c = ClassConditionVector.for_class(label, gen.config.num_classes)
+    c = one_hot(label, gen.config.num_classes)
     n_full = og.base.num_nodes
     l_adj, l_cond, l_node = 0.0, 0.0, 0.0
     for t, block in enumerate(block_partition(n_full, config.block_size).blocks, start=1):

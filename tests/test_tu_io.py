@@ -15,7 +15,7 @@ def write_tu(tmp_path, name, a, indicator, glabels, nlabels=None):
 
 def test_smallest_well_formed_input(tmp_path):
     write_tu(tmp_path, "tiny", "1, 2\n2, 1\n", "1\n1\n", "1\n")
-    graphs = tu_io.load_tu_dataset(tmp_path, "tiny")
+    graphs = tu_io.load_tu(tmp_path, "tiny").graphs
     assert len(graphs) == 1
     g = graphs[0]
     assert g.num_nodes == 2 and g.edges == frozenset({(0, 1)})
@@ -43,31 +43,31 @@ def test_missing_mandatory_file_names_it(tmp_path):
     write_tu(tmp_path, "x", "1, 2\n", "1\n1\n", "0\n")
     (tmp_path / "x_A.txt").unlink()
     with pytest.raises(IngestionError, match="x_A.txt"):
-        tu_io.load_tu_dataset(tmp_path, "x")
+        tu_io.load_tu(tmp_path, "x")
 
 
 def test_cross_graph_edge_reports_line(tmp_path):
     write_tu(tmp_path, "bad", "1, 2\n2, 3\n", "1\n1\n2\n", "0\n0\n")
     with pytest.raises(TuFormatError, match="line 2"):
-        tu_io.load_tu_dataset(tmp_path, "bad")
+        tu_io.load_tu(tmp_path, "bad")
 
 
 def test_undeclared_node_reports_line(tmp_path):
     write_tu(tmp_path, "bad", "1, 2\n1, 9\n", "1\n1\n", "0\n")
     with pytest.raises(TuFormatError, match="line 2"):
-        tu_io.load_tu_dataset(tmp_path, "bad")
+        tu_io.load_tu(tmp_path, "bad")
 
 
 def test_malformed_pair_reports_line(tmp_path):
     write_tu(tmp_path, "bad", "1, 2\n1 2 3\n", "1\n1\n", "0\n")
     with pytest.raises(TuFormatError, match="line 2"):
-        tu_io.load_tu_dataset(tmp_path, "bad")
+        tu_io.load_tu(tmp_path, "bad")
 
 
 def test_tu_round_trip(tmp_path):
     graphs = synthesize_toy_corpus(20, (4, 9), seed=5)
     tu_io.save_tu_dataset(tmp_path, "toy", graphs)
-    reloaded = tu_io.load_tu_dataset(tmp_path, "toy")
+    reloaded = tu_io.load_tu(tmp_path, "toy").graphs
     assert len(reloaded) == len(graphs)
     for a, b in zip(graphs, reloaded):
         assert a.num_nodes == b.num_nodes
