@@ -3,8 +3,9 @@
 A minimal tape: each op returns a Tensor holding its value, its parents,
 and a closure that routes the output gradient to the parents. Everything
 runs in 64-bit so finite-difference checks are meaningful at 1e-4 relative
-error. Ops only record the tape when some input requires gradients, so
-inference-time code pays no bookkeeping cost.
+error. Ops only record the tape when some input requires gradients.  Model
+parameters always do, so sampling from a trained generator records a tape
+too, although nothing reads it.
 
 Weight layout convention: linear maps are stored (in_dim, out_dim) and
 applied as ``x @ W + b`` with x of shape (batch, in_dim).
@@ -56,9 +57,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.value)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
 
     def _accumulate(self, g: Array) -> None:
         # The first gradient is stored as given and later ones are added out

@@ -63,9 +63,6 @@ class ConvLayer:
         neigh_mean = neigh_sum / denom
         return relu(matmul(h, self.w_self) + matmul(neigh_mean, self.w_neigh) + self.bias)
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w_self, self.w_neigh, self.bias]
-
 
 @dataclass
 class GraphClassifierParams:
@@ -75,10 +72,7 @@ class GraphClassifierParams:
     head: MLP
 
     def tensors(self) -> list[Tensor]:
-        out = []
-        for conv in self.convs:
-            out += conv.tensors()
-        return out + self.head.tensors()
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict:
         named = {}
@@ -216,6 +210,8 @@ def train_graph_classifier(
     classes = {g.class_label for g in train}
     if len(classes) < 2:
         raise DataError("classifier training needs at least two classes")
+    if not split.validation:
+        raise DataError("classifier training needs a non-empty validation split")
     everything = train + list(split.validation) + list(split.test)
     num_classes = max(g.class_label for g in everything) + 1
     feature_dim = max(max(g.node_labels) for g in everything) + 1
@@ -270,7 +266,7 @@ class NodeClassifierParams:
     mlp: MLP = field(repr=False)
 
     def tensors(self) -> list[Tensor]:
-        return self.mlp.tensors()
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict:
         named = {}

@@ -19,14 +19,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
 from .datasets import (
     build_manifest,
     histogram_from_manifest,
     load_run_dataset,
+    read_manifest,
     stratified_split,
     write_run_dataset,
 )
@@ -48,22 +47,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _read_manifest(run_dir: Path) -> dict:
-    path = run_dir / "manifest.json"
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DependencyError(
-            f"no dataset manifest at {path}; run the ingest command first"
-        ) from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt manifest {path}: {exc}") from exc
-
-
 def _load_run(run_dir: Path):
-    _read_manifest(run_dir)
     try:
         return load_run_dataset(run_dir)
     except OSError as exc:
@@ -192,7 +176,7 @@ def cmd_generate(args) -> int:
         raise ConfigError(
             f"--class must lie in [0, {num_classes}) for this checkpoint"
         )
-    histogram = histogram_from_manifest(_read_manifest(out))
+    histogram = histogram_from_manifest(read_manifest(out))
 
     graphs = generate_batch(
         args.class_label,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, DataError, DependencyError
 from .graphs import Graph
 from . import tu_io
 
@@ -120,9 +120,36 @@ def write_run_dataset(run_dir, split: DatasetSplit, manifest: dict) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+# the manifest keys the commands read, with the split names each one holds
+_MANIFEST_KEYS = {"num_node_labels": (), "splits": SPLIT_NAMES, "node_count_histograms": SPLIT_NAMES}
+
+
+def read_manifest(run_dir) -> dict:
+    """A run's manifest.json, checked for every key the commands read;
+    a missing key raises DataError naming it."""
+    path = Path(run_dir) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except OSError as exc:
+        raise DependencyError(
+            f"no dataset manifest at {path}; run the ingest command first"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"corrupt manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
+    for key, names in _MANIFEST_KEYS.items():
+        if key not in manifest:
+            raise DataError(f"manifest {path} lacks the key {key!r}")
+        for name in names:
+            if not isinstance(manifest[key], dict) or name not in manifest[key]:
+                raise DataError(f"manifest {path} lacks the key {key!r}/{name!r}")
+    return manifest
+
+
 def load_run_dataset(run_dir) -> tuple[DatasetSplit, dict]:
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest = read_manifest(run_dir)
     parts = {
         name: tu_io.load_graph_list(run_dir / manifest["splits"][name])
         for name in SPLIT_NAMES

@@ -81,9 +81,6 @@ class RoundWeights:
     gate: MLP
     gru: GruCell
 
-    def tensors(self) -> list[Tensor]:
-        return self.msg.tensors() + self.gate.tensors() + self.gru.tensors()
-
 
 @dataclass
 class GeneratorParams:
@@ -100,10 +97,7 @@ class GeneratorParams:
         return self.round_weights[r]
 
     def tensors(self) -> list[Tensor]:
-        out = self.row_embed.tensors() + self.cond_embed.tensors()
-        for rw in self.round_weights:
-            out += rw.tensors()
-        return out + self.head_alpha.tensors() + self.head_theta.tensors()
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict:
         """Canonical checkpoint names for every parameter array."""
@@ -205,15 +199,16 @@ class UnionPlan:
 
     Fields: ``rows`` to embed; ``src_idx``, each union node's embedded row,
     where new nodes read the shared zero row after the real rows; the
-    new-node flags ``x``; the augmented ``edges`` (receiver, sender);
-    candidate ``pairs`` (new node, partner) in canonical order and their
-    step ``pair_seg``; ``node_graph``, each node's graph; and the per-graph
-    ``node_off`` and ``step_off``.
+    new-node flags ``x``; the augmented ``edges`` (receiver, sender) and
+    ``edge_pair``, the candidate pair each edge carries (-1 for an observed
+    prefix edge); candidate ``pairs`` (new node, partner) in canonical order
+    and their step ``pair_seg``; ``node_step`` and ``node_graph``, each
+    node's step and graph; and the per-graph ``node_off`` and ``step_off``.
     """
 
     def __init__(self, lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]):
-        src_idx, x, recv, send, rows, cols, pair_seg = [], [], [], [], [], [], []
-        offset = 0
+        src_idx, x, recv, send, edge_pair, rows, cols, pair_seg = [], [], [], [], [], [], [], []
+        offset = num_pairs = 0
         for t, block in enumerate(blocks):
             n_prev, n_cur = block[0], block[-1] + 1
             src_idx += [np.arange(n_prev), np.full(len(block), lower_rows.shape[0])]
@@ -224,17 +219,25 @@ class UnionPlan:
             recv.append(er + offset)
             send.append(es + offset)
             cr, cc = candidate_pairs(block)
+            # augmented_edges lists the observed edges, then the candidates,
+            # then both lists again reversed
+            n_obs = er.shape[0] // 2 - cr.shape[0]
+            carried = np.append(np.full(n_obs, -1), np.arange(cr.shape[0]) + num_pairs)
+            edge_pair += [carried, carried]
             rows.append(cr + offset)
             cols.append(cc + offset)
             pair_seg.append(np.full(cr.shape[0], t))
             offset += n_cur
+            num_pairs += cr.shape[0]
         self.rows = lower_rows
         self.src_idx = _ints(src_idx)
         self.x = np.concatenate(x)
         self.edges = (_ints(recv), _ints(send))
+        self.edge_pair = _ints(edge_pair)
         self.pairs = (_ints(rows), _ints(cols))
         self.pair_seg = _ints(pair_seg)
         self.num_steps = len(blocks)
+        self.node_step = np.repeat(np.arange(len(blocks)), [b[-1] + 1 for b in blocks])
         self.node_graph = np.zeros(offset, dtype=np.int64)
         self.node_off = self.step_off = np.zeros(1, dtype=np.int64)
 
@@ -259,8 +262,13 @@ class UnionPlan:
             return np.concatenate([a + o for a, o in zip(arrays, offs)])
 
         out.edges = tuple(shifted([p.edges[i] for p in plans], node_off) for i in (0, 1))
+        pair_off = _offsets([p.num_pairs for p in plans])
+        out.edge_pair = np.concatenate([
+            np.where(p.edge_pair < 0, -1, p.edge_pair + o) for p, o in zip(plans, pair_off)
+        ])
         out.pairs = tuple(shifted([p.pairs[i] for p in plans], node_off) for i in (0, 1))
         out.pair_seg = shifted([p.pair_seg for p in plans], step_off)
+        out.node_step = shifted([p.node_step for p in plans], step_off)
         out.num_steps = int(sum(p.num_steps for p in plans))
         out.node_graph = np.repeat(np.arange(len(plans)), [p.num_nodes for p in plans])
         return out

@@ -9,9 +9,9 @@ nearly complete prefixes weigh more.
 
 One optimizer step runs every generation step of every graph in the
 minibatch as a single forward pass over one block-diagonal union graph
-(see generator.UnionPlan and _TeacherPlan).  The frozen classifier reads
-the relaxed partial graphs of that union as a weighted edge list, so memory
-grows with the union's nodes and edges, not with their square.
+(see generator.UnionPlan).  The frozen classifier reads the relaxed partial
+graphs as that union's own edge list, weighted by the sampled bits, so
+memory grows with the union's nodes and edges, not with their square.
 """
 
 from __future__ import annotations
@@ -234,33 +234,21 @@ def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
 
 class _TeacherPlan:
     """One graph's teacher-forced union plan (every generation step, see
-    UnionPlan) plus the loss bookkeeping: teacher bits, the classifier's
-    observed prefix edges, the discount weights and the node targets.
-    Indices are local to the graph.  A plan depends only on the ordered
-    graph, so it is built once per training run.
+    UnionPlan) plus the values its losses read: teacher bits, the discount
+    weights and the node targets.  A plan depends only on the ordered graph,
+    so it is built once per training run.
     """
 
     def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
         n = og.base.num_nodes
         blocks = block_partition(n, block_size).blocks
         self.forward = UnionPlan(og.lower_rows, blocks)
-        pre_recv, pre_send, bits, counts, w_node = [], [], [], [], []
-        offset = 0
-        for block in blocks:
-            n_prev, n_cur = block[0], block[-1] + 1
-            obs_i, obs_j = np.nonzero(og.lower_rows[:n_prev])
-            pre_recv += [obs_i + offset, obs_j + offset]
-            pre_send += [obs_j + offset, obs_i + offset]
-            bits.append(block_bits(og.lower_rows, block))
-            counts.append(n_cur)
-            w_node.append(np.full(len(block), gamma ** (n - n_cur) / len(block)))
-            offset += n_cur
-        self.prefix_recv = np.concatenate(pre_recv).astype(np.int64)
-        self.prefix_send = np.concatenate(pre_send).astype(np.int64)
-        self.teacher_bits = np.concatenate(bits)
-        self.node_seg = np.repeat(np.arange(len(blocks)), counts)
+        counts = [block[-1] + 1 for block in blocks]
+        self.teacher_bits = np.concatenate([block_bits(og.lower_rows, b) for b in blocks])
         self.w_steps = gamma ** (n - np.asarray(counts, dtype=np.float64))
-        self.w_node = np.concatenate(w_node)
+        self.w_node = np.concatenate([
+            np.full(len(b), gamma ** (n - n_cur) / len(b)) for b, n_cur in zip(blocks, counts)
+        ])
         self.node_targets = np.asarray(
             [og.base.node_labels[og.pi[i]] for i in range(n)], dtype=np.int64
         )
@@ -288,11 +276,8 @@ def _batch_losses(
     labels = [label for _, label in batch]
     u = UnionPlan.stack([p.forward for p in plans])
 
-    def stack(field, offs=None):
-        arrays = [getattr(p, field) for p in plans]
-        if offs is None:
-            return np.concatenate(arrays)
-        return np.concatenate([a + o for a, o in zip(arrays, offs)])
+    def stack(field):
+        return np.concatenate([getattr(p, field) for p in plans])
 
     states = initial_states(u, labels, gen_params)
     states = run_rounds(states, u.edges, gen_params)
@@ -321,23 +306,19 @@ def _batch_losses(
                     gumbels = -np.log(-np.log(draws))
                     noise[lo:hi] = gumbels[:, 0] - gumbels[:, 1]
                     k_per_pair[lo:hi] = k
-        # classifier edges: observed prefix edges (weight 1), then every
-        # candidate pair in both directions (weight = its straight-through bit)
-        pre_recv = stack("prefix_recv", u.node_off)
-        weights = [constant(np.ones((pre_recv.shape[0], 1)))]
+        # the classifier reads the union's own edges: an observed prefix edge
+        # weighs 1, a candidate edge its pair's straight-through bit
+        weight_table = constant(np.ones((1, 1)))
         if u.num_pairs:
             theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
             theta_sel = theta[np.arange(u.num_pairs)[:, None], k_per_pair[:, None]]
             soft = _gumbel_soft(theta_sel, tau, noise[:, None])
             st_bits = straight_through(soft, (soft.value > 0.5).astype(np.float64))
-            weights += [st_bits, st_bits]
-        rows, cols = u.pairs
+            weight_table = concat([weight_table, st_bits], axis=0)
         features = uniform_features(u.num_nodes, clf_params.feature_dim)
         logits = graph_logits(
-            clf_params, features,
-            np.concatenate([pre_recv, rows, cols]),
-            np.concatenate([stack("prefix_send", u.node_off), cols, rows]),
-            concat(weights, axis=0), stack("node_seg", u.step_off), u.num_steps,
+            clf_params, features, *u.edges, gather_rows(weight_table, u.edge_pair + 1),
+            u.node_step, u.num_steps,
         )
         log_dist = log_softmax(log_sigmoid(logits), axis=1)
         step_labels = np.repeat(labels, [p.forward.num_steps for p in plans])

@@ -319,6 +319,39 @@ def test_malformed_run_files_exit_three(tmp_path, capsys, corrupt):
     assert culprit in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (["train-classifier"], "splits"),
+        (["train"], "num_node_labels"),
+        (["generate", "--class", "0", "--count", "1"], "node_count_histograms"),
+    ],
+    ids=["train-classifier", "train", "generate"],
+)
+def test_manifest_missing_a_key_exits_three(tmp_path, capsys, pipeline_run, command, key):
+    run = tmp_path / "run"
+    for name in ("splits", "checkpoints"):
+        shutil.copytree(pipeline_run / name, run / name)
+    manifest = json.loads((pipeline_run / "manifest.json").read_text())
+    del manifest[key]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    if command[0] == "train":
+        command = [*command, "--config", write_config(tmp_path)]
+    capsys.readouterr()
+    assert main([*command, "--out", str(run)]) == 3
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_train_classifier_rejects_an_empty_validation_split(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "8", "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert sum(manifest["class_counts"]["validation"].values()) == 0
+    capsys.readouterr()
+    assert main(["train-classifier", "--out", str(run)]) == 3
+    assert "validation split" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("failing_fsync", [1, 4], ids=["first-split", "manifest"])
 def test_interrupted_ingest_keeps_previous_manifest(tmp_path, monkeypatch, failing_fsync):
     run = tmp_path / "run"

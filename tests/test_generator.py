@@ -13,7 +13,8 @@ from helpers import (
 )
 
 from condgraphgen import generator as G
-from condgraphgen.autodiff import constant, sigmoid
+from condgraphgen.autodiff import constant, gather_rows, sigmoid
+from condgraphgen.classifiers import graph_logits, init_graph_classifier, uniform_features
 from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
     GeneratorConfig,
@@ -24,7 +25,6 @@ from condgraphgen.generator import (
     candidate_pairs,
     gnn_round,
     init_generator,
-    run_rounds,
 )
 
 HID_H, COND, HID = 5, 3, 8
@@ -426,6 +426,64 @@ def test_stack_offsets_and_shared_zero_row():
     assert u.pair_seg.tolist() == [1, 2, 2, 3]
     assert u.pairs[0].tolist() == [2, 5, 5, 7] and u.pairs[1].tolist() == [1, 3, 4, 6]
     assert u.new_nodes.tolist() == [0, 2, 5, 6, 7]
+    assert u.node_step.tolist() == [0, 1, 1, 2, 2, 2, 3, 3]
+    # step 2 of a: observed (1, 0), then pairs 1 and 2; both again reversed
+    assert u.edge_pair.tolist() == [0, 0, -1, 1, 2, -1, 1, 2, 3, 3]
+    recv, send = u.edges
+    for e, pair in enumerate(u.edge_pair):
+        if pair < 0:  # an observed prefix edge joins two old nodes
+            assert u.x[recv[e]] == u.x[send[e]] == 0.0
+        else:
+            assert {recv[e], send[e]} == {u.pairs[0][pair], u.pairs[1][pair]}
+    # a one-node graph has no candidate pairs: it shifts steps, not pairs
+    lone = UnionPlan(np.zeros((0, 8)), [[0]])
+    assert lone.num_pairs == 0 and lone.edge_pair.size == 0
+    v = UnionPlan.stack([b, lone, a])
+    assert v.node_step.tolist() == [0, 0, 1, 2, 3, 3, 4, 4, 4]
+    assert v.edge_pair.tolist() == [0, 0, 1, 1, -1, 2, 3, -1, 2, 3]
+
+
+def test_classifier_reads_union_edges_as_the_separate_layout_did():
+    """The classifier logits over the union's own edges equal those over
+    the layout that listed each step's observed prefix edges, then every
+    candidate pair forward, then every pair reversed."""
+    rng = np.random.default_rng(31)
+    params = small_params(32)
+    clf = init_graph_classifier(4, 2, np.random.default_rng(33))
+    for block_size in (1, 2, 3):
+        ogs = [random_ordered(rng, n, params) for n in (6, 1, 8, 4)]
+        plans = [
+            UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, block_size).blocks)
+            for og in ogs
+        ]
+        u = UnionPlan.stack(plans)
+        pair_weight = rng.random((u.num_pairs, 1))
+        pre_recv, pre_send, node_seg = [], [], []
+        node0 = step0 = 0
+        for og, plan in zip(ogs, plans):
+            for block in block_partition(og.base.num_nodes, block_size).blocks:
+                obs_i, obs_j = np.nonzero(og.lower_rows[: block[0]])
+                pre_recv += [obs_i + node0, obs_j + node0]
+                pre_send += [obs_j + node0, obs_i + node0]
+                node_seg.append(np.full(block[-1] + 1, step0))
+                node0 += block[-1] + 1
+                step0 += 1
+        rows, cols = u.pairs
+        n_pre = sum(a.size for a in pre_recv)
+        features = uniform_features(u.num_nodes, clf.feature_dim)
+        separate = graph_logits(
+            clf, features,
+            np.concatenate([*pre_recv, rows, cols]).astype(np.int64),
+            np.concatenate([*pre_send, cols, rows]).astype(np.int64),
+            constant(np.concatenate([np.ones((n_pre, 1)), pair_weight, pair_weight])),
+            np.concatenate(node_seg), u.num_steps,
+        )
+        table = constant(np.concatenate([np.ones((1, 1)), pair_weight]))
+        union = graph_logits(
+            clf, features, *u.edges, gather_rows(table, u.edge_pair + 1),
+            u.node_step, u.num_steps,
+        )
+        assert np.array_equal(union.value, separate.value)
 
 
 # ---------------------------------------------------------------------------
