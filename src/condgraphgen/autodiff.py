@@ -3,9 +3,9 @@
 A minimal tape: each op returns a Tensor holding its value, its parents,
 and a closure that routes the output gradient to the parents. Everything
 runs in 64-bit so finite-difference checks are meaningful at 1e-4 relative
-error. Ops only record the tape when some input requires gradients.  Model
-parameters always do, so sampling from a trained generator records a tape
-too, although nothing reads it.
+error. Ops only record the tape when some input requires gradients and no
+``no_grad()`` block is open.  Model parameters always require gradients, so
+inference (sampling, classifier read-outs) runs under ``no_grad()``.
 
 Weight layout convention: linear maps are stored (in_dim, out_dim) and
 applied as ``x @ W + b`` with x of shape (batch, in_dim).
@@ -13,7 +13,8 @@ applied as ``x @ W + b`` with x of shape (batch, in_dim).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +66,10 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output, filling .grad on the tape."""
+        """Backpropagate from a scalar output into the .grad of every leaf
+        that requires gradients.  An interior node's gradient is released as
+        soon as its closure has routed it to its parents, so after the call
+        only leaves hold a .grad."""
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -86,6 +90,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -95,10 +100,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -142,8 +147,24 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Within the block ops record no tape: every result is a constant, so
+    nothing computed there can be backpropagated through.  The switch is
+    process-wide, not per thread."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(value: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True, parents=parents, backward=backward)
     return Tensor(value)
 
@@ -161,6 +182,19 @@ def add(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g, a.value.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.value.shape))
+
+    return _make(out_val, (a, b), backward)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_val = a.value - b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(-_unbroadcast(g, b.value.shape))
 
     return _make(out_val, (a, b), backward)
 
@@ -214,6 +248,26 @@ def matmul(a, b) -> Tensor:
                 b._accumulate(a.value.T @ g)
 
     return _make(out_val, (a, b), backward)
+
+
+def linear(x, W, b) -> Tensor:
+    """x @ W + b for a 2-d x as one tape node: the bias is added in place on
+    the fresh product, so the tape keeps one array, not two."""
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+    if x.value.ndim != 2:
+        raise ValueError("linear() takes a 2-d input")
+    out_val = x.value @ W.value
+    out_val += b.value
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ W.value.T)
+        if W.requires_grad:
+            W._accumulate(x.value.T @ g)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.value.shape))
+
+    return _make(out_val, (x, W, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +483,7 @@ class Linear:
         self.b = b
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.W) + self.b
+        return linear(x, self.W, self.b)
 
     def tensors(self) -> list[Tensor]:
         return [self.W, self.b]

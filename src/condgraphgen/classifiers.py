@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import (
     Adam,
+    Linear,
     MLP,
     Tensor,
     as_tensor,
@@ -29,6 +30,7 @@ from .autodiff import (
     log_softmax,
     make_mlp,
     matmul,
+    no_grad,
     parameter,
     relu,
     segment_sum,
@@ -73,6 +75,19 @@ class GraphClassifierParams:
 
     def tensors(self) -> list[Tensor]:
         return list(self.named_tensors().values())
+
+    def frozen(self) -> "GraphClassifierParams":
+        """The same classifier read through constant tensors that share these
+        values: a forward through it records no tape for its weights, and no
+        gradient lands on them."""
+        convs = tuple(
+            ConvLayer(constant(conv.w_self.value), constant(conv.w_neigh.value),
+                      constant(conv.bias.value))
+            for conv in self.convs
+        )
+        head = MLP([Linear(constant(layer.W.value), constant(layer.b.value))
+                    for layer in self.head.layers])
+        return GraphClassifierParams(self.num_classes, self.feature_dim, convs, head)
 
     def named_tensors(self) -> dict:
         named = {}
@@ -154,6 +169,7 @@ def _discrete_logits(parts, params: GraphClassifierParams) -> Tensor:
     return graph_logits(params, feats, recv, send, weight, graph_of_node, len(parts))
 
 
+@no_grad()
 def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
     """Class distribution of each discrete graph, one row per graph, all
     classified as one union: sigmoid class scores renormalized to sum to 1."""
@@ -204,7 +220,8 @@ def train_graph_classifier(
     split: DatasetSplit, hyper: ClassifierTrainConfig | None = None
 ) -> tuple[GraphClassifierParams, list[dict]]:
     """Cross-entropy training on discrete graphs; returns the parameters with
-    the best validation accuracy plus the per-epoch history."""
+    the best validation accuracy, holding no gradients, plus the per-epoch
+    history."""
     hyper = hyper or ClassifierTrainConfig()
     train = list(split.train)
     classes = {g.class_label for g in train}
@@ -252,6 +269,7 @@ def train_graph_classifier(
         if val_acc > best_acc:
             best_acc, best_snap = val_acc, _snapshot(params)
     _restore(params, best_snap)
+    opt.zero_grad()
     return params, history
 
 

@@ -99,6 +99,12 @@ def cmd_ingest(args) -> int:
     if args.config:
         max_nodes = load_train_config(args.config).max_nodes
     split = stratified_split(graphs, args.seed)
+    if not split.validation:
+        # train-classifier selects its checkpoint on the validation split
+        raise DataError(
+            f"{len(graphs)} graphs leave the validation split empty; "
+            "ingest more graphs per class"
+        )
     manifest = build_manifest(split, source, args.seed, max_nodes=max_nodes, **label_maps)
     write_run_dataset(out, split, manifest)
     print(

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import gather_rows, sigmoid
+from .autodiff import gather_rows, no_grad, sigmoid
 from .classifiers import NodeClassifierParams, classify_nodes
 from .errors import CapacityError, NumericError
 from .generator import GeneratorParams, UnionPlan, step_forward
@@ -47,6 +47,7 @@ def _check_mixture(alpha: np.ndarray, theta: np.ndarray) -> None:
         raise NumericError("edge probabilities must lie strictly inside (0, 1)")
 
 
+@no_grad()
 def generate(
     class_label: int,
     gen_params: GeneratorParams,
@@ -63,7 +64,7 @@ def generate(
     the sampled prefix, hard component draw k ~ alpha, edge bits ~
     Bernoulli(theta_k), block node labels = argmax of the node classifier on
     the block's final states.  Raises NumericError when the mixture weights
-    or edge probabilities are not finite.
+    or edge probabilities are not finite.  Nothing is recorded on the tape.
 
     When ``start`` is given, its canonically ordered structure and node
     labels become the first nodes of the output and generation continues from

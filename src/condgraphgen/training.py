@@ -317,8 +317,8 @@ def _batch_losses(
             weight_table = concat([weight_table, st_bits], axis=0)
         features = uniform_features(u.num_nodes, clf_params.feature_dim)
         logits = graph_logits(
-            clf_params, features, *u.edges, gather_rows(weight_table, u.edge_pair + 1),
-            u.node_step, u.num_steps,
+            clf_params.frozen(), features, *u.edges,
+            gather_rows(weight_table, u.edge_pair + 1), u.node_step, u.num_steps,
         )
         log_dist = log_softmax(log_sigmoid(logits), axis=1)
         step_labels = np.repeat(labels, [p.forward.num_steps for p in plans])
@@ -347,9 +347,10 @@ def train_step(
     plans: Optional[Sequence[_TeacherPlan]] = None,
 ) -> LossBreakdown:
     """One optimizer update on a batch; the graph classifier stays frozen
-    (its tensors are never part of ``opt``).  ``plans`` are the batch
-    graphs' union plans when the caller keeps them across steps.  Raises
-    NumericError, before the update, on a non-finite loss term or gradient."""
+    (it is read through constant tensors, so it neither changes nor
+    receives gradients).  ``plans`` are the batch graphs' union plans when
+    the caller keeps them across steps.  Raises NumericError, before the
+    update, on a non-finite loss term or gradient."""
     if not batch:
         raise ValueError("empty batch")
     if len(rngs) != len(batch):

@@ -43,6 +43,59 @@ def test_add_mul_broadcast_grads():
     check_grad(lambda x, y: (x * y).sum(), [a, b])
 
 
+def test_sub_grads():
+    a, b = arr(3, 4), arr(4)
+    check_grad(lambda x, y: ((x - y) * (x - y)).sum(), [a, b])
+    check_grad(lambda x: ((2.5 - x) * x).sum(), [a])
+    check_grad(lambda x: ((x - 2.5) * x).sum(), [a])
+
+
+def test_sub_equals_add_of_negation_bit_for_bit():
+    a, b = arr(50, 4), arr(4)
+    assert np.array_equal((ad.Tensor(a) - ad.Tensor(b)).value, a + (-b))
+    assert np.array_equal((1.0 - ad.Tensor(a)).value, 1.0 + (-a))
+
+
+def test_linear_grads():
+    x, w, b = arr(5, 3), arr(3, 4), arr(4)
+    check_grad(lambda x_, w_, b_: (ad.linear(x_, w_, b_) * ad.linear(x_, w_, b_)).sum(),
+               [x, w, b])
+    assert np.array_equal(ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).value, x @ w + b)
+    with pytest.raises(ValueError):
+        ad.linear(ad.Tensor(x[0]), ad.Tensor(w), ad.Tensor(b))
+
+
+def test_backward_keeps_gradients_only_on_leaves():
+    x, w, b = (ad.parameter(a) for a in (arr(4, 3), arr(3, 2), arr(2)))
+    h = ad.relu(ad.linear(x, w, b) + 0.1)
+    loss = ad.log_softmax(h - h.mean(), axis=1).sum()
+    interior, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            interior.append(node)
+            stack.extend(node._parents)
+    loss.backward()
+    assert all(t.grad is not None for t in (x, w, b))
+    assert len(interior) > 5 and all(node.grad is None for node in interior)
+
+
+def test_no_grad_records_no_tape_and_restores_on_exit():
+    w = ad.parameter(arr(3, 2))
+    with ad.no_grad():
+        out = ad.relu(ad.Tensor(arr(4, 3)) @ w) - w.sum()
+    assert not out.requires_grad and out._parents == ()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert (ad.Tensor(arr(4, 3)) @ w).requires_grad
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not (w * 2.0).requires_grad
+    assert (w * 2.0)._parents
+
+
 def test_div_grads():
     a = arr(3, 4)
     b = np.abs(arr(3, 4)) + 1.0

@@ -152,6 +152,7 @@ def test_training_deterministic_bit_for_bit(toy_split):
     assert h1 == h2
     for a, b in zip(p1.tensors(), p2.tensors()):
         assert np.array_equal(a.value, b.value)
+        assert a.grad is None
 
 
 def test_single_class_data_rejected():

@@ -9,7 +9,7 @@ import pytest
 
 from condgraphgen.cli import main
 from condgraphgen.evaluation import corpus_stats, mean_stats
-from condgraphgen.tu_io import load_graph_json
+from condgraphgen.tu_io import load_graph_json, save_graph_list
 from condgraphgen.training import load_train_config
 
 FAST_CONFIG = {
@@ -342,11 +342,18 @@ def test_manifest_missing_a_key_exits_three(tmp_path, capsys, pipeline_run, comm
     assert repr(key) in capsys.readouterr().err
 
 
+def test_ingest_rejects_an_empty_validation_split(tmp_path, capsys):
+    run = tmp_path / "run"  # four graphs per class round to no validation graph
+    assert main(["ingest", "--toy", "8", "--out", str(run)]) == 3
+    assert "validation split" in capsys.readouterr().err
+    assert not (run / "manifest.json").exists()
+
+
 def test_train_classifier_rejects_an_empty_validation_split(tmp_path, capsys):
     run = tmp_path / "run"
-    assert main(["ingest", "--toy", "8", "--out", str(run)]) == 0
+    assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
     manifest = json.loads((run / "manifest.json").read_text())
-    assert sum(manifest["class_counts"]["validation"].values()) == 0
+    save_graph_list(run / manifest["splits"]["validation"], [])
     capsys.readouterr()
     assert main(["train-classifier", "--out", str(run)]) == 3
     assert "validation split" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,10 +385,48 @@ def test_classifier_frozen_bit_for_bit():
     train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
     for t, before in zip(clf.tensors(), clf_before):
         assert np.array_equal(t.value, before)
+        assert t.grad is None
     assert any(
         not np.array_equal(t.value, before)
         for t, before in zip(gen.tensors(), gen_before)
     )
+
+
+def _molecule_like(n, rng):
+    """The NCI1-like graph (tree plus ring closures) of the union-memory benchmark."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_union_memory.py"
+    spec = importlib.util.spec_from_file_location("bench_union_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.molecule_like(n, rng)
+
+
+def test_step_peak_memory_stays_near_the_tape(monkeypatch):
+    """Backward may hold little beyond the forward tape: interior gradients
+    are released as soon as they have been routed to the parents."""
+    n, rng = 24, np.random.default_rng(0)
+    cfg = TrainConfig(max_nodes=n, batch_size=1, seed=0)
+    og, _ = decompose(_molecule_like(n, rng), cfg.block_size, cfg.max_nodes)
+    gen = T.init_generator(cfg.generator_config(2), rng)
+    nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
+    clf = init_graph_classifier(3, 2, rng)
+    opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
+    held_at_backward = []
+    backward = Tensor.backward
+
+    def recording_backward(self):
+        held_at_backward.append(tracemalloc.get_traced_memory()[0])
+        backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    tracemalloc.start()
+    try:
+        train_step([(og, 1)], gen, clf, nodeclf, cfg, opt, cfg.tau, [rng])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held_at_backward) == 1
+    assert peak <= 1.3 * held_at_backward[0]
 
 
 def test_condition_gradient_reaches_generator():
