@@ -46,7 +46,7 @@ def one_step(n: int, seed: int) -> dict:
 
     rng = np.random.default_rng(seed)
     config = TrainConfig(max_nodes=n, batch_size=1, seed=seed)
-    og, _ = decompose(molecule_like(n, rng), config.block_size, config.max_nodes)
+    og = decompose(molecule_like(n, rng), config.max_nodes)
     gen = init_generator(config.generator_config(2), rng)
     nodeclf = init_node_classifier(gen.config.hidden_dim, 3, rng)
     clf = init_graph_classifier(3, 2, rng)

@@ -22,6 +22,7 @@ from pathlib import Path
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
 from .datasets import (
+    SPLIT_NAMES,
     build_manifest,
     histogram_from_manifest,
     load_run_dataset,
@@ -99,19 +100,21 @@ def cmd_ingest(args) -> int:
     if args.config:
         max_nodes = load_train_config(args.config).max_nodes
     split = stratified_split(graphs, args.seed)
-    if not split.validation:
-        # train-classifier selects its checkpoint on the validation split
-        raise DataError(
-            f"{len(graphs)} graphs leave the validation split empty; "
-            "ingest more graphs per class"
-        )
+    # train-classifier selects its checkpoint on the validation split and
+    # evaluate compares the samples against the test split
+    for name in SPLIT_NAMES:
+        if not split.split(name):
+            raise DataError(
+                f"{len(graphs)} graphs leave the {name} split empty; "
+                "ingest more graphs per class"
+            )
     manifest = build_manifest(split, source, args.seed, max_nodes=max_nodes, **label_maps)
     write_run_dataset(out, split, manifest)
     print(
         f"ingested {len(graphs)} graphs from {source}: "
         f"{manifest['num_classes']} classes, "
         f"{manifest['num_node_labels']} node labels, "
-        f"splits {[len(split.split(n)) for n in ('train', 'validation', 'test')]}"
+        f"splits {[len(split.split(n)) for n in SPLIT_NAMES]}"
     )
     return EXIT_OK
 
@@ -238,6 +241,8 @@ def cmd_evaluate(args) -> int:
     else:
         split, _ = _load_run(out)
         reference = split.test
+    if not reference:
+        raise DataError("the reference set is empty; nothing to compare the samples with")
     generated = _collect_samples(out)
     if not generated:
         raise DependencyError(

@@ -28,7 +28,7 @@ class DatasetSplit:
             raise ValueError(f"classes {sorted(missing)} absent from the train split")
 
     def split(self, name: str) -> list[Graph]:
-        return getattr(self, "validation" if name == "validation" else name)
+        return getattr(self, name)
 
     def node_count_histogram(self, name: str) -> dict[int, dict[int, int]]:
         """Per-class histogram {class: {num_nodes: count}} for one split."""
@@ -39,11 +39,7 @@ class DatasetSplit:
         return hist
 
 
-def stratified_split(
-    graphs: list[Graph],
-    seed: int,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> DatasetSplit:
+def stratified_split(graphs: list[Graph], seed: int) -> DatasetSplit:
     """Seeded per-class 80/10/10 split; every class keeps at least one
     training graph."""
     rng = np.random.default_rng(seed)
@@ -55,8 +51,8 @@ def stratified_split(
         members = by_class[cls]
         order = rng.permutation(len(members))
         n = len(members)
-        n_train = max(1, int(round(fractions[0] * n)))
-        n_val = int(round(fractions[1] * n))
+        n_train = max(1, int(round(0.8 * n)))
+        n_val = int(round(0.1 * n))
         n_train = min(n_train, n)
         n_val = min(n_val, n - n_train)
         for k, idx in enumerate(order):

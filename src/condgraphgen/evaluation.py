@@ -110,18 +110,14 @@ def _bucket_by_class(graphs: Iterable[Graph]) -> dict:
 
 
 def stats_diff_table(
-    reference: Sequence[Graph],
-    generated: Sequence[Graph],
-    classes: Optional[Sequence[int]] = None,
+    reference: Sequence[Graph], generated: Sequence[Graph]
 ) -> dict[int, ClassComparison]:
-    """Per-class mean statistics for both sets and elementwise |ref - gen|."""
+    """Per-class mean statistics for both sets and elementwise |ref - gen|,
+    for every class either set holds."""
     ref_buckets = _bucket_by_class(reference)
     gen_buckets = _bucket_by_class(generated)
-    if classes is None:
-        classes = sorted(set(ref_buckets) | set(gen_buckets))
-
     table: dict[int, ClassComparison] = {}
-    for c in classes:
+    for c in sorted(set(ref_buckets) | set(gen_buckets)):
         ref_mean = mean_stats(corpus_stats(ref_buckets[c])) if c in ref_buckets else None
         gen_mean = mean_stats(corpus_stats(gen_buckets[c])) if c in gen_buckets else None
         if ref_mean is not None and gen_mean is not None:

@@ -62,18 +62,6 @@ class GeneratorConfig:
 
 
 @dataclass
-class NodeStates:
-    """Per-node hidden vectors plus the new-block indicator flag."""
-
-    h: Tensor
-    x: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.h.shape[0]
-
-
-@dataclass
 class RoundWeights:
     """One message-passing round: message MLP, gate MLP, recurrent update."""
 
@@ -199,22 +187,20 @@ class UnionPlan:
 
     Fields: ``rows`` to embed; ``src_idx``, each union node's embedded row,
     where new nodes read the shared zero row after the real rows; the
-    new-node flags ``x``; the augmented ``edges`` (receiver, sender) and
-    ``edge_pair``, the candidate pair each edge carries (-1 for an observed
-    prefix edge); candidate ``pairs`` (new node, partner) in canonical order
-    and their step ``pair_seg``; ``node_step`` and ``node_graph``, each
-    node's step and graph; and the per-graph ``node_off`` and ``step_off``.
+    augmented ``edges`` (receiver, sender) and ``edge_pair``, the candidate
+    pair each edge carries (-1 for an observed prefix edge); candidate
+    ``pairs`` (new node, partner) in canonical order; ``node_step`` and
+    ``node_graph``, each node's step and graph; and the per-graph first step
+    ``step_off``.  Two fields are derived from these: the new-node flags
+    ``x`` and each pair's step ``pair_seg``.
     """
 
     def __init__(self, lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]):
-        src_idx, x, recv, send, edge_pair, rows, cols, pair_seg = [], [], [], [], [], [], [], []
+        src_idx, recv, send, edge_pair, rows, cols = [], [], [], [], [], []
         offset = num_pairs = 0
-        for t, block in enumerate(blocks):
+        for block in blocks:
             n_prev, n_cur = block[0], block[-1] + 1
             src_idx += [np.arange(n_prev), np.full(len(block), lower_rows.shape[0])]
-            flags = np.zeros(n_cur)
-            flags[n_prev:] = 1.0
-            x.append(flags)
             er, es = augmented_edges(lower_rows, n_prev, block)
             recv.append(er + offset)
             send.append(es + offset)
@@ -226,20 +212,18 @@ class UnionPlan:
             edge_pair += [carried, carried]
             rows.append(cr + offset)
             cols.append(cc + offset)
-            pair_seg.append(np.full(cr.shape[0], t))
             offset += n_cur
             num_pairs += cr.shape[0]
         self.rows = lower_rows
         self.src_idx = _ints(src_idx)
-        self.x = np.concatenate(x)
         self.edges = (_ints(recv), _ints(send))
         self.edge_pair = _ints(edge_pair)
         self.pairs = (_ints(rows), _ints(cols))
-        self.pair_seg = _ints(pair_seg)
         self.num_steps = len(blocks)
         self.node_step = np.repeat(np.arange(len(blocks)), [b[-1] + 1 for b in blocks])
         self.node_graph = np.zeros(offset, dtype=np.int64)
-        self.node_off = self.step_off = np.zeros(1, dtype=np.int64)
+        self.step_off = np.zeros(1, dtype=np.int64)
+        self._derive()
 
     @classmethod
     def stack(cls, plans: Sequence["UnionPlan"]) -> "UnionPlan":
@@ -247,7 +231,7 @@ class UnionPlan:
         indices are offset by the graphs before it, and the new nodes of
         every graph share one zero row after all real rows."""
         out = cls.__new__(cls)
-        out.node_off = node_off = _offsets([p.num_nodes for p in plans])
+        node_off = _offsets([p.num_nodes for p in plans])
         out.step_off = step_off = _offsets([p.num_steps for p in plans])
         row_off = _offsets([p.rows.shape[0] for p in plans])
         out.rows = np.concatenate([p.rows for p in plans])
@@ -256,7 +240,6 @@ class UnionPlan:
             np.where(p.src_idx == p.rows.shape[0], pad, p.src_idx + o)
             for p, o in zip(plans, row_off)
         ])
-        out.x = np.concatenate([p.x for p in plans])
 
         def shifted(arrays, offs):
             return np.concatenate([a + o for a, o in zip(arrays, offs)])
@@ -267,11 +250,17 @@ class UnionPlan:
             np.where(p.edge_pair < 0, -1, p.edge_pair + o) for p, o in zip(plans, pair_off)
         ])
         out.pairs = tuple(shifted([p.pairs[i] for p in plans], node_off) for i in (0, 1))
-        out.pair_seg = shifted([p.pair_seg for p in plans], step_off)
         out.node_step = shifted([p.node_step for p in plans], step_off)
         out.num_steps = int(sum(p.num_steps for p in plans))
         out.node_graph = np.repeat(np.arange(len(plans)), [p.num_nodes for p in plans])
+        out._derive()
         return out
+
+    def _derive(self) -> None:
+        # a new node reads the zero row after the real rows, and a pair
+        # belongs to the step of its new node
+        self.x = (self.src_idx == self.rows.shape[0]).astype(np.float64)
+        self.pair_seg = self.node_step[self.pairs[0]]
 
     @property
     def num_nodes(self) -> int:
@@ -297,41 +286,43 @@ class UnionPlan:
 
 
 def gnn_round(
-    states: NodeStates,
+    h: Tensor,
+    x: np.ndarray,
     aug_edges: tuple[np.ndarray, np.ndarray],
     params: GeneratorParams,
     r: int = 0,
-) -> NodeStates:
-    """One round: gated difference messages aggregated over the augmented
-    neighborhood, then a recurrent state update.  Isolated nodes receive a
-    zero message."""
+) -> Tensor:
+    """One round over node states ``h`` with new-node flags ``x``: gated
+    difference messages aggregated over the augmented neighborhood, then a
+    recurrent state update.  Isolated nodes receive a zero message."""
     w = params.round_for(r)
-    n = states.num_nodes
+    n = h.shape[0]
     recv, send = aug_edges
     if recv.size:
-        diff = gather_rows(states.h, recv) - gather_rows(states.h, send)
+        diff = gather_rows(h, recv) - gather_rows(h, send)
         msg = w.msg(diff)
-        flag_diff = constant((states.x[recv] - states.x[send])[:, None])
+        flag_diff = constant((x[recv] - x[send])[:, None])
         gate = sigmoid(w.gate(concat([diff, flag_diff], axis=1)))
         agg = segment_sum(gate * msg, recv, n)
     else:
         agg = constant(np.zeros((n, params.config.hidden_dim)))
-    return NodeStates(w.gru(states.h, agg), states.x)
+    return w.gru(h, agg)
 
 
 def run_rounds(
-    states: NodeStates,
+    h: Tensor,
+    x: np.ndarray,
     aug_edges: tuple[np.ndarray, np.ndarray],
     params: GeneratorParams,
-) -> NodeStates:
+) -> Tensor:
     for r in range(params.config.rounds):
-        states = gnn_round(states, aug_edges, params, r)
-    return states
+        h = gnn_round(h, x, aug_edges, params, r)
+    return h
 
 
 def initial_states(
     plan: UnionPlan, labels: Sequence[int], params: GeneratorParams
-) -> NodeStates:
+) -> Tensor:
     """Union input states: embedded prefix rows (zeros for new nodes) with
     the class embedding of each node's graph appended; ``labels`` holds one
     class per graph of the plan."""
@@ -344,27 +335,27 @@ def initial_states(
     padded = concat([embedded, constant(np.zeros((1, config.hidden_dim_h)))], axis=0)
     h_hat = gather_rows(padded, plan.src_idx)
     c_hat = params.cond_embed(constant(np.eye(config.num_classes)[labels]))
-    return NodeStates(concat([h_hat, gather_rows(c_hat, plan.node_graph)], axis=1), plan.x)
+    return concat([h_hat, gather_rows(c_hat, plan.node_graph)], axis=1)
 
 
 def mixture_heads(
-    states: NodeStates, plan: UnionPlan, params: GeneratorParams
+    h: Tensor, plan: UnionPlan, params: GeneratorParams
 ) -> tuple[Tensor, Tensor]:
     """Mixture-of-Bernoulli heads: per-step log mixture weights (steps x K)
     from the summed pair scores, and per-pair edge logits (pairs x K) in
     canonical candidate order."""
     rows, cols = plan.pairs
-    diff = gather_rows(states.h, rows) - gather_rows(states.h, cols)
+    diff = gather_rows(h, rows) - gather_rows(h, cols)
     alpha_logits = segment_sum(params.head_alpha(diff), plan.pair_seg, plan.num_steps)
     return log_softmax(alpha_logits, axis=1), params.head_theta(diff)
 
 
 def step_forward(
     plan: UnionPlan, labels: Sequence[int], params: GeneratorParams
-) -> tuple[Tensor, Tensor, NodeStates]:
+) -> tuple[Tensor, Tensor, Tensor]:
     """The generator forward over a union plan: log mixture weights, edge
     logits and the final node states."""
-    states = initial_states(plan, labels, params)
-    states = run_rounds(states, plan.edges, params)
-    log_alpha, theta_logits = mixture_heads(states, plan, params)
-    return log_alpha, theta_logits, states
+    h = initial_states(plan, labels, params)
+    h = run_rounds(h, plan.x, plan.edges, params)
+    log_alpha, theta_logits = mixture_heads(h, plan, params)
+    return log_alpha, theta_logits, h

@@ -10,7 +10,7 @@ blocks of B consecutive nodes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,18 +100,6 @@ class OrderedGraph:
                 raise ValueError(f"lower_rows[{i}] has entries on/above the diagonal")
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Ceiling partition of ordered node positions into blocks of size B."""
-
-    block_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-
 def canonical_ordering(g: Graph) -> tuple[int, ...]:
     """Deterministic BFS order: root at the max-degree node (ties: smaller
     index), neighbors expanded in ascending index order; remaining components
@@ -147,17 +135,18 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def block_partition(num_nodes: int, block_size: int) -> BlockPartition:
+def block_partition(num_nodes: int, block_size: int) -> tuple[tuple[int, ...], ...]:
+    """Ceiling partition of ordered node positions into blocks of size B."""
     if block_size <= 0:
         raise ValueError("block size must be positive")
-    blocks = []
-    for start in range(0, num_nodes, block_size):
-        blocks.append(tuple(range(start, min(start + block_size, num_nodes))))
-    return BlockPartition(block_size=block_size, blocks=tuple(blocks))
+    return tuple(
+        tuple(range(start, min(start + block_size, num_nodes)))
+        for start in range(0, num_nodes, block_size)
+    )
 
 
-def decompose(g: Graph, B: int, N: int) -> tuple[OrderedGraph, BlockPartition]:
-    """Canonically order g and build its lower-triangular block representation."""
+def decompose(g: Graph, N: int) -> OrderedGraph:
+    """Canonically order g and build its lower-triangular rows, padded to N."""
     if g.num_nodes > N:
         raise CapacityError(f"graph has {g.num_nodes} nodes, exceeding capacity N={N}")
     pi = canonical_ordering(g)
@@ -168,8 +157,7 @@ def decompose(g: Graph, B: int, N: int) -> tuple[OrderedGraph, BlockPartition]:
         if a < b:
             a, b = b, a
         rows[a, b] = 1
-    og = OrderedGraph(base=g, pi=pi, lower_rows=rows, N=N)
-    return og, block_partition(g.num_nodes, B)
+    return OrderedGraph(base=g, pi=pi, lower_rows=rows, N=N)
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,15 @@ def generate(
             raise ValueError(
                 f"target node count {n} is smaller than the {n_fixed}-node start graph"
             )
-        og, _ = decompose(start, config.block_size, config.max_nodes)
+        og = decompose(start, config.max_nodes)
         lower[:n_fixed] = og.lower_rows
         labels[:n_fixed] = [start.node_labels[og.pi[i]] for i in range(n_fixed)]
 
-    for block in block_partition(n, config.block_size).blocks:
+    for block in block_partition(n, config.block_size):
         if block[-1] < n_fixed:
             continue
         plan = UnionPlan(lower[: block[0]], [block])
-        log_alpha, theta_logits, states = step_forward(plan, [class_label], gen_params)
+        log_alpha, theta_logits, h = step_forward(plan, [class_label], gen_params)
         alpha = np.exp(log_alpha.value[0])
         theta = np.clip(sigmoid(theta_logits).value, 1e-12, 1.0 - 1e-12)
         _check_mixture(alpha, theta)
@@ -114,7 +114,7 @@ def generate(
             rows, cols = plan.pairs
             keep = rows >= n_fixed
             lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
-        block_states = gather_rows(states.h, plan.new_nodes)
+        block_states = gather_rows(h, plan.new_nodes)
         dists = classify_nodes(block_states, nodeclf_params)
         predicted = np.argmax(dists.value, axis=1)
         for pos, i in enumerate(block):

@@ -241,7 +241,7 @@ class _TeacherPlan:
 
     def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
         n = og.base.num_nodes
-        blocks = block_partition(n, block_size).blocks
+        blocks = block_partition(n, block_size)
         self.forward = UnionPlan(og.lower_rows, blocks)
         counts = [block[-1] + 1 for block in blocks]
         self.teacher_bits = np.concatenate([block_bits(og.lower_rows, b) for b in blocks])
@@ -279,9 +279,9 @@ def _batch_losses(
     def stack(field):
         return np.concatenate([getattr(p, field) for p in plans])
 
-    states = initial_states(u, labels, gen_params)
-    states = run_rounds(states, u.edges, gen_params)
-    log_alpha, theta_logits = mixture_heads(states, u, gen_params)
+    h = initial_states(u, labels, gen_params)
+    h = run_rounds(h, u.x, u.edges, gen_params)
+    log_alpha, theta_logits = mixture_heads(h, u, gen_params)
 
     b = constant(stack("teacher_bits")[:, None])
     pair_ll = b * log_sigmoid(theta_logits) + (1.0 - b) * log_sigmoid(-theta_logits)
@@ -327,7 +327,7 @@ def _batch_losses(
 
     l_node = None
     if config.lambda_node_label > 0.0:
-        block_states = gather_rows(states.h, u.new_nodes)
+        block_states = gather_rows(h, u.new_nodes)
         dists = classify_nodes(block_states, nodeclf_params)
         targets = stack("node_targets")
         picked = dists[np.arange(targets.shape[0]), targets]
@@ -416,10 +416,7 @@ def train_generator(
     num_classes = max(g.class_label for g in graphs) + 1
     if num_node_labels is None:
         num_node_labels = max(max(g.node_labels) for g in graphs) + 1
-    ordered = [
-        (decompose(g, config.block_size, config.max_nodes)[0], g.class_label)
-        for g in graphs
-    ]
+    ordered = [(decompose(g, config.max_nodes), g.class_label) for g in graphs]
     plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in ordered]
 
     gen_params = init_generator(

@@ -35,7 +35,6 @@ from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, grap
 from condgraphgen.errors import NumericError
 from condgraphgen.generator import (
     GeneratorParams,
-    NodeStates,
     augmented_edges,
     block_bits,
     candidate_pairs,
@@ -200,10 +199,11 @@ def init_representations(
     t: int,
     params: GeneratorParams,
     new_nodes: int,
-) -> NodeStates:
-    """Initial node states for step t: embedded adjacency rows for previous
-    nodes, zeros for the new block, class subvector appended everywhere.
-    ``c`` is the one-hot class-condition vector."""
+) -> tuple[Tensor, np.ndarray]:
+    """Initial node states for step t and their new-node flags: embedded
+    adjacency rows for previous nodes, zeros for the new block, class
+    subvector appended everywhere.  ``c`` is the one-hot class-condition
+    vector."""
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (params.config.num_classes,):
         raise ValueError("condition vector width does not match the model")
@@ -233,18 +233,18 @@ def init_representations(
     h0 = concat([h_hat, c_tiled], axis=1)
     x = np.zeros(n)
     x[n_prev:] = 1.0
-    return NodeStates(h0, x)
+    return h0, x
 
 
 def output_heads(
-    states_final: NodeStates, block: Sequence[int], params: GeneratorParams
+    h: Tensor, block: Sequence[int], params: GeneratorParams
 ) -> MixtureParams:
     """Mixture weights from pooled pair scores and per-pair edge logits."""
     block = sorted(int(i) for i in block)
     if not block:
         raise ValueError("output heads need a nonempty block")
     rows, cols = candidate_pairs(block)
-    diff = gather_rows(states_final.h, rows) - gather_rows(states_final.h, cols)
+    diff = gather_rows(h, rows) - gather_rows(h, cols)
     alpha_logits = params.head_alpha(diff).sum(axis=0)
     log_alpha = log_softmax(alpha_logits)
     alpha = softmax(alpha_logits)
@@ -276,14 +276,13 @@ def step_forward(
     c: np.ndarray,
     t: int,
     params: GeneratorParams,
-) -> tuple[MixtureParams, NodeStates]:
+) -> tuple[MixtureParams, Tensor]:
     """Full forward pass for one step given the (teacher-forced or sampled)
     prefix rows; returns the mixture plus final states for downstream heads."""
     n_prev = int(block[0])
-    states = init_representations(lower_rows[:n_prev], c, t, params, len(block))
-    edges = augmented_edges(lower_rows, n_prev, block)
-    states = run_rounds(states, edges, params)
-    return output_heads(states, block, params), states
+    h, x = init_representations(lower_rows[:n_prev], c, t, params, len(block))
+    h = run_rounds(h, x, augmented_edges(lower_rows, n_prev, block), params)
+    return output_heads(h, block, params), h
 
 
 def graph_log_likelihood(
@@ -293,9 +292,8 @@ def graph_log_likelihood(
     per-block terms with ground-truth prefixes fed at every step."""
     if og.N != params.config.max_nodes:
         raise ValueError("ordered graph padding does not match the model")
-    parts = block_partition(og.base.num_nodes, block_size)
     total = constant(0.0)
-    for t, block in enumerate(parts.blocks, start=1):
+    for t, block in enumerate(block_partition(og.base.num_nodes, block_size), start=1):
         mix, _ = step_forward(og.lower_rows, block, c, t, params)
         total = total + block_log_likelihood(mix, block_bits(og.lower_rows, block))
     return total
@@ -393,21 +391,21 @@ def oracle_generate(class_label, gen_params, nodeclf_params, rng, num_nodes, sta
     n_fixed = 0
     if start is not None:
         n_fixed = start.num_nodes
-        og, _ = decompose(start, config.block_size, config.max_nodes)
+        og = decompose(start, config.max_nodes)
         lower[:n_fixed] = og.lower_rows
         labels[:n_fixed] = [start.node_labels[og.pi[i]] for i in range(n_fixed)]
 
-    for t, block in enumerate(block_partition(n, config.block_size).blocks, start=1):
+    for t, block in enumerate(block_partition(n, config.block_size), start=1):
         if block[-1] < n_fixed:
             continue
-        mix, states = step_forward(lower, block, c, t, gen_params)
+        mix, h = step_forward(lower, block, c, t, gen_params)
         if mix.num_pairs:
             k = int(rng.choice(mix.num_components, p=mix.alpha.value))
             bits = rng.random(mix.num_pairs) < mix.theta.value[:, k]
             rows, cols = candidate_pairs(block)
             keep = rows >= n_fixed
             lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
-        block_states = gather_rows(states.h, np.asarray(block, dtype=np.int64))
+        block_states = gather_rows(h, np.asarray(block, dtype=np.int64))
         predicted = np.argmax(classify_nodes(block_states, nodeclf_params).value, axis=1)
         for pos, i in enumerate(block):
             if i >= n_fixed:

@@ -40,14 +40,13 @@ from condgraphgen.autodiff import constant, parameter
 from condgraphgen.classifiers import (
     ClassifierTrainConfig,
     init_graph_classifier,
-    predict_graph_class,
+    predict_graph_classes,
     train_graph_classifier,
 )
 from condgraphgen.datasets import build_manifest, histogram_from_manifest, stratified_split
 from condgraphgen.evaluation import STAT_FIELDS, auc, corpus_stats, graph_stats, mean_stats
 from condgraphgen.generator import (
     GeneratorConfig,
-    NodeStates,
     gnn_round,
     init_generator,
 )
@@ -179,7 +178,7 @@ def test_acceptance_3_gradient_integrity():
     jitter = np.random.default_rng(1)
     for t in gen.tensors():  # move off ReLU kinks
         t.value += 0.05 * jitter.standard_normal(t.value.shape)
-    og, _ = decompose(_six_node_graph(2), cfg.block_size, cfg.max_nodes)
+    og = decompose(_six_node_graph(2), cfg.max_nodes)
     c = one_hot(1, cfg.num_classes)
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
 
@@ -223,7 +222,7 @@ def test_acceptance_3_gradient_integrity():
     )
     gen2 = init_generator(tcfg.generator_config(2), np.random.default_rng(7))
     clf2 = init_graph_classifier(feature_dim=3, num_classes=2, rng=np.random.default_rng(8))
-    og2, _ = decompose(_six_node_graph(9), tcfg.block_size, tcfg.max_nodes)
+    og2 = decompose(_six_node_graph(9), tcfg.max_nodes)
     got_grad = False
     for seed in range(20):
         for t in gen2.tensors():
@@ -328,7 +327,7 @@ def test_acceptance_5_conditional_efficacy(toy_run):
         failures.append(f"class-1 minus class-0 mean degree {gap:.3f} <= 0.5")
 
     agreement = {
-        cls: float(np.mean([predict_graph_class(toy_run["clf"], g) == cls for g in batch]))
+        cls: float(np.mean(predict_graph_classes(toy_run["clf"], batch) == cls))
         for cls, batch in samples.items()
     }
     for cls, frac in agreement.items():
@@ -396,16 +395,12 @@ def prop_round_permutation_equivariant(seed):
     und = [(i, j) for i in range(n) for j in range(i) if rng.random() < 0.5]
     recv = np.array([e[0] for e in und] + [e[1] for e in und], dtype=np.int64)
     send = np.array([e[1] for e in und] + [e[0] for e in und], dtype=np.int64)
-    out = gnn_round(NodeStates(constant(h.copy()), x), (recv, send), _GEN)
+    out = gnn_round(constant(h.copy()), x, (recv, send), _GEN)
 
     perm = rng.permutation(n)
     inv = np.argsort(perm)
-    out_p = gnn_round(
-        NodeStates(constant(h[inv].copy()), x[inv]),
-        (perm[recv], perm[send]),
-        _GEN,
-    )
-    assert np.allclose(out_p.h.value, out.h.value[inv], atol=1e-9)
+    out_p = gnn_round(constant(h[inv].copy()), x[inv], (perm[recv], perm[send]), _GEN)
+    assert np.allclose(out_p.value, out.value[inv], atol=1e-9)
 
 
 @_PROP
@@ -427,7 +422,7 @@ def prop_classifier_permutation_invariant(seed):
 @given(st.integers(0, 2**32 - 1))
 def prop_canonical_order_round_trip(seed):
     g = random_graph(np.random.default_rng(seed))
-    og, _ = decompose(g, 2, 10)
+    og = decompose(g, 10)
     rebuilt = set()
     n = g.num_nodes
     for i in range(n):
@@ -448,7 +443,7 @@ def _one_train_step(seed):
     rng = np.random.default_rng(seed)
     graphs = synthesize_toy_corpus(2, (4, 8), seed=int(rng.integers(1 << 30)))
     batch = [
-        (decompose(g, _STEP_CFG.block_size, _STEP_CFG.max_nodes)[0], g.class_label)
+        (decompose(g, _STEP_CFG.max_nodes), g.class_label)
         for g in graphs
     ]
     gen = init_generator(_STEP_CFG.generator_config(2), np.random.default_rng(seed))

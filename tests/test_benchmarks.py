@@ -1,0 +1,24 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_union_memory_benchmark_runs_one_small_step():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_union_memory.py"), "--nodes", "8"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"nodes", "union_nodes", "step_s", "rss_before_mb", "peak_rss_mb"}
+    assert record["nodes"] == 8 and record["union_nodes"] == 8 * 9 // 2
+    assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0

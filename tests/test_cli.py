@@ -349,6 +349,35 @@ def test_ingest_rejects_an_empty_validation_split(tmp_path, capsys):
     assert not (run / "manifest.json").exists()
 
 
+def test_ingest_rejects_an_empty_test_split(tmp_path, capsys):
+    run = tmp_path / "run"  # six graphs per class round to no test graph
+    assert main(["ingest", "--toy", "12", "--out", str(run)]) == 3
+    assert "test split" in capsys.readouterr().err
+    assert not (run / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("source", ["reference-file", "test-split"])
+def test_evaluate_rejects_an_empty_reference_set(tmp_path, capsys, pipeline_run, source):
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(pipeline_run / "manifest.json", run)
+    for name in ("splits", "checkpoints"):
+        shutil.copytree(pipeline_run / name, run / name)
+    assert main(["generate", "--out", str(run), "--class", "0", "--count", "1"]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    args = ["evaluate", "--out", str(run)]
+    if source == "reference-file":
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"graphs": []}))
+        args += ["--reference", str(empty)]
+    else:
+        save_graph_list(run / manifest["splits"]["test"], [])
+    capsys.readouterr()
+    assert main(args) == 3
+    assert "reference set is empty" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
 def test_train_classifier_rejects_an_empty_validation_split(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0

@@ -18,7 +18,6 @@ from condgraphgen.classifiers import graph_logits, init_graph_classifier, unifor
 from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
     GeneratorConfig,
-    NodeStates,
     UnionPlan,
     augmented_edges,
     block_bits,
@@ -59,7 +58,7 @@ def random_ordered(rng, n, params, p=0.4):
         (j, i) for i in range(n) for j in range(i) if rng.random() < p
     )
     g = Graph(n, edges, tuple([0] * n), 0)
-    og, _ = decompose(g, params.config.block_size, params.config.max_nodes)
+    og = decompose(g, params.config.max_nodes)
     return og
 
 
@@ -70,9 +69,8 @@ def random_ordered(rng, n, params, p=0.4):
 def test_initial_states_embed_each_graphs_class_one_hot():
     params = small_params(1, num_classes=3)
     plans = [UnionPlan(np.zeros((0, 8)), [(0, 1)]), UnionPlan(np.zeros((0, 8)), [(0,)])]
-    states = G.initial_states(UnionPlan.stack(plans), [2, 0], params)
+    h = G.initial_states(UnionPlan.stack(plans), [2, 0], params).value
     wc, bc = params.cond_embed.W.value, params.cond_embed.b.value
-    h = states.h.value
     assert np.array_equal(h[:2, HID_H:], np.tile(wc[2] + bc, (2, 1)))
     assert np.array_equal(h[2:, HID_H:], (wc[0] + bc)[None, :])
 
@@ -100,20 +98,18 @@ def test_condition_vector_label_range():
 def test_init_zero_weights_gives_zero_states():
     params = zero_params(small_params())
     rows = np.zeros((2, 8))
-    states = init_representations(rows, one_hot(0, 2), 2, params, 2)
-    assert np.all(states.h.value == 0.0)
+    h, _ = init_representations(rows, one_hot(0, 2), 2, params, 2)
+    assert np.all(h.value == 0.0)
 
 
 def test_init_step_one_has_zero_row_part_and_shared_condition():
     params = small_params(1)
-    states = init_representations(
-        np.zeros((0, 8)), one_hot(1, 2), 1, params, 3
-    )
-    h = states.h.value
+    h, x = init_representations(np.zeros((0, 8)), one_hot(1, 2), 1, params, 3)
+    h = h.value
     assert h.shape == (3, HID)
     assert np.all(h[:, :HID_H] == 0.0)
     assert np.all(h[:, HID_H:] == h[0, HID_H:])
-    assert np.all(states.x == 1.0)
+    assert np.all(x == 1.0)
 
 
 def test_init_matches_direct_matrix_arithmetic():
@@ -122,26 +118,26 @@ def test_init_matches_direct_matrix_arithmetic():
     rows = (rng.random((4, 8)) < 0.3).astype(np.float64)
     rows[:, 4:] = 0.0
     c = one_hot(1, 2)
-    states = init_representations(rows, c, 3, params, 2)
+    h, x = init_representations(rows, c, 3, params, 2)
 
     wh, bh = params.row_embed.W.value, params.row_embed.b.value
     wc, bc = params.cond_embed.W.value, params.cond_embed.b.value
     expect_prev = rows @ wh + bh
     expect_cond = c @ wc + bc
-    assert np.allclose(states.h.value[:4, :HID_H], expect_prev)
-    assert np.all(states.h.value[4:, :HID_H] == 0.0)
-    assert np.allclose(states.h.value[:, HID_H:], expect_cond)
-    assert list(states.x) == [0, 0, 0, 0, 1, 1]
+    assert np.allclose(h.value[:4, :HID_H], expect_prev)
+    assert np.all(h.value[4:, :HID_H] == 0.0)
+    assert np.allclose(h.value[:, HID_H:], expect_cond)
+    assert list(x) == [0, 0, 0, 0, 1, 1]
 
 
 def test_init_condition_changes_only_condition_slice():
     params = small_params(4)
     rows = np.zeros((2, 8))
     rows[1, 0] = 1.0
-    s0 = init_representations(rows, one_hot(0, 2), 2, params, 2)
-    s1 = init_representations(rows, one_hot(1, 2), 2, params, 2)
-    assert np.array_equal(s0.h.value[:, :HID_H], s1.h.value[:, :HID_H])
-    assert not np.allclose(s0.h.value[:, HID_H:], s1.h.value[:, HID_H:])
+    h0, _ = init_representations(rows, one_hot(0, 2), 2, params, 2)
+    h1, _ = init_representations(rows, one_hot(1, 2), 2, params, 2)
+    assert np.array_equal(h0.value[:, :HID_H], h1.value[:, :HID_H])
+    assert not np.allclose(h0.value[:, HID_H:], h1.value[:, HID_H:])
 
 
 def test_init_validation_errors():
@@ -169,24 +165,23 @@ def test_round_identical_states_use_zero_difference_message():
     params = small_params(5)
     w = params.round_for(0)
     h = np.tile(np.linspace(-1.0, 1.0, HID), (2, 1))
-    states = NodeStates(constant(h.copy()), np.zeros(2))
-    out = gnn_round(states, (np.array([0, 1]), np.array([1, 0])), params)
+    out = gnn_round(constant(h.copy()), np.zeros(2), (np.array([0, 1]), np.array([1, 0])), params)
 
     msg0 = w.msg(constant(np.zeros((1, HID))))
     gate0 = sigmoid(w.gate(constant(np.zeros((1, HID + 1)))))
     agg = np.tile((gate0.value * msg0.value), (2, 1))
     expect = w.gru(constant(h.copy()), constant(agg))
-    assert np.allclose(out.h.value, expect.value)
+    assert np.allclose(out.value, expect.value)
 
 
 def test_round_isolated_node_gets_zero_message_update():
     params = small_params(6)
     w = params.round_for(0)
     h = np.random.default_rng(0).standard_normal((3, HID))
-    states = NodeStates(constant(h.copy()), np.zeros(3))
-    out = gnn_round(states, (np.zeros(0, np.int64), np.zeros(0, np.int64)), params)
+    empty = np.zeros(0, np.int64)
+    out = gnn_round(constant(h.copy()), np.zeros(3), (empty, empty), params)
     expect = w.gru(constant(h.copy()), constant(np.zeros((3, HID))))
-    assert np.allclose(out.h.value, expect.value)
+    assert np.allclose(out.value, expect.value)
 
 
 def test_round_permutation_equivariant():
@@ -198,16 +193,14 @@ def test_round_permutation_equivariant():
     und = [(i, j) for i in range(n) for j in range(i) if rng.random() < 0.5]
     recv = np.array([e[0] for e in und] + [e[1] for e in und], dtype=np.int64)
     send = np.array([e[1] for e in und] + [e[0] for e in und], dtype=np.int64)
-    out = gnn_round(NodeStates(constant(h.copy()), x), (recv, send), params)
+    out = gnn_round(constant(h.copy()), x, (recv, send), params)
 
     perm = rng.permutation(n)
     inv = np.argsort(perm)
     out_p = gnn_round(
-        NodeStates(constant(h[inv].copy()), x[inv]),
-        (perm[recv][::-1].copy(), perm[send][::-1].copy()),
-        params,
+        constant(h[inv].copy()), x[inv], (perm[recv][::-1].copy(), perm[send][::-1].copy()), params
     )
-    assert np.allclose(out_p.h.value, out.h.value[inv], atol=1e-9)
+    assert np.allclose(out_p.value, out.value[inv], atol=1e-9)
 
 
 def test_untied_rounds_have_independent_weights():
@@ -225,10 +218,8 @@ def test_untied_rounds_have_independent_weights():
 
 def test_heads_single_component_alpha_is_one():
     params = small_params(10, mixture_k=1)
-    states = NodeStates(
-        constant(np.random.default_rng(1).standard_normal((4, HID))), np.array([0, 0, 1, 1.0])
-    )
-    mix = output_heads(states, [2, 3], params)
+    h = constant(np.random.default_rng(1).standard_normal((4, HID)))
+    mix = output_heads(h, [2, 3], params)
     assert mix.alpha.value.shape == (1,)
     assert mix.alpha.value[0] == pytest.approx(1.0)
 
@@ -237,34 +228,27 @@ def test_heads_zero_theta_mlp_gives_half():
     params = small_params(11)
     for t in params.head_theta.tensors():
         t.value[...] = 0.0
-    states = NodeStates(
-        constant(np.random.default_rng(2).standard_normal((3, HID))), np.array([0, 1, 1.0])
-    )
-    mix = output_heads(states, [1, 2], params)
+    h = constant(np.random.default_rng(2).standard_normal((3, HID)))
+    mix = output_heads(h, [1, 2], params)
     assert np.allclose(mix.theta.value, 0.5)
 
 
 def test_heads_identical_states_give_identical_rows():
     params = small_params(12)
-    states = NodeStates(constant(np.ones((4, HID))), np.array([0, 0, 1, 1.0]))
-    mix = output_heads(states, [2, 3], params)
+    mix = output_heads(constant(np.ones((4, HID))), [2, 3], params)
     assert np.allclose(mix.theta.value, mix.theta.value[0])
 
 
 def test_heads_reject_empty_block():
     params = small_params(13)
-    states = NodeStates(constant(np.ones((2, HID))), np.zeros(2))
     with pytest.raises(ValueError):
-        output_heads(states, [], params)
+        output_heads(constant(np.ones((2, HID))), [], params)
 
 
 def test_heads_simplex_and_open_interval():
     params = small_params(14)
-    states = NodeStates(
-        constant(np.random.default_rng(3).standard_normal((5, HID))),
-        np.array([0, 0, 1, 1, 1.0]),
-    )
-    mix = output_heads(states, [2, 3, 4], params)
+    h = constant(np.random.default_rng(3).standard_normal((5, HID)))
+    mix = output_heads(h, [2, 3, 4], params)
     assert mix.alpha.value.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(mix.theta.value > 0) and np.all(mix.theta.value < 1)
     assert mix.num_pairs == 2 + 3 + 4
@@ -325,7 +309,7 @@ def test_block_ll_rejects_wrong_length():
 def test_single_node_graph_scores_zero():
     params = small_params(16)
     g = Graph(1, frozenset(), (0,), 0)
-    og, _ = decompose(g, 2, 8)
+    og = decompose(g, 8)
     ll = graph_log_likelihood(og, one_hot(0, 2), params, 2)
     assert ll.item() == pytest.approx(0.0, abs=1e-9)
 
@@ -343,11 +327,11 @@ def test_blocks_add_up():
     params = small_params(19)
     c = one_hot(0, 2)
     g = Graph(4, frozenset({(0, 1), (1, 2), (0, 3)}), (0, 0, 0, 0), 0)
-    og, parts = decompose(g, 2, 8)
+    og = decompose(g, 8)
     total = graph_log_likelihood(og, c, params, 2)
 
     by_hand = 0.0
-    for t, block in enumerate(parts.blocks, start=1):
+    for t, block in enumerate(block_partition(g.num_nodes, 2), start=1):
         mix, _ = step_forward(og.lower_rows, block, c, t, params)
         by_hand += block_log_likelihood(mix, block_bits(og.lower_rows, block)).item()
     assert total.item() == pytest.approx(by_hand, abs=1e-10)
@@ -365,7 +349,7 @@ def test_condition_changes_likelihood():
 def test_capacity_mismatch_rejected():
     params = small_params(22)
     g = Graph(3, frozenset({(0, 1)}), (0, 0, 0), 0)
-    og, _ = decompose(g, 2, 16)
+    og = decompose(g, 16)
     with pytest.raises(ValueError):
         graph_log_likelihood(og, one_hot(0, 2), params, 2)
 
@@ -381,13 +365,13 @@ def test_one_step_plan_matches_per_step_oracle_bit_for_bit():
         for label in (0, 1):
             og = random_ordered(rng, int(rng.integers(1, 9)), params)
             c = one_hot(label, 2)
-            for t, block in enumerate(block_partition(og.base.num_nodes, block_size).blocks, 1):
+            for t, block in enumerate(block_partition(og.base.num_nodes, block_size), 1):
                 plan = UnionPlan(og.lower_rows[: block[0]], [block])
-                log_alpha, theta_logits, states = G.step_forward(plan, [label], params)
+                log_alpha, theta_logits, h = G.step_forward(plan, [label], params)
                 mix, want = step_forward(og.lower_rows, block, c, t, params)
                 assert np.array_equal(log_alpha.value[0], mix.log_alpha.value)
                 assert np.array_equal(theta_logits.value, mix.theta_logits.value)
-                assert np.array_equal(states.h.value, want.h.value)
+                assert np.array_equal(h.value, want.value)
                 assert np.array_equal(plan.new_nodes, block)
 
 
@@ -396,17 +380,17 @@ def test_stacked_plan_matches_each_graph_alone():
     params = small_params(28)
     ogs = [random_ordered(rng, n, params) for n in (5, 1, 8, 3)]
     labels = [1, 0, 0, 1]
-    plans = [UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, 2).blocks) for og in ogs]
+    plans = [UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, 2)) for og in ogs]
     u = UnionPlan.stack(plans)
-    log_alpha, theta_logits, states = G.step_forward(u, labels, params)
+    log_alpha, theta_logits, h = G.step_forward(u, labels, params)
     bounds = u.pair_bounds()
-    for plan, label, n0, s0 in zip(plans, labels, u.node_off, u.step_off):
-        la, tl, st = G.step_forward(plan, [label], params)
+    for i, (plan, label, s0) in enumerate(zip(plans, labels, u.step_off)):
+        la, tl, hi = G.step_forward(plan, [label], params)
         steps = slice(s0, s0 + plan.num_steps)
         assert np.allclose(log_alpha.value[steps], la.value, rtol=0, atol=1e-12)
         pairs = slice(bounds[s0], bounds[s0 + plan.num_steps])
         assert np.allclose(theta_logits.value[pairs], tl.value, rtol=0, atol=1e-12)
-        assert np.allclose(states.h.value[n0 : n0 + plan.num_nodes], st.h.value, rtol=0, atol=1e-12)
+        assert np.allclose(h.value[u.node_graph == i], hi.value, rtol=0, atol=1e-12)
 
 
 def test_stack_offsets_and_shared_zero_row():
@@ -421,7 +405,7 @@ def test_stack_offsets_and_shared_zero_row():
     assert u.rows.shape == (5, 8)
     # new nodes of both graphs read the one zero row after the five real rows
     assert u.src_idx.tolist() == [5, 0, 5, 0, 1, 5, 5, 5]
-    assert u.node_off.tolist() == [0, 6] and u.step_off.tolist() == [0, 3]
+    assert u.step_off.tolist() == [0, 3]
     assert u.node_graph.tolist() == [0] * 6 + [1] * 2
     assert u.pair_seg.tolist() == [1, 2, 2, 3]
     assert u.pairs[0].tolist() == [2, 5, 5, 7] and u.pairs[1].tolist() == [1, 3, 4, 6]
@@ -453,7 +437,7 @@ def test_classifier_reads_union_edges_as_the_separate_layout_did():
     for block_size in (1, 2, 3):
         ogs = [random_ordered(rng, n, params) for n in (6, 1, 8, 4)]
         plans = [
-            UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, block_size).blocks)
+            UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, block_size))
             for og in ogs
         ]
         u = UnionPlan.stack(plans)
@@ -461,7 +445,7 @@ def test_classifier_reads_union_edges_as_the_separate_layout_did():
         pre_recv, pre_send, node_seg = [], [], []
         node0 = step0 = 0
         for og, plan in zip(ogs, plans):
-            for block in block_partition(og.base.num_nodes, block_size).blocks:
+            for block in block_partition(og.base.num_nodes, block_size):
                 obs_i, obs_j = np.nonzero(og.lower_rows[: block[0]])
                 pre_recv += [obs_i + node0, obs_j + node0]
                 pre_send += [obs_j + node0, obs_i + node0]

@@ -94,31 +94,30 @@ class TestCanonicalOrdering:
 class TestDecompose:
     def test_triangle_rows(self):
         g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-        og, part = decompose(g, B=1, N=5)
-        assert part.num_blocks == 3
+        og = decompose(g, N=5)
+        assert len(block_partition(g.num_nodes, 1)) == 3
         expect = np.array(
             [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 0]], dtype=np.uint8
         )
         assert np.array_equal(og.lower_rows, expect)
 
     def test_ceiling_partition(self):
-        part = block_partition(5, 2)
-        assert part.blocks == ((0, 1), (2, 3), (4,))
+        assert block_partition(5, 2) == ((0, 1), (2, 3), (4,))
 
     def test_empty_graph_rows_zero(self):
         g = make_graph(3, [])
-        og, _ = decompose(g, B=2, N=4)
+        og = decompose(g, N=4)
         assert not og.lower_rows.any()
 
     def test_capacity_error(self):
         g = make_graph(5, [(0, 1)])
         with pytest.raises(CapacityError):
-            decompose(g, B=1, N=4)
+            decompose(g, N=4)
 
     @given(random_graphs())
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, g):
-        og, _ = decompose(g, B=2, N=10)
+        og = decompose(g, N=10)
         assert reconstructed_edges(og) == g.edges
 
 

@@ -348,7 +348,7 @@ def setup_step(lambda_condition=0.5, lambda_node_label=0.5, seed=1):
     )
     graphs = small_corpus()
     batch = [
-        (decompose(g, cfg.block_size, cfg.max_nodes)[0], g.class_label) for g in graphs[:4]
+        (decompose(g, cfg.max_nodes), g.class_label) for g in graphs[:4]
     ]
     gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(seed))
     nodeclf = T.init_node_classifier(
@@ -406,7 +406,7 @@ def test_step_peak_memory_stays_near_the_tape(monkeypatch):
     are released as soon as they have been routed to the parents."""
     n, rng = 24, np.random.default_rng(0)
     cfg = TrainConfig(max_nodes=n, batch_size=1, seed=0)
-    og, _ = decompose(_molecule_like(n, rng), cfg.block_size, cfg.max_nodes)
+    og = decompose(_molecule_like(n, rng), cfg.max_nodes)
     gen = T.init_generator(cfg.generator_config(2), rng)
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
     clf = init_graph_classifier(3, 2, rng)
@@ -501,8 +501,8 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
     c = one_hot(label, gen.config.num_classes)
     n_full = og.base.num_nodes
     l_adj, l_cond, l_node = 0.0, 0.0, 0.0
-    for t, block in enumerate(block_partition(n_full, config.block_size).blocks, start=1):
-        mix, states = step_forward(og.lower_rows, block, c, t, gen)
+    for t, block in enumerate(block_partition(n_full, config.block_size), start=1):
+        mix, h = step_forward(og.lower_rows, block, c, t, gen)
         l_adj -= block_log_likelihood(mix, block_bits(og.lower_rows, block)).item()
         n_prev, n_cur = block[0], block[-1] + 1
         bits = sample_block_relaxed(mix, tau, rng)
@@ -514,7 +514,7 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
             uniform_features(n_cur, clf.feature_dim), relaxed, clf
         )
         l_cond += condition_loss(probs, label, n_full, n_cur, config.gamma).item()
-        block_states = gather_rows(states.h, np.asarray(block, dtype=np.int64))
+        block_states = gather_rows(h, np.asarray(block, dtype=np.int64))
         dists = classify_nodes(block_states, nodeclf)
         targets = [og.base.node_labels[og.pi[i]] for i in block]
         l_node += node_label_loss(dists, targets, n_full, n_cur, config.gamma).item()
@@ -528,7 +528,7 @@ def test_union_losses_match_per_step_oracle(block_size):
     gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(0))
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
     for gi, g in enumerate(small_corpus(6, seed=11)):
-        og, _ = decompose(g, cfg.block_size, cfg.max_nodes)
+        og = decompose(g, cfg.max_nodes)
         got = T._batch_losses(
             [(og, g.class_label)], gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(gi)]
         )
@@ -547,7 +547,7 @@ def test_batch_losses_match_sum_of_per_graph_oracle(block_size):
     gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(0))
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
     graphs = small_corpus(5, seed=13) + [Graph(1, frozenset(), (2,), 1)]
-    batch = [(decompose(g, cfg.block_size, cfg.max_nodes)[0], g.class_label) for g in graphs]
+    batch = [(decompose(g, cfg.max_nodes), g.class_label) for g in graphs]
     assert len({og.base.num_nodes for og, _ in batch}) > 2
     got = T._batch_losses(
         batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(i) for i in range(len(batch))]
@@ -567,7 +567,7 @@ def test_adjacency_loss_gradient_matches_fd():
     jitter = np.random.default_rng(3)
     for t in gen.tensors():
         t.value = t.value + jitter.normal(scale=0.05, size=t.value.shape)
-    og, _ = decompose(small_corpus(4, seed=5)[1], cfg.block_size, cfg.max_nodes)
+    og = decompose(small_corpus(4, seed=5)[1], cfg.max_nodes)
 
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
 
