@@ -10,7 +10,8 @@ freshly initialized.  Only the public ``train_step`` is called.
 
 runs 16, 32, 64, 96 and 111 nodes (NCI1's largest graph) unless
 ``--nodes`` says otherwise.  It prints one JSON line per node count
-(``union_nodes``, ``step_s``, ``rss_before_mb``, ``peak_rss_mb``) and, with
+(``union_nodes``, ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
+``minor_faults``, the minor page faults taken during the step) and, with
 ``--out``, writes them to a JSON file.
 """
 
@@ -51,16 +52,18 @@ def one_step(n: int, seed: int) -> dict:
     nodeclf = init_node_classifier(gen.config.hidden_dim, 3, rng)
     clf = init_graph_classifier(3, 2, rng)
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=config.lr)
-    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
     step_s = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "nodes": n,
         "union_nodes": n * (n + 1) // 2,  # block size 1: step t holds t nodes
         "step_s": round(step_s, 4),
-        "rss_before_mb": round(rss_before, 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
+        "minor_faults": after.ru_minflt - before.ru_minflt,
     }
 
 

@@ -14,7 +14,7 @@ applied as ``x @ W + b`` with x of shape (batch, in_dim).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,16 +301,6 @@ def sigmoid(x) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.value)
-
-    def backward(g):
-        x._accumulate(g * (1.0 - t * t))
-
-    return _make(t, (x,), backward)
-
-
 def exp(x) -> Tensor:
     x = as_tensor(x)
     e = np.exp(x.value)
@@ -375,8 +365,10 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 
 
 def tmean(x, axis=None) -> Tensor:
+    """Mean over ``axis``: None, one axis or a tuple of axes, as in tsum."""
     x = as_tensor(x)
-    n = x.value.size if axis is None else x.value.shape[axis]
+    axes = range(x.value.ndim) if axis is None else np.atleast_1d(axis)
+    n = int(np.prod([x.value.shape[a] for a in axes]))
     return tsum(x, axis=axis) * (1.0 / n)
 
 
@@ -472,6 +464,83 @@ def straight_through(soft: Tensor, hard: Array) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused message passing
+
+
+class Pending(NamedTuple):
+    """An op's value, the tensors it reads and its backward, not recorded on
+    the tape: the consumer runs the backward inside its own (see
+    ``GruCell.__call__``)."""
+
+    value: Array
+    parents: tuple[Tensor, ...]
+    backward: Callable[[Array], None]
+
+
+def gated_messages(
+    h: Tensor, flag: Array, recv: Array, send: Array, msg: MLP, gate: MLP
+) -> Pending:
+    """segment_sum(σ(gate([d, flag])) · msg(d), recv) with d = h[recv] - h[send]
+    and one ``flag`` per edge.  The backward reads only [d, flag], each MLP's
+    hidden ReLU output, msg(d) and the gate; every other forward array is
+    freed on return."""
+    hv = h.value
+    num, dim = hv.shape
+    d_flag = np.empty((recv.shape[0], dim + 1))
+    np.subtract(hv[recv], hv[send], out=d_flag[:, :dim])
+    d_flag[:, dim] = flag
+    m, m_inputs = _mlp_values(msg, d_flag[:, :dim])
+    s, s_inputs = _mlp_values(gate, d_flag)
+    s = _sigmoid_val(s)
+    agg = backend.segment_sum(s * m, recv, num)
+
+    def backward(g):
+        # g[recv] is the adjoint of the segment sum; it is gathered twice so
+        # that no (E, dim) array outlives the product it feeds
+        g_s = _unbroadcast(g[recv] * m, s.shape)
+        g_s *= s
+        g_s *= 1.0 - s
+        g_d = _mlp_backward(msg, m_inputs, g[recv] * s)
+        g_d += _mlp_backward(gate, s_inputs, g_s)[:, :dim]
+        if h.requires_grad:
+            # the adjoints of h[recv] and of -h[send], in that order
+            h._accumulate(backend.segment_sum(g_d, recv, num))
+            np.negative(g_d, out=g_d)
+            h._accumulate(backend.segment_sum(g_d, send, num))
+
+    return Pending(agg, (h, *msg.tensors(), *gate.tensors()), backward)
+
+
+def _mlp_values(mlp: MLP, x: Array) -> tuple[Array, list[Array]]:
+    """The MLP's output and each layer's input, computed as ``MLP.__call__``
+    does; past the first layer an input is a ReLU output."""
+    inputs = []
+    for i, layer in enumerate(mlp.layers):
+        if i:
+            np.maximum(x, 0.0, out=x)
+        inputs.append(x)
+        out = x @ layer.W.value
+        out += layer.b.value
+        x = out
+    return x, inputs
+
+
+def _mlp_backward(mlp: MLP, inputs: list[Array], g: Array) -> Array:
+    """Accumulate every layer's weight and bias gradients at output gradient
+    g; returns the gradient of the MLP's input."""
+    for i in reversed(range(len(mlp.layers))):
+        layer, x = mlp.layers[i], inputs[i]
+        if layer.W.requires_grad:
+            layer.W._accumulate(x.T @ g)
+        if layer.b.requires_grad:
+            layer.b._accumulate(_unbroadcast(g, layer.b.value.shape))
+        g = g @ layer.W.value.T
+        if i:
+            g *= x > 0.0
+    return g
+
+
+# ---------------------------------------------------------------------------
 # parameter containers and optimizer
 
 
@@ -524,11 +593,58 @@ class GruCell:
         self.wr, self.ur, self.br = gate()
         self.wn, self.un, self.bn = gate()
 
-    def __call__(self, h: Tensor, m: Tensor) -> Tensor:
-        z = sigmoid(matmul(m, self.wz) + matmul(h, self.uz) + self.bz)
-        r = sigmoid(matmul(m, self.wr) + matmul(h, self.ur) + self.br)
-        n = tanh(matmul(m, self.wn) + matmul(r * h, self.un) + self.bn)
-        return (1.0 - z) * n + z * h
+    def __call__(self, h: Tensor, m: Tensor | Pending) -> Tensor:
+        """(1 - z)·n + z·h with z = σ(m Wz + h Uz + bz), r = σ(m Wr + h Ur + br)
+        and n = tanh(m Wn + (r·h) Un + bn), as one tape node that keeps z, r,
+        n and r·h.  When ``m`` is a ``Pending`` op (``gated_messages``) its
+        backward runs inside this node's, so a whole message-passing round is
+        one node.  Gradients reach h in the order of the op-by-op cell (r·h,
+        h Ur, z·h, then m's backward, then h Uz), so results are unchanged to
+        the last bit."""
+        hv, mv = h.value, m.value
+        z = _sigmoid_val(_affine(mv, self.wz, hv, self.uz, self.bz))
+        r = _sigmoid_val(_affine(mv, self.wr, hv, self.ur, self.br))
+        rh = r * hv
+        n = _affine(mv, self.wn, rh, self.un, self.bn)
+        np.tanh(n, out=n)
+        out = 1.0 - z
+        out *= n
+        out += z * hv
+        pending = isinstance(m, Pending)
+
+        def backward(g):
+            gz = g * hv
+            gz -= g * n
+            gz *= z
+            gz *= 1.0 - z
+            gn = 1.0 - z
+            gn *= g
+            gn *= 1.0 - n * n
+            g_rh = gn @ self.un.value.T
+            gr = g_rh * hv
+            gr *= r
+            gr *= 1.0 - r
+            _accumulate_affine(mv, self.wn, rh, self.un, self.bn, gn)
+            _accumulate_affine(mv, self.wr, hv, self.ur, self.br, gr)
+            _accumulate_affine(mv, self.wz, hv, self.uz, self.bz, gz)
+            if h.requires_grad:
+                g_rh *= r
+                g_rh += gr @ self.ur.value.T
+                g_rh += g * z
+                h._accumulate(g_rh)
+            if pending or m.requires_grad:
+                gm = gn @ self.wn.value.T
+                gm += gr @ self.wr.value.T
+                gm += gz @ self.wz.value.T
+                if pending:
+                    m.backward(gm)
+                else:
+                    m._accumulate(gm)
+            if h.requires_grad:
+                h._accumulate(gz @ self.uz.value.T)
+
+        parents = (h, *self.tensors(), *(m.parents if pending else (m,)))
+        return _make(out, parents, backward)
 
     def tensors(self) -> list[Tensor]:
         return [
@@ -536,6 +652,22 @@ class GruCell:
             self.wr, self.ur, self.br,
             self.wn, self.un, self.bn,
         ]
+
+
+def _affine(m: Array, w: Tensor, h: Array, u: Tensor, b: Tensor) -> Array:
+    out = m @ w.value
+    out += h @ u.value
+    out += b.value
+    return out
+
+
+def _accumulate_affine(m: Array, w: Tensor, h: Array, u: Tensor, b: Tensor, g: Array) -> None:
+    """Weight and bias gradients of m W + h U + b at output gradient g."""
+    for x, t in ((m, w), (h, u)):
+        if t.requires_grad:
+            t._accumulate(x.T @ g)
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.value.shape))
 
 
 def he_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
@@ -575,8 +707,16 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * p.grad
-            self.v[i] = b2 * self.v[i] + (1 - b2) * p.grad * p.grad
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the order of lr·m̂ / (√v̂ + eps)
+            m, v = self.m[i], self.v[i]
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad * p.grad
+            denom = v / (1 - b2 ** self.t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / (1 - b1 ** self.t)
+            update *= self.lr
+            update /= denom
+            p.value -= update

@@ -26,12 +26,12 @@ from .autodiff import (
     concat,
     constant,
     gather_rows,
+    gated_messages,
     he_uniform,
     log_softmax,
     make_mlp,
     parameter,
     segment_sum,
-    sigmoid,
 )
 
 
@@ -294,18 +294,14 @@ def gnn_round(
 ) -> Tensor:
     """One round over node states ``h`` with new-node flags ``x``: gated
     difference messages aggregated over the augmented neighborhood, then a
-    recurrent state update.  Isolated nodes receive a zero message."""
+    recurrent state update, recorded as one tape node.  Isolated nodes
+    receive a zero message."""
     w = params.round_for(r)
-    n = h.shape[0]
     recv, send = aug_edges
     if recv.size:
-        diff = gather_rows(h, recv) - gather_rows(h, send)
-        msg = w.msg(diff)
-        flag_diff = constant((x[recv] - x[send])[:, None])
-        gate = sigmoid(w.gate(concat([diff, flag_diff], axis=1)))
-        agg = segment_sum(gate * msg, recv, n)
+        agg = gated_messages(h, x[recv] - x[send], recv, send, w.msg, w.gate)
     else:
-        agg = constant(np.zeros((n, params.config.hidden_dim)))
+        agg = constant(np.zeros((h.shape[0], params.config.hidden_dim)))
     return w.gru(h, agg)
 
 

@@ -181,12 +181,14 @@ def _gumbel_soft(p: Tensor, tau: float, noise_diff: np.ndarray) -> Tensor:
 @dataclass(frozen=True)
 class LossBreakdown:
     """Per-batch averages; total = l_adj + λ1·l_condition + λ2·l_node_label.
-    Terms whose weight is zero are skipped and reported as 0."""
+    Terms whose weight is zero are skipped and reported as 0.  ``grad_norm``
+    is the joint L2 norm of the step's gradients before clipping."""
 
     l_adj: float
     l_condition: float
     l_node_label: float
     total: float
+    grad_norm: float
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -372,7 +374,7 @@ def train_step(
         + config.lambda_condition * cond_total
         + config.lambda_node_label * node_total
     )
-    breakdown = LossBreakdown(
+    terms = dict(
         l_adj=_check_finite(adj_total.item(), "adjacency likelihood"),
         l_condition=_check_finite(cond_total.item(), "condition"),
         l_node_label=_check_finite(node_total.item(), "node label"),
@@ -392,7 +394,7 @@ def train_step(
             f"non-finite gradient in {_non_finite_gradient(opt.params, named)}"
         )
     opt.step()
-    return breakdown
+    return LossBreakdown(**terms, grad_norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +410,11 @@ def train_generator(
 ) -> tuple[GeneratorParams, NodeClassifierParams, list[dict]]:
     """Full training run over a corpus; returns generator and node-classifier
     parameters plus one epoch record per epoch (also written to
-    ``log_stream`` as JSON lines when given, each with the epoch's wall
-    ``seconds``, which the returned records leave out so that seeded runs
-    return identical histories)."""
+    ``log_stream`` as JSON lines when given).  A record holds the epoch's
+    mean loss terms, ``tau``, and the mean and largest gradient norm before
+    clipping with the number of clipped steps.  The log line adds the wall
+    ``seconds`` and ``graphs_per_s``, which the returned records leave out
+    so that seeded runs return identical histories."""
     if not graphs:
         raise ValueError("training needs at least one graph")
     num_classes = max(g.class_label for g in graphs) + 1
@@ -433,6 +437,7 @@ def train_generator(
         tau = config.tau_at(epoch)
         order = np.random.default_rng([config.seed, 2, epoch]).permutation(len(ordered))
         sums = np.zeros(4)
+        norms, clipped = [], 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             batch = [ordered[i] for i in idx]
@@ -442,6 +447,8 @@ def train_generator(
                 plans=[plans[i] for i in idx],
             )
             sums += np.array([bd.l_adj, bd.l_condition, bd.l_node_label, bd.total]) * len(idx)
+            norms.append(bd.grad_norm)
+            clipped += int(0.0 < config.clip_norm < bd.grad_norm)
         means = sums / len(ordered)
         record = {
             "epoch": epoch,
@@ -450,10 +457,14 @@ def train_generator(
             "l_node_label": float(means[2]),
             "total": float(means[3]),
             "tau": tau,
+            "grad_norm_mean": float(np.mean(norms)),
+            "grad_norm_max": float(np.max(norms)),
+            "clipped_steps": clipped,
         }
         history.append(record)
         if log_stream is not None:
             seconds = time.perf_counter() - started
-            log_stream.write(json.dumps({**record, "seconds": seconds}) + "\n")
+            timing = {"seconds": seconds, "graphs_per_s": len(ordered) / seconds}
+            log_stream.write(json.dumps({**record, **timing}) + "\n")
             log_stream.flush()
     return gen_params, nodeclf_params, history

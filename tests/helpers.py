@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
-round-trip oracle for ordered graphs, and the per-step reference oracle for
-the generator and the graph classifier.
+round-trip oracle for ordered graphs, the op-by-op reference for one
+message-passing round, and the per-step reference oracle for the generator
+and the graph classifier.
 
 The package runs one forward, ``generator.step_forward`` over a union plan.
 The oracle below is the independent per-step formulation it replaced: each
@@ -15,7 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from condgraphgen import autodiff
 from condgraphgen.autodiff import (
+    GruCell,
+    Pending,
     Tensor,
     as_tensor,
     clip,
@@ -27,6 +31,7 @@ from condgraphgen.autodiff import (
     log_softmax,
     logsumexp,
     matmul,
+    segment_sum,
     sigmoid,
     softmax,
     straight_through,
@@ -105,6 +110,52 @@ def reconstructed_edges(og) -> frozenset:
             u, v = og.pi[i], og.pi[int(j)]
             out.add((min(u, v), max(u, v)))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# op-by-op message-passing round
+
+
+def tanh(x) -> Tensor:
+    x = as_tensor(x)
+    t = np.tanh(x.value)
+
+    def backward(g):
+        x._accumulate(g * (1.0 - t * t))
+
+    return autodiff._make(t, (x,), backward)
+
+
+def recorded(op: Pending) -> Tensor:
+    """A pending op (``autodiff.gated_messages``) as a tape node of its own."""
+    return autodiff._make(*op)
+
+
+def reference_messages(h, x, aug_edges, msg, gate) -> Tensor:
+    """The gated messages of one round, one tape node per op."""
+    recv, send = aug_edges
+    diff = gather_rows(h, recv) - gather_rows(h, send)
+    flag_diff = constant((x[recv] - x[send])[:, None])
+    g = sigmoid(gate(concat([diff, flag_diff], axis=1)))
+    return segment_sum(g * msg(diff), recv, h.shape[0])
+
+
+def reference_gru(cell: GruCell, h, m) -> Tensor:
+    """``GruCell.__call__`` one tape node per op."""
+    z = sigmoid(matmul(m, cell.wz) + matmul(h, cell.uz) + cell.bz)
+    r = sigmoid(matmul(m, cell.wr) + matmul(h, cell.ur) + cell.br)
+    n = tanh(matmul(m, cell.wn) + matmul(r * h, cell.un) + cell.bn)
+    return (1.0 - z) * n + z * h
+
+
+def reference_round(h, x, aug_edges, params: GeneratorParams, r: int = 0) -> Tensor:
+    """``generator.gnn_round`` one tape node per op."""
+    w = params.round_for(r)
+    if aug_edges[0].size:
+        agg = reference_messages(h, x, aug_edges, w.msg, w.gate)
+    else:
+        agg = constant(np.zeros((h.shape[0], params.config.hidden_dim)))
+    return reference_gru(w.gru, h, agg)
 
 
 # ---------------------------------------------------------------------------

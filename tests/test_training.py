@@ -368,6 +368,17 @@ def test_total_is_weighted_sum():
     assert bd.l_adj > 0 and bd.l_condition > 0 and bd.l_node_label > 0
 
 
+def test_step_reports_the_gradient_norm_before_clipping():
+    for clip_norm in (1e-3, 0.0):
+        cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
+        cfg = dataclasses.replace(cfg, clip_norm=clip_norm)
+        bd = train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
+        # Adam leaves the gradients, clipped when clip_norm > 0, in place
+        left = T._grad_norm(opt.params)
+        assert bd.grad_norm > 1e-3
+        assert left == pytest.approx(clip_norm if clip_norm else bd.grad_norm, rel=1e-12)
+
+
 def test_zero_weights_reduce_to_adjacency_loss():
     cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step(0.0, 0.0)
     node_before = [t.value.copy() for t in nodeclf.tensors()]
@@ -597,11 +608,39 @@ def test_train_generator_history_and_log():
     gen, nodeclf, history = train_generator(graphs, small_clf(), cfg, log_stream=stream)
     assert len(history) == cfg.epochs
     for epoch, record in enumerate(history):
-        assert set(record) == {"epoch", "l_adj", "l_condition", "l_node_label", "total", "tau"}
+        assert set(record) == {
+            "epoch", "l_adj", "l_condition", "l_node_label", "total", "tau",
+            "grad_norm_mean", "grad_norm_max", "clipped_steps",
+        }
         assert record["tau"] == cfg.tau_at(epoch)
     logged = [json.loads(line) for line in stream.getvalue().splitlines()]
     assert all(line.pop("seconds") > 0 for line in logged)
+    assert all(line.pop("graphs_per_s") > 0 for line in logged)
     assert logged == history
+
+
+def test_train_generator_history_records_gradient_norms_and_clipping(monkeypatch):
+    graphs = small_corpus()
+    steps = -(-len(graphs) // SMALL["batch_size"])
+    norms = []
+    step = T.train_step
+
+    def recording_step(*args, **kwargs):
+        bd = step(*args, **kwargs)
+        norms.append(bd.grad_norm)
+        return bd
+
+    monkeypatch.setattr(T, "train_step", recording_step)
+    for clip_norm, want_clipped in ((1e-9, steps), (0.0, 0), (1e9, 0)):
+        norms.clear()
+        cfg = TrainConfig(**{**SMALL, "clip_norm": clip_norm})
+        _, _, history = train_generator(graphs, small_clf(), cfg)
+        assert len(norms) == steps * cfg.epochs
+        for epoch, record in enumerate(history):
+            mine = norms[epoch * steps:(epoch + 1) * steps]
+            assert record["grad_norm_mean"] == pytest.approx(np.mean(mine), rel=1e-12)
+            assert record["grad_norm_max"] == max(mine) > 0.0
+            assert record["clipped_steps"] == want_clipped
 
 
 def test_train_generator_deterministic():
