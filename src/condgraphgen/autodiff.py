@@ -128,9 +128,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -364,14 +361,6 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     return _make(out_val, (x,), backward)
 
 
-def tmean(x, axis=None) -> Tensor:
-    """Mean over ``axis``: None, one axis or a tuple of axes, as in tsum."""
-    x = as_tensor(x)
-    axes = range(x.value.ndim) if axis is None else np.atleast_1d(axis)
-    n = int(np.prod([x.value.shape[a] for a in axes]))
-    return tsum(x, axis=axis) * (1.0 / n)
-
-
 def logsumexp(x, axis=None, keepdims=False) -> Tensor:
     x = as_tensor(x)
     m = np.max(x.value, axis=axis, keepdims=True)
@@ -478,44 +467,79 @@ class Pending(NamedTuple):
 
 
 def gated_messages(
-    h: Tensor, flag: Array, recv: Array, send: Array, msg: MLP, gate: MLP
+    h: Tensor,
+    flag: Array,
+    recv: Array,
+    send: Array,
+    msg: MLP,
+    gate: MLP,
+    distinct: tuple[Array, Array] | None = None,
 ) -> Pending:
     """segment_sum(σ(gate([d, flag])) · msg(d), recv) with d = h[recv] - h[send]
     and one ``flag`` per edge.  The backward reads only [d, flag], each MLP's
     hidden ReLU output, msg(d) and the gate; every other forward array is
-    freed on return."""
+    freed on return.
+
+    ``distinct = (first, index)`` says that edge e has the d and flag of edge
+    ``first[index[e]]``, as when h holds equal rows for nodes that read one
+    state.  The MLPs then run on the ``first`` edges only, and the backward
+    sums the edges' adjoints onto the ``first`` edges before the MLP
+    backward.  The gradient of h is then exact summed over the nodes that
+    share a state, which is all a gather of those states (``initial_states``)
+    passes on.  The gate's output layer still runs per edge: BLAS sums a row
+    of a matrix-vector product in an order that depends on the row's place
+    in the matrix (the last rows of each thread's share take another path),
+    so only then does every edge get the bits of the per-edge round."""
     hv = h.value
     num, dim = hv.shape
-    d_flag = np.empty((recv.shape[0], dim + 1))
-    np.subtract(hv[recv], hv[send], out=d_flag[:, :dim])
-    d_flag[:, dim] = flag
-    m, m_inputs = _mlp_values(msg, d_flag[:, :dim])
-    s, s_inputs = _mlp_values(gate, d_flag)
-    s = _sigmoid_val(s)
-    agg = backend.segment_sum(s * m, recv, num)
+    first = slice(None) if distinct is None else distinct[0]
+    ends = (recv[first], send[first])
+    d_flag = np.empty((ends[0].shape[0], dim + 1))
+    np.subtract(hv[ends[0]], hv[ends[1]], out=d_flag[:, :dim])
+    d_flag[:, dim] = flag[first]
+    m, m_inputs = _mlp_values(msg.layers, d_flag[:, :dim])
+    if distinct is None:
+        s, s_inputs = _mlp_values(gate.layers, d_flag)
+        s = _sigmoid_val(s)
+        agg = backend.segment_sum(s * m, recv, num)
+    else:
+        index = distinct[1]
+        hidden, s_inputs = _mlp_values(gate.layers[:-1], d_flag)
+        np.maximum(hidden, 0.0, out=hidden)
+        s_inputs.append(hidden)
+        s = hidden[index] @ gate.layers[-1].W.value
+        s += gate.layers[-1].b.value
+        s = _sigmoid_val(s)
+        agg = backend.segment_sum(s * m[index], recv, num)
+        # the backward differentiates at the first edges' gates
+        s = s[first]
 
     def backward(g):
-        # g[recv] is the adjoint of the segment sum; it is gathered twice so
-        # that no (E, dim) array outlives the product it feeds
-        g_s = _unbroadcast(g[recv] * m, s.shape)
+        if distinct is None:
+            # g[recv] is the adjoint of the segment sum; it is gathered twice
+            # so that no (E, dim) array outlives the product it feeds
+            rows = recv
+        else:
+            g, rows = backend.segment_sum(g[recv], index, m.shape[0]), slice(None)
+        g_s = _unbroadcast(g[rows] * m, s.shape)
         g_s *= s
         g_s *= 1.0 - s
-        g_d = _mlp_backward(msg, m_inputs, g[recv] * s)
+        g_d = _mlp_backward(msg, m_inputs, g[rows] * s)
         g_d += _mlp_backward(gate, s_inputs, g_s)[:, :dim]
         if h.requires_grad:
             # the adjoints of h[recv] and of -h[send], in that order
-            h._accumulate(backend.segment_sum(g_d, recv, num))
+            h._accumulate(backend.segment_sum(g_d, ends[0], num))
             np.negative(g_d, out=g_d)
-            h._accumulate(backend.segment_sum(g_d, send, num))
+            h._accumulate(backend.segment_sum(g_d, ends[1], num))
 
     return Pending(agg, (h, *msg.tensors(), *gate.tensors()), backward)
 
 
-def _mlp_values(mlp: MLP, x: Array) -> tuple[Array, list[Array]]:
-    """The MLP's output and each layer's input, computed as ``MLP.__call__``
+def _mlp_values(layers: list[Linear], x: Array) -> tuple[Array, list[Array]]:
+    """An MLP's output and each layer's input, computed as ``MLP.__call__``
     does; past the first layer an input is a ReLU output."""
     inputs = []
-    for i, layer in enumerate(mlp.layers):
+    for i, layer in enumerate(layers):
         if i:
             np.maximum(x, 0.0, out=x)
         inputs.append(x)

@@ -9,6 +9,10 @@ teacher-forced sum of per-block log-likelihoods.
 
 There is one forward, ``step_forward`` over a ``UnionPlan``: training runs
 every step of a minibatch as one union, sampling runs one step at a time.
+The first round's input states depend only on each node's graph and
+embedded row, so ``run_rounds`` computes its messages once per distinct
+(graph, receiver row, sender row) edge, from the plan's round-one table, and
+gathers them back onto the union's edges; later rounds run per edge.
 """
 
 from __future__ import annotations
@@ -173,6 +177,24 @@ def _offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
 
 
+def _distinct_edges(
+    src_idx: np.ndarray, edges: tuple[np.ndarray, np.ndarray], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One edge per distinct (receiver row, sender row) key of a one-graph
+    plan whose nodes read rows ``[0, width)``, in key order, and each edge's
+    index into that list.  Keys are counted in a dense table of
+    ``width``² flags, not sorted."""
+    recv, send = edges
+    key = src_idx[recv] * width + src_idx[send]
+    present = np.zeros(width * width, dtype=bool)
+    present[key] = True
+    index = (np.cumsum(present) - 1)[key]
+    first = np.empty(np.count_nonzero(present), dtype=np.int64)
+    # any edge of a key stands for it: all carry the same message
+    first[index] = np.arange(key.shape[0])
+    return first, index
+
+
 class UnionPlan:
     """Index bookkeeping that lays generation steps side by side in one
     block-diagonal 'union' graph, so a single forward pass runs them all.
@@ -190,9 +212,17 @@ class UnionPlan:
     augmented ``edges`` (receiver, sender) and ``edge_pair``, the candidate
     pair each edge carries (-1 for an observed prefix edge); candidate
     ``pairs`` (new node, partner) in canonical order; ``node_step`` and
-    ``node_graph``, each node's step and graph; and the per-graph first step
-    ``step_off``.  Two fields are derived from these: the new-node flags
-    ``x`` and each pair's step ``pair_seg``.
+    ``node_graph``, each node's step and graph; the per-graph first step
+    ``step_off``; and the round-one table.  Two fields are derived from
+    these: the new-node flags ``x`` and each pair's step ``pair_seg``.
+
+    The round-one table lists the distinct first-round edges.  Two edges of
+    one graph whose receivers read the same row and whose senders read the
+    same row carry the same first-round message, flag included, whatever
+    their steps.  ``round_one_edges`` holds one edge per such
+    (graph, receiver row, sender row) key, and ``round_one_index`` gives
+    each edge's position in it.  A plan builds the table once for its graph,
+    and ``stack`` offsets it.  A one-step plan lists every edge.
     """
 
     def __init__(self, lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]):
@@ -217,6 +247,14 @@ class UnionPlan:
         self.rows = lower_rows
         self.src_idx = _ints(src_idx)
         self.edges = (_ints(recv), _ints(send))
+        if len(blocks) == 1:
+            # one step repeats a key only within its block, which saves less
+            # than the table costs: sampling runs round one per edge
+            self.round_one_edges = self.round_one_index = np.arange(self.edges[0].shape[0])
+        else:
+            self.round_one_edges, self.round_one_index = _distinct_edges(
+                self.src_idx, self.edges, lower_rows.shape[0] + 1
+            )
         self.edge_pair = _ints(edge_pair)
         self.pairs = (_ints(rows), _ints(cols))
         self.num_steps = len(blocks)
@@ -245,6 +283,13 @@ class UnionPlan:
             return np.concatenate([a + o for a, o in zip(arrays, offs)])
 
         out.edges = tuple(shifted([p.edges[i] for p in plans], node_off) for i in (0, 1))
+        out.round_one_edges = shifted(
+            [p.round_one_edges for p in plans], _offsets([p.edges[0].shape[0] for p in plans])
+        )
+        out.round_one_index = shifted(
+            [p.round_one_index for p in plans],
+            _offsets([p.round_one_edges.shape[0] for p in plans]),
+        )
         pair_off = _offsets([p.num_pairs for p in plans])
         out.edge_pair = np.concatenate([
             np.where(p.edge_pair < 0, -1, p.edge_pair + o) for p, o in zip(plans, pair_off)
@@ -271,6 +316,15 @@ class UnionPlan:
         return self.pair_seg.shape[0]
 
     @property
+    def round_one(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The round-one table as ``gated_messages`` takes it, or None when
+        it lists every edge (as for a one-step plan), so that round one
+        runs per edge."""
+        if self.round_one_edges.shape[0] == self.edges[0].shape[0]:
+            return None
+        return self.round_one_edges, self.round_one_index
+
+    @property
     def new_nodes(self) -> np.ndarray:
         """Union indices of every step's new block, ascending."""
         return np.flatnonzero(self.x)
@@ -291,28 +345,29 @@ def gnn_round(
     aug_edges: tuple[np.ndarray, np.ndarray],
     params: GeneratorParams,
     r: int = 0,
+    distinct: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """One round over node states ``h`` with new-node flags ``x``: gated
     difference messages aggregated over the augmented neighborhood, then a
     recurrent state update, recorded as one tape node.  Isolated nodes
-    receive a zero message."""
+    receive a zero message.  Messages are computed per edge, or once per
+    distinct edge of ``distinct`` (see ``gated_messages``)."""
     w = params.round_for(r)
     recv, send = aug_edges
     if recv.size:
-        agg = gated_messages(h, x[recv] - x[send], recv, send, w.msg, w.gate)
+        agg = gated_messages(h, x[recv] - x[send], recv, send, w.msg, w.gate, distinct)
     else:
         agg = constant(np.zeros((h.shape[0], params.config.hidden_dim)))
     return w.gru(h, agg)
 
 
-def run_rounds(
-    h: Tensor,
-    x: np.ndarray,
-    aug_edges: tuple[np.ndarray, np.ndarray],
-    params: GeneratorParams,
-) -> Tensor:
+def run_rounds(h: Tensor, plan: UnionPlan, params: GeneratorParams) -> Tensor:
+    """Every round over the plan's initial states ``h``.  Round one computes
+    its messages once per distinct edge (``plan.round_one``, see
+    ``gated_messages``): its states are ``initial_states``, equal across the
+    nodes of a graph that read one row.  Later rounds run per edge."""
     for r in range(params.config.rounds):
-        h = gnn_round(h, x, aug_edges, params, r)
+        h = gnn_round(h, plan.x, plan.edges, params, r, plan.round_one if r == 0 else None)
     return h
 
 
@@ -352,6 +407,6 @@ def step_forward(
     """The generator forward over a union plan: log mixture weights, edge
     logits and the final node states."""
     h = initial_states(plan, labels, params)
-    h = run_rounds(h, plan.x, plan.edges, params)
+    h = run_rounds(h, plan, params)
     log_alpha, theta_logits = mixture_heads(h, plan, params)
     return log_alpha, theta_logits, h

@@ -256,6 +256,34 @@ class _TeacherPlan:
         )
 
 
+def _draw_components_and_noise(
+    alpha: np.ndarray, u: UnionPlan, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's mixture component and Gumbel noise difference, from one
+    ``rng.random`` call per graph.  Step s takes one uniform u_s for its
+    component, ``searchsorted(cumsum(α_s) / cumsum(α_s)[-1], u_s,
+    side="right")`` as ``rng.choice(K, p=α_s)`` does, then two uniforms per
+    pair: the stream and order of a step-by-step ``rng.choice`` and
+    ``rng.random((pairs_s, 2))``."""
+    if not np.isfinite(alpha).all():
+        raise NumericError("non-finite mixture weights during edge sampling")
+    if (alpha < 0).any() or (np.abs(alpha.sum(axis=1) - 1.0) > 1e-6).any():
+        raise NumericError("mixture weights are not a probability simplex")
+    cdf = np.cumsum(alpha, axis=1)
+    cdf /= cdf[:, -1:]
+    per_step = 1 + 2 * np.diff(u.pair_bounds())
+    draws = []
+    for rng, s0, s1 in zip(rngs, u.step_off, np.append(u.step_off[1:], u.num_steps)):
+        draws.append(rng.random(int(per_step[s0:s1].sum())))
+    draws = np.concatenate(draws)
+    is_component = np.zeros(draws.shape[0], dtype=bool)
+    is_component[np.cumsum(per_step) - per_step] = True
+    # a sorted row's searchsorted(side="right") counts the entries <= u_s
+    k = np.count_nonzero(cdf <= draws[is_component][:, None], axis=1)
+    gumbels = -np.log(-np.log(np.clip(draws[~is_component], 1e-12, 1 - 1e-12)))
+    return k[u.pair_seg], gumbels[0::2] - gumbels[1::2]
+
+
 def _batch_losses(
     batch: Sequence[tuple[OrderedGraph, int]],
     gen_params: GeneratorParams,
@@ -270,8 +298,8 @@ def _batch_losses(
 
     All steps of all graphs run as one union forward pass (UnionPlan.stack).
     Each graph draws its mixture components and Gumbel noise from its own
-    RNG, step by step, in batch order.  Terms whose weight is zero come back
-    as None.
+    RNG, step by step (see ``_draw_components_and_noise``).  Terms whose
+    weight is zero come back as None.
     """
     if plans is None:
         plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in batch]
@@ -282,7 +310,7 @@ def _batch_losses(
         return np.concatenate([getattr(p, field) for p in plans])
 
     h = initial_states(u, labels, gen_params)
-    h = run_rounds(h, u.x, u.edges, gen_params)
+    h = run_rounds(h, u, gen_params)
     log_alpha, theta_logits = mixture_heads(h, u, gen_params)
 
     b = constant(stack("teacher_bits")[:, None])
@@ -292,22 +320,7 @@ def _batch_losses(
 
     l_cond = None
     if config.lambda_condition > 0.0:
-        alpha_vals = np.exp(log_alpha.value)
-        if not np.isfinite(alpha_vals).all():
-            raise NumericError("non-finite mixture weights during edge sampling")
-        k_per_pair = np.zeros(u.num_pairs, dtype=np.int64)
-        noise = np.zeros(u.num_pairs)
-        bounds = u.pair_bounds()
-        step_end = np.append(u.step_off[1:], u.num_steps)
-        for rng, s0, s1 in zip(rngs, u.step_off, step_end):
-            for s in range(s0, s1):
-                k = int(rng.choice(alpha_vals.shape[1], p=alpha_vals[s]))
-                lo, hi = bounds[s], bounds[s + 1]
-                if hi > lo:
-                    draws = np.clip(rng.random((hi - lo, 2)), 1e-12, 1 - 1e-12)
-                    gumbels = -np.log(-np.log(draws))
-                    noise[lo:hi] = gumbels[:, 0] - gumbels[:, 1]
-                    k_per_pair[lo:hi] = k
+        k_per_pair, noise = _draw_components_and_noise(np.exp(log_alpha.value), u, rngs)
         # the classifier reads the union's own edges: an observed prefix edge
         # weighs 1, a candidate edge its pair's straight-through bit
         weight_table = constant(np.ones((1, 1)))

@@ -43,7 +43,7 @@ from condgraphgen.generator import (
     augmented_edges,
     block_bits,
     candidate_pairs,
-    run_rounds,
+    gnn_round,
 )
 from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.training import _gumbel_soft
@@ -113,7 +113,7 @@ def reconstructed_edges(og) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# op-by-op message-passing round
+# ops only the tests use, and the op-by-op message-passing round
 
 
 def tanh(x) -> Tensor:
@@ -124,6 +124,15 @@ def tanh(x) -> Tensor:
         x._accumulate(g * (1.0 - t * t))
 
     return autodiff._make(t, (x,), backward)
+
+
+def tmean(x, axis=None) -> Tensor:
+    """Mean over ``axis``: None, one axis or a tuple of axes, as in
+    ``Tensor.sum``."""
+    x = as_tensor(x)
+    axes = range(x.value.ndim) if axis is None else np.atleast_1d(axis)
+    n = int(np.prod([x.value.shape[a] for a in axes]))
+    return x.sum(axis=axis) * (1.0 / n)
 
 
 def recorded(op: Pending) -> Tensor:
@@ -156,6 +165,14 @@ def reference_round(h, x, aug_edges, params: GeneratorParams, r: int = 0) -> Ten
     else:
         agg = constant(np.zeros((h.shape[0], params.config.hidden_dim)))
     return reference_gru(w.gru, h, agg)
+
+
+def per_edge_rounds(h, x, aug_edges, params: GeneratorParams) -> Tensor:
+    """Every round per edge, round one included: ``generator.gnn_round``
+    chained, which ``generator.run_rounds`` must match."""
+    for r in range(params.config.rounds):
+        h = gnn_round(h, x, aug_edges, params, r)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +349,7 @@ def step_forward(
     prefix rows; returns the mixture plus final states for downstream heads."""
     n_prev = int(block[0])
     h, x = init_representations(lower_rows[:n_prev], c, t, params, len(block))
-    h = run_rounds(h, x, augmented_edges(lower_rows, n_prev, block), params)
+    h = per_edge_rounds(h, x, augmented_edges(lower_rows, n_prev, block), params)
     return output_heads(h, block, params), h
 
 
@@ -424,7 +441,7 @@ def node_label_loss(
     if targets.ndim != 1 or targets.shape[0] != node_dists.shape[0]:
         raise ValueError("one target per block node required")
     picked = node_dists[np.arange(targets.shape[0]), targets]
-    return discount(gamma, n_full, n_prefix) * -log(picked).mean()
+    return discount(gamma, n_full, n_prefix) * -tmean(log(picked))
 
 
 # ---------------------------------------------------------------------------

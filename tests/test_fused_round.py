@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from helpers import (
     finite_diff,
+    per_edge_rounds,
     recorded,
     reference_gru,
     reference_messages,
@@ -18,7 +19,8 @@ from helpers import (
     rel_error,
 )
 
-from condgraphgen.autodiff import GruCell, Tensor, gated_messages, make_mlp, no_grad
+from condgraphgen import backend
+from condgraphgen.autodiff import GruCell, Tensor, gated_messages, gather_rows, make_mlp, no_grad
 from condgraphgen.generator import (
     GeneratorConfig,
     UnionPlan,
@@ -103,7 +105,7 @@ def test_fused_rounds_sum_tied_gradients_as_the_reference(tied):
             h = reference_round(h, u.x, u.edges, params, r)
         return h
 
-    got = _grads(lambda h: run_rounds(h, u.x, u.edges, params), h0, tensors, weights)
+    got = _grads(lambda h: per_edge_rounds(h, u.x, u.edges, params), h0, tensors, weights)
     _assert_same_bits(got, _grads(reference, h0, tensors, weights))
 
 
@@ -237,3 +239,116 @@ def test_round_with_pending_messages_matches_finite_differences():
         return (cell(h, gated_messages(h, flag, recv, send, msg, gate)) * weights).sum()
 
     _check_finite_differences(build, [h, *msg.tensors(), *gate.tensors(), *cell.tensors()])
+
+
+# ---------------------------------------------------------------------------
+# round one once per distinct edge (``UnionPlan.round_one``, ``run_rounds``)
+
+
+def _mixed_union(params, seed, sizes=(7, 1, 4, 10, 5)):
+    """A union of random graphs with both classes, a 1-node graph among
+    them; returns the plan and its labels."""
+    rng = np.random.default_rng(seed)
+    plans, labels = [], []
+    for i, n in enumerate(sizes):
+        edges = frozenset((j, k) for k in range(n) for j in range(k) if rng.random() < 0.35)
+        og = decompose(Graph(n, edges, (0,) * n, 0), params.config.max_nodes)
+        plans.append(UnionPlan(og.lower_rows, block_partition(n, params.config.block_size)))
+        labels.append((i // 2) % 2)
+    return UnionPlan.stack(plans), labels
+
+
+def _state_keys(u):
+    """Nodes with one key hold one initial state: same graph, same row."""
+    return u.node_graph * (u.rows.shape[0] + 1) + u.src_idx
+
+
+def _assert_close(got, want, tol=1e-12):
+    for a, b in zip(got, want):
+        assert a is not None and b is not None
+        assert rel_error(a, b) < tol
+
+
+def test_round_one_table_lists_each_key_once_and_offsets_in_stack():
+    params = _params(2, True)
+    u, _ = _mixed_union(params, 0)
+    first, index = u.round_one
+    recv, send = u.edges
+    keys = np.stack([_state_keys(u)[recv], _state_keys(u)[send]], axis=1)
+    assert np.array_equal(keys, keys[first][index])
+    assert len({tuple(k) for k in keys[first]}) == first.shape[0] < recv.shape[0]
+
+
+def test_round_one_runs_per_edge_in_one_step_plans_and_without_edges():
+    params = _params(1, True)
+    og = decompose(Graph(6, frozenset({(0, 1), (1, 2), (2, 5)}), (0,) * 6, 0), 10)
+    for block in [(4,), (3, 4, 5)]:
+        one_step = UnionPlan(og.lower_rows[:block[0]], [block])
+        assert one_step.edges[0].size > 0 and one_step.round_one is None
+    no_edges = UnionPlan.stack([UnionPlan(np.zeros((1, 10)), [(0,)])] * 3)
+    assert no_edges.edges[0].size == 0 and no_edges.round_one is None
+    h0 = initial_states(no_edges, [0, 1, 0], params)
+    assert np.array_equal(run_rounds(h0, no_edges, params).value,
+                          per_edge_rounds(h0, no_edges.x, no_edges.edges, params).value)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_distinct_round_one_matches_the_per_edge_round(block_size, tied):
+    """Same values to the bit; the gradients of the round weights, and of h
+    summed over the nodes that share an initial state, to 1e-12."""
+    params = _params(block_size, tied, seed=20 + block_size)
+    u, labels = _mixed_union(params, block_size)
+    assert u.round_one is not None
+    with no_grad():
+        h0 = initial_states(u, labels, params).value
+    weights = np.random.default_rng(block_size).standard_normal(h0.shape)
+    tensors = [t for w in params.round_weights
+               for t in w.msg.tensors() + w.gate.tensors() + w.gru.tensors()]
+    got = _grads(lambda h: run_rounds(h, u, params), h0, tensors, weights)
+    want = _grads(lambda h: per_edge_rounds(h, u.x, u.edges, params), h0, tensors, weights)
+    assert np.array_equal(got[0], want[0])
+    keys, num_keys = _state_keys(u), (u.rows.shape[0] + 1) * len(labels)
+    per_state = [backend.segment_sum(g[1], keys, num_keys) for g in (got, want)]
+    _assert_close([per_state[0]] + got[2:], [per_state[1]] + want[2:])
+
+
+@pytest.mark.parametrize("block_size", [1, 3])
+def test_distinct_round_one_gives_the_generator_gradients_of_the_per_edge_round(block_size):
+    """Through ``initial_states``: the embeddings' gradients too."""
+    params = _params(block_size, False, seed=30)
+    u, labels = _mixed_union(params, 31)
+    weights = np.random.default_rng(32).standard_normal((u.num_nodes, params.config.hidden_dim))
+
+    def grads(rounds):
+        for t in params.tensors():
+            t.grad = None
+        out = rounds(initial_states(u, labels, params), u, params)
+        (out * weights).sum().backward()
+        return [out.value] + [t.grad for t in params.tensors()[:-8]]  # not the heads
+
+    got = grads(run_rounds)
+    want = grads(lambda h, u, params: per_edge_rounds(h, u.x, u.edges, params))
+    assert np.array_equal(got[0], want[0])
+    _assert_close(got[1:], want[1:])
+
+
+def test_distinct_round_one_matches_finite_differences():
+    """Perturbing one state moves every node that reads it."""
+    params = _params(2, False, seed=40)
+    for layer in [lay for w in params.round_weights for lay in w.msg.layers + w.gate.layers]:
+        layer.b.value[...] = 0.05 + 0.1 * np.random.default_rng(41).random(layer.b.value.shape)
+    u, labels = _mixed_union(params, 42, sizes=(4, 1, 3))
+    keys = _state_keys(u)
+    with no_grad():
+        h0 = initial_states(u, labels, params).value
+    table = np.zeros((int(keys.max()) + 1, h0.shape[1]))
+    table[keys] = h0
+    states = Tensor(table, requires_grad=True)
+    weights = np.random.default_rng(43).standard_normal(h0.shape)
+    w = params.round_for(0)
+
+    def build():
+        return (run_rounds(gather_rows(states, keys), u, params) * weights).sum()
+
+    _check_finite_differences(build, [states, *w.msg.tensors(), *w.gate.tensors()])
