@@ -1,6 +1,13 @@
-"""Graph kernels in NumPy: segment sums for message passing, and the CSR
-adjacency, connected components, shortest-path sums and triangle counts
-behind the evaluation statistics.
+"""Graph kernels in NumPy: segment sums for message passing, and the
+batched search behind the evaluation statistics.
+
+The statistics run over a block-diagonal union of many graphs, searched by
+one multi-source breadth-first search from every node of every graph at
+once (Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal", PVLDB 8(4), 2014).  Each union node carries a bitset of
+``words`` uint64 words whose bit i says that node i of its own graph has
+reached it.  A level is one gather over the CSR neighbours, one OR
+reduction per node, a mask against the reached set and a popcount.
 """
 
 from __future__ import annotations
@@ -16,20 +23,15 @@ HAS_NUMBA = False
 
 
 def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) with sorted neighbor lists from undirected edges."""
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    """Build (indptr, indices) with sorted neighbor lists from undirected
+    edges, given as an (E, 2) array or a sequence of pairs."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-    return indptr, cols[np.lexsort((cols, rows))]
-
-
-def _dense(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
-    n = indptr.shape[0] - 1
-    adj = np.zeros((n, n), dtype=dtype)
-    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
-    return adj
+    # one sort of the (row, col) key orders by row, then by col
+    return indptr, np.sort(rows * num_nodes + cols) % max(num_nodes, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -49,65 +51,72 @@ def segment_sum(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# connected components
+# multi-source breadth-first search over a union of graphs
 
 
-def components_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Component label per node; labels count up from the component that
-    holds node 0, so a lower label holds a lower node id."""
-    # Frontier expansion over a dense boolean adjacency; one sweep per seed.
-    adj = _dense(indptr, indices, bool)
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for s in range(n):
-        if labels[s] >= 0:
-            continue
-        reached = np.zeros(n, dtype=bool)
-        reached[s] = True
-        frontier = reached.copy()
-        while frontier.any():
-            nxt = adj[frontier].any(axis=0) & ~reached
-            reached |= nxt
-            frontier = nxt
-        labels[reached] = comp
-        comp += 1
-    return labels
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits per row of an (n, words) uint64 array."""
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# shortest-path distance sum within one component (for characteristic path length)
+def sp_pair_sum(
+    indptr: np.ndarray, indices: np.ndarray, local: np.ndarray, words: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search from every node of a union at once; ``local[u]`` is u's node
+    id within its own graph, below ``64 * words``.
 
-
-def sp_pair_sum(indptr: np.ndarray, indices: np.ndarray, members: np.ndarray) -> int:
-    """Sum of shortest-path distances over unordered member pairs; the
-    members must form one connected component."""
-    # Level-synchronous BFS from all members at once via float32 matmul.
-    n = indptr.shape[0] - 1
-    adj = _dense(indptr, indices, np.float32)
-    m = members.shape[0]
-    reached = np.zeros((m, n), dtype=bool)
-    reached[np.arange(m), members] = True
-    frontier = reached.astype(np.float32)
-    total = 0
+    Returns, per union node u:
+      - the sum of shortest-path distances from u to every node it reaches;
+      - the reach bitsets: the local ids of u's connected component;
+      - the level-one bitsets: the local ids of u's neighbours.
+    """
+    n = local.shape[0]
+    reach = np.zeros((n, words), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+    reach[np.arange(n), local >> 6] = bit
+    dist_sum = np.zeros(n, dtype=np.int64)
+    neighbours = np.zeros_like(reach)
+    has_edges = np.diff(indptr) > 0
+    # reduceat over the nodes that have neighbours only: their segments
+    # tile ``indices``, where an empty segment would read its next element
+    starts = indptr[:-1][has_edges]
+    frontier = reach
     level = 0
-    while True:
-        nxt = (frontier @ adj > 0) & ~reached
-        if not nxt.any():
+    while starts.size:
+        reached = np.zeros_like(reach)
+        gathered = np.take(frontier, indices, axis=0)
+        reached[has_edges] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        reached &= ~reach
+        found = _popcount(reached)
+        if not found.any():
             break
         level += 1
-        total += level * int(nxt[:, members].sum())
-        reached |= nxt
-        frontier = nxt.astype(np.float32)
-    return total // 2
+        dist_sum += level * found
+        reach |= reached
+        if level == 1:
+            neighbours = reached
+        frontier = reached
+    return dist_sum, reach, neighbours
 
 
-# ---------------------------------------------------------------------------
-# triangle count
+def components_labels(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label and size of each node's component, read from its final reach
+    bitset: the label is the lowest local node id in the component, so a
+    lower label holds a lower node id."""
+    first = np.argmax(reach != 0, axis=1)  # every node reaches itself
+    word = reach[np.arange(reach.shape[0]), first]
+    lowest = word & (~word + np.uint64(1))
+    labels = 64 * first + np.bitwise_count(lowest - np.uint64(1)).astype(np.int64)
+    return labels, _popcount(reach)
 
 
-def triangle_count(indptr: np.ndarray, indices: np.ndarray, n: int) -> int:
-    # Every triangle is a closed 3-walk from each of its nodes in both
-    # directions.  float64 counts are exact below 2**53; float32 ones stop
-    # being exact near 2**24, which 6 * TC of K_300 already exceeds.
-    adj = _dense(indptr, indices, np.float64)
-    return int((adj * (adj @ adj)).sum()) // 6
+def triangle_count(
+    indptr: np.ndarray, indices: np.ndarray, neighbours: np.ndarray
+) -> np.ndarray:
+    """Common neighbours of the two ends of each directed CSR edge, from the
+    level-one bitsets.  Each triangle counts once per directed edge, so a
+    graph's triangle count is its edges' sum over 6."""
+    rows = np.repeat(np.arange(neighbours.shape[0]), np.diff(indptr))
+    common = np.take(neighbours, rows, axis=0)
+    common &= np.take(neighbours, indices, axis=0)
+    return _popcount(common)

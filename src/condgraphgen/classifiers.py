@@ -12,6 +12,8 @@ sum.  The node classifier is an MLP over final generator states.
 
 from __future__ import annotations
 
+import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,11 +219,13 @@ def _restore(params: GraphClassifierParams, snap: list[np.ndarray]) -> None:
 
 
 def train_graph_classifier(
-    split: DatasetSplit, hyper: ClassifierTrainConfig | None = None
+    split: DatasetSplit, hyper: ClassifierTrainConfig | None = None, log_stream=None
 ) -> tuple[GraphClassifierParams, list[dict]]:
     """Cross-entropy training on discrete graphs; returns the parameters with
     the best validation accuracy, holding no gradients, plus the per-epoch
-    history."""
+    history (also written to ``log_stream`` as JSON lines when given).  The
+    log line adds the epoch's wall ``seconds``, which the returned records
+    leave out so that seeded runs return identical histories."""
     hyper = hyper or ClassifierTrainConfig()
     train = list(split.train)
     classes = {g.class_label for g in train}
@@ -249,6 +253,7 @@ def train_graph_classifier(
     history = []
     best_acc, best_snap = -1.0, _snapshot(params)
     for epoch in range(hyper.epochs):
+        started = time.perf_counter()
         order = rng.permutation(len(train))
         epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
@@ -259,13 +264,16 @@ def train_graph_classifier(
             opt.step()
             epoch_loss += loss.item() * len(batch)
         val_acc = classifier_accuracy(params, split.validation)
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": epoch_loss / len(train),
-                "val_accuracy": val_acc,
-            }
-        )
+        record = {
+            "epoch": epoch,
+            "loss": epoch_loss / len(train),
+            "val_accuracy": val_acc,
+        }
+        history.append(record)
+        if log_stream is not None:
+            seconds = time.perf_counter() - started
+            log_stream.write(json.dumps({**record, "seconds": seconds}) + "\n")
+            log_stream.flush()
         if val_acc > best_acc:
             best_acc, best_snap = val_acc, _snapshot(params)
     _restore(params, best_snap)

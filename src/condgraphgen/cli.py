@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
 from .datasets import (
@@ -123,14 +125,12 @@ def cmd_train_classifier(args) -> int:
     out = Path(args.out)
     split, _ = _load_run(out)
     hyper = ClassifierTrainConfig(seed=args.seed if args.seed is not None else 0)
-    params, history = train_graph_classifier(split, hyper)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
+    with open(out / "logs" / "classifier.jsonl", "w", encoding="utf-8") as fh:
+        params, history = train_graph_classifier(split, hyper, log_stream=fh)
     ckpt_path = out / "checkpoints" / "classifier.npz"
     save_checkpoint(ckpt_path, graph_classifier=params)
-    with open(out / "logs" / "classifier.jsonl", "w", encoding="utf-8") as fh:
-        for record in history:
-            fh.write(json.dumps(record) + "\n")
     best = max(record["val_accuracy"] for record in history)
     print(f"classifier saved to {ckpt_path}; validation accuracy {best:.3f}")
     return EXIT_OK
@@ -257,12 +257,16 @@ def cmd_evaluate(args) -> int:
         if clf_params is None:
             raise DependencyError(f"{clf_path} holds no graph-classifier parameters")
 
-    scores = labels = None
-    if clf_params is not None and clf_params.num_classes == 2:
-        scores = class_distributions(clf_params, generated)[:, 1].tolist()
-        labels = [g.class_label for g in generated]
+    predicted = scores = labels = None
+    if clf_params is not None:
+        # one classifier read-out gives both the accuracy and the AUC scores
+        distributions = class_distributions(clf_params, generated)
+        predicted = np.argmax(distributions, axis=1)
+        if clf_params.num_classes == 2:
+            scores = distributions[:, 1].tolist()
+            labels = [g.class_label for g in generated]
     report = build_report(
-        reference, generated, clf=clf_params, scores=scores, score_labels=labels
+        reference, generated, clf=predicted, scores=scores, score_labels=labels
     )
     with atomic_open(out / "report.json") as fh:
         fh.write(report.to_json() + "\n")

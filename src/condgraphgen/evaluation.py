@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,46 +41,107 @@ class GraphStats:
         return cls(**{f: float(d[f]) for f in STAT_FIELDS})
 
 
+# A chunk's unions hold (directed edges + nodes) x bitset words below this
+# bound, so the search's arrays take a few MB whatever the corpus size; a
+# graph above it alone is one chunk.
+CHUNK_WORDS = 1 << 20
+
+
 def graph_stats(g: Graph) -> GraphStats:
-    """Compute the five per-graph statistics.
-
-    Path length is averaged over unordered node pairs inside the largest
-    connected component only, so it stays finite on disconnected graphs.
-    """
-    n = g.num_nodes
-    indptr, indices = backend.csr_from_edges(n, g.sorted_edges())
-    labels = backend.components_labels(indptr, indices, n)
-    sizes = np.bincount(labels)
-    lcc_label = int(np.argmax(sizes))
-    lcc_size = int(sizes[lcc_label])
-
-    tc = backend.triangle_count(indptr, indices, n)
-
-    if lcc_size < 2:
-        cpl = 0.0
-    else:
-        members = np.flatnonzero(labels == lcc_label).astype(np.int64)
-        pair_total = backend.sp_pair_sum(indptr, indices, members)
-        cpl = pair_total / (lcc_size * (lcc_size - 1) / 2)
-
-    mean_d = 2.0 * g.num_edges / n
-
-    deg = np.sort(g.degrees())
-    total = int(deg.sum())
-    if total == 0:
-        gini = 0.0
-    else:
-        # sum_{i,j} |d_i - d_j| = 2 * sum_k (2k - n + 1) d_(k) on sorted degrees
-        k = np.arange(n)
-        abs_sum = 2.0 * float(((2 * k - n + 1) * deg).sum())
-        gini = abs_sum / (2.0 * n * total)
-
-    return GraphStats(float(lcc_size), float(tc), cpl, mean_d, gini)
+    """The five statistics of one graph; see ``corpus_stats``."""
+    return corpus_stats([g])[0]
 
 
 def corpus_stats(graphs: Sequence[Graph]) -> list[GraphStats]:
-    """Per-graph statistics, in input order."""
-    return [graph_stats(g) for g in graphs]
+    """Per-graph statistics, in input order.
+
+    Path length is averaged over unordered node pairs inside the largest
+    connected component only, so it stays finite on disconnected graphs;
+    among tied largest components the one holding the lowest node id counts.
+
+    The graphs are sorted by node count and cut into chunks of one bitset
+    width under ``CHUNK_WORDS``; each chunk is one block-diagonal union and
+    one multi-source search (``backend.sp_pair_sum``).
+    """
+    out = np.zeros((len(graphs), len(STAT_FIELDS)))
+    for chunk in _chunks(graphs):
+        out[chunk] = _union_stats([graphs[i] for i in chunk])
+    return [GraphStats(*row) for row in out.tolist()]
+
+
+def _words(num_nodes: int) -> int:
+    return -(-num_nodes // 64)
+
+
+def _chunks(graphs: Sequence[Graph]) -> Iterator[list[int]]:
+    """Input positions of consecutive size-sorted graphs, one bitset width
+    per chunk and at most ``CHUNK_WORDS`` words unless one graph is more."""
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].num_nodes)
+    chunk: list[int] = []
+    used = width = 0
+    for i in order:
+        g = graphs[i]
+        words = _words(g.num_nodes)
+        cost = (2 * g.num_edges + g.num_nodes) * words
+        if chunk and (words != width or used + cost > CHUNK_WORDS):
+            yield chunk
+            chunk, used = [], 0
+        chunk.append(i)
+        used += cost
+        width = words
+    if chunk:
+        yield chunk
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values[bounds[k]:bounds[k + 1]]``; empty segments give 0."""
+    cum = np.concatenate(([0], np.cumsum(values)))
+    return cum[bounds[1:]] - cum[bounds[:-1]]
+
+
+def _union_stats(graphs: Sequence[Graph]) -> np.ndarray:
+    """Statistics of graphs of one bitset width, one row per graph, from one
+    search over their union."""
+    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
+    node_bounds = np.concatenate(([0], np.cumsum(n)))
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    pairs += np.repeat(node_bounds[:-1], m)[:, None]
+    indptr, indices = backend.csr_from_edges(int(node_bounds[-1]), pairs)
+
+    graph_of = np.repeat(np.arange(len(graphs)), n)
+    local = np.arange(node_bounds[-1]) - node_bounds[:-1][graph_of]
+    dist_sum, reach, neighbours = backend.sp_pair_sum(
+        indptr, indices, local, _words(int(n.max()))
+    )
+    labels, comp_size = backend.components_labels(reach)
+    common = backend.triangle_count(indptr, indices, neighbours)
+    tc = _segment_sums(common, indptr[node_bounds]) // 6
+
+    # the largest component; among tied ones the one with the lowest label
+    starts = node_bounds[:-1]
+    lcc = np.maximum.reduceat(comp_size, starts)
+    tied = comp_size == lcc[graph_of]
+    lcc_label = np.minimum.reduceat(np.where(tied, labels, n.max()), starts)
+    in_lcc = labels == lcc_label[graph_of]
+    pair_total = _segment_sums(np.where(in_lcc, dist_sum, 0), node_bounds) // 2
+    cpl = np.zeros(len(graphs))
+    big = lcc >= 2
+    cpl[big] = pair_total[big] / (lcc[big] * (lcc[big] - 1) / 2)
+
+    mean_d = 2.0 * m / n
+
+    # sum_{i,j} |d_i - d_j| = 2 * sum_k (2k - n + 1) d_(k) on sorted degrees
+    deg = np.diff(indptr)
+    sorted_deg = deg[np.lexsort((deg, graph_of))]
+    weighted = _segment_sums((2 * local - n[graph_of] + 1) * sorted_deg, node_bounds)
+    total = 2 * m
+    gini = np.zeros(len(graphs))
+    some = total > 0
+    gini[some] = 2.0 * weighted[some] / (2.0 * n[some] * total[some])
+
+    return np.stack([lcc, tc, cpl, mean_d, gini], axis=1)
 
 
 def mean_stats(stats: Sequence[GraphStats]) -> GraphStats:
@@ -102,11 +164,12 @@ class ClassComparison:
     diff: Optional[GraphStats]
 
 
-def _bucket_by_class(graphs: Iterable[Graph]) -> dict:
+def _class_means(graphs: Sequence[Graph]) -> dict[int, GraphStats]:
+    """Mean statistics per class label, from one ``corpus_stats`` call."""
     buckets: dict = {}
-    for g in graphs:
-        buckets.setdefault(g.class_label, []).append(g)
-    return buckets
+    for g, s in zip(graphs, corpus_stats(graphs)):
+        buckets.setdefault(g.class_label, []).append(s)
+    return {c: mean_stats(stats) for c, stats in buckets.items()}
 
 
 def stats_diff_table(
@@ -114,12 +177,11 @@ def stats_diff_table(
 ) -> dict[int, ClassComparison]:
     """Per-class mean statistics for both sets and elementwise |ref - gen|,
     for every class either set holds."""
-    ref_buckets = _bucket_by_class(reference)
-    gen_buckets = _bucket_by_class(generated)
+    ref_means = _class_means(reference)
+    gen_means = _class_means(generated)
     table: dict[int, ClassComparison] = {}
-    for c in sorted(set(ref_buckets) | set(gen_buckets)):
-        ref_mean = mean_stats(corpus_stats(ref_buckets[c])) if c in ref_buckets else None
-        gen_mean = mean_stats(corpus_stats(gen_buckets[c])) if c in gen_buckets else None
+    for c in sorted(set(ref_means) | set(gen_means)):
+        ref_mean, gen_mean = ref_means.get(c), gen_means.get(c)
         if ref_mean is not None and gen_mean is not None:
             diff = GraphStats(
                 *(abs(getattr(ref_mean, f) - getattr(gen_mean, f)) for f in STAT_FIELDS)
@@ -134,11 +196,14 @@ def accuracy_per_class(
     generated: Sequence[Graph], clf
 ) -> dict[int, Optional[float]]:
     """Fraction of graphs stamped with each class that the classifier assigns
-    back to that class.  ``clf`` is either a callable Graph -> class index or
-    trained graph-classifier parameters.
+    back to that class.  ``clf`` is a callable Graph -> class index, trained
+    graph-classifier parameters, or the predicted classes themselves (an
+    array, one per graph in order).
     """
     if callable(clf):
         predicted = [clf(g) for g in generated]
+    elif isinstance(clf, np.ndarray):
+        predicted = clf
     else:
         from .classifiers import predict_graph_classes
 

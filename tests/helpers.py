@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
 round-trip oracle for ordered graphs, the op-by-op reference for one
-message-passing round, and the per-step reference oracle for the generator
-and the graph classifier.
+message-passing round, the per-step reference oracle for the generator
+and the graph classifier, and the per-graph reference for the evaluation
+statistics.
 
 The package runs one forward, ``generator.step_forward`` over a union plan.
 The oracle below is the independent per-step formulation it replaced: each
@@ -38,6 +39,7 @@ from condgraphgen.autodiff import (
 )
 from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
 from condgraphgen.errors import NumericError
+from condgraphgen.evaluation import GraphStats
 from condgraphgen.generator import (
     GeneratorParams,
     augmented_edges,
@@ -492,3 +494,111 @@ def oracle_generate_batch(class_label, count, gen_params, nodeclf_params, seed, 
                         np.random.default_rng([seed, 4, class_label, i]), num_nodes, start)
         for i in range(count)
     ]
+
+
+# ---------------------------------------------------------------------------
+# per-graph statistics: the dense searches that ``evaluation.corpus_stats``
+# replaced with one bitset search per union of graphs
+
+
+def reference_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) with sorted neighbor lists from undirected edges."""
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
+
+
+def _dense(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+    n = indptr.shape[0] - 1
+    adj = np.zeros((n, n), dtype=dtype)
+    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
+    return adj
+
+
+def reference_components_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """Component label per node; labels count up from the component that
+    holds node 0, so a lower label holds a lower node id."""
+    # Frontier expansion over a dense boolean adjacency; one sweep per seed.
+    adj = _dense(indptr, indices, bool)
+    labels = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for s in range(n):
+        if labels[s] >= 0:
+            continue
+        reached = np.zeros(n, dtype=bool)
+        reached[s] = True
+        frontier = reached.copy()
+        while frontier.any():
+            nxt = adj[frontier].any(axis=0) & ~reached
+            reached |= nxt
+            frontier = nxt
+        labels[reached] = comp
+        comp += 1
+    return labels
+
+
+def reference_sp_pair_sum(indptr: np.ndarray, indices: np.ndarray, members: np.ndarray) -> int:
+    """Sum of shortest-path distances over unordered member pairs; the
+    members must form one connected component."""
+    # Level-synchronous BFS from all members at once via float32 matmul.
+    n = indptr.shape[0] - 1
+    adj = _dense(indptr, indices, np.float32)
+    m = members.shape[0]
+    reached = np.zeros((m, n), dtype=bool)
+    reached[np.arange(m), members] = True
+    frontier = reached.astype(np.float32)
+    total = 0
+    level = 0
+    while True:
+        nxt = (frontier @ adj > 0) & ~reached
+        if not nxt.any():
+            break
+        level += 1
+        total += level * int(nxt[:, members].sum())
+        reached |= nxt
+        frontier = nxt.astype(np.float32)
+    return total // 2
+
+
+def reference_triangle_count(indptr: np.ndarray, indices: np.ndarray, n: int) -> int:
+    # Every triangle is a closed 3-walk from each of its nodes in both
+    # directions.  float64 counts are exact below 2**53; float32 ones stop
+    # being exact near 2**24, which 6 * TC of K_300 already exceeds.
+    adj = _dense(indptr, indices, np.float64)
+    return int((adj * (adj @ adj)).sum()) // 6
+
+
+def reference_graph_stats(g: Graph) -> GraphStats:
+    """The five statistics of one graph, one dense search at a time."""
+    n = g.num_nodes
+    indptr, indices = reference_csr(n, g.sorted_edges())
+    labels = reference_components_labels(indptr, indices, n)
+    sizes = np.bincount(labels)
+    lcc_label = int(np.argmax(sizes))
+    lcc_size = int(sizes[lcc_label])
+
+    tc = reference_triangle_count(indptr, indices, n)
+
+    if lcc_size < 2:
+        cpl = 0.0
+    else:
+        members = np.flatnonzero(labels == lcc_label).astype(np.int64)
+        pair_total = reference_sp_pair_sum(indptr, indices, members)
+        cpl = pair_total / (lcc_size * (lcc_size - 1) / 2)
+
+    mean_d = 2.0 * g.num_edges / n
+
+    deg = np.sort(g.degrees())
+    total = int(deg.sum())
+    if total == 0:
+        gini = 0.0
+    else:
+        # sum_{i,j} |d_i - d_j| = 2 * sum_k (2k - n + 1) d_(k) on sorted degrees
+        k = np.arange(n)
+        abs_sum = 2.0 * float(((2 * k - n + 1) * deg).sum())
+        gini = abs_sum / (2.0 * n * total)
+
+    return GraphStats(float(lcc_size), float(tc), cpl, mean_d, gini)

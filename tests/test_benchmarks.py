@@ -7,11 +7,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_union_memory_benchmark_runs_one_small_step():
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_union_memory_benchmark_runs_one_small_step():
+    env = _env()
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_union_memory.py"), "--nodes", "8"],
         capture_output=True, text=True, env=env, timeout=300, check=True,
@@ -25,3 +30,22 @@ def test_union_memory_benchmark_runs_one_small_step():
     assert record["nodes"] == 8 and record["union_nodes"] == 8 * 9 // 2
     assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0
     assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
+
+
+def test_stats_benchmark_times_both_corpora():
+    env = _env()
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_stats.py"),
+         "--graphs", "4", "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["corpus"] for r in records] == ["nci1", "dense"]
+    for r in records:
+        assert set(r) == {
+            "corpus", "graphs", "nodes", "edges", "seconds", "graphs_per_s",
+            "rss_before_mb", "peak_rss_mb",
+        }
+        assert r["graphs"] == 4 and r["seconds"] > 0 and r["graphs_per_s"] > 0
+        assert r["peak_rss_mb"] >= r["rss_before_mb"] > 0
+    assert records[1]["nodes"] == 4 * 111

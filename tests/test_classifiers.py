@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from helpers import classify_graph, finite_diff, rel_error
@@ -153,6 +156,17 @@ def test_training_deterministic_bit_for_bit(toy_split):
     for a, b in zip(p1.tensors(), p2.tensors()):
         assert np.array_equal(a.value, b.value)
         assert a.grad is None
+
+
+def test_training_log_adds_seconds_to_the_returned_history(toy_split):
+    cfg = ClassifierTrainConfig(epochs=2, seed=5)
+    log = io.StringIO()
+    _, logged = train_graph_classifier(toy_split, cfg, log_stream=log)
+    _, plain = train_graph_classifier(toy_split, cfg)
+    assert logged == plain  # no timing in the returned history
+    lines = [json.loads(line) for line in log.getvalue().splitlines()]
+    assert [{k: v for k, v in line.items() if k != "seconds"} for line in lines] == plain
+    assert all(line["seconds"] > 0 for line in lines)
 
 
 def test_single_class_data_rejected():

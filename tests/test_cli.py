@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from condgraphgen.classifiers import ClassifierTrainConfig
 from condgraphgen.cli import main
 from condgraphgen.datasets import load_run_dataset
 from condgraphgen.evaluation import corpus_stats, mean_stats
@@ -159,6 +160,17 @@ def test_train_log_records_gradient_norms_and_throughput(pipeline_run):
         assert rec["graphs_per_s"] == pytest.approx(len(split.train) / rec["seconds"])
 
 
+def test_classifier_log_records_epoch_seconds(pipeline_run):
+    log = [
+        json.loads(l)
+        for l in (pipeline_run / "logs" / "classifier.jsonl").read_text().splitlines()
+    ]
+    assert [rec["epoch"] for rec in log] == list(range(ClassifierTrainConfig().epochs))
+    for rec in log:
+        assert set(rec) == {"epoch", "loss", "val_accuracy", "seconds"}
+        assert rec["seconds"] > 0
+
+
 def test_generate_writes_samples_and_manifest(pipeline_run):
     assert main([
         "generate", "--out", str(pipeline_run), "--class", "1", "--count", "4", "--seed", "3",
@@ -227,6 +239,30 @@ def test_evaluate_writes_report(pipeline_run, capsys):
         assert entry["accuracy"] is not None
         assert entry["reference"] is not None and entry["generated"] is not None
     assert report["auc"] is None or 0.0 <= report["auc"] <= 1.0
+
+
+def test_evaluate_reads_the_classifier_out_once(pipeline_run, monkeypatch):
+    from condgraphgen import classifiers
+
+    for label, seed in (("1", "3"), ("0", "9")):
+        assert main([
+            "generate", "--out", str(pipeline_run), "--class", label, "--count", "3",
+            "--seed", seed,
+        ]) == 0
+    unions = []
+    logits = classifiers._discrete_logits
+
+    def counted(parts, params):
+        unions.append(len(parts))
+        return logits(parts, params)
+
+    monkeypatch.setattr(classifiers, "_discrete_logits", counted)
+    assert main(["evaluate", "--out", str(pipeline_run)]) == 0
+    # one union forward over the six samples gives both accuracy and AUC
+    assert unions == [6]
+    report = json.loads((pipeline_run / "report.json").read_text())
+    assert report["auc"] is not None
+    assert all(entry["accuracy"] is not None for entry in report["classes"].values())
 
 
 def test_evaluate_reads_only_the_latest_samples(tmp_path, pipeline_run):
@@ -434,8 +470,8 @@ def test_train_classifier_reports_the_saved_accuracy(tmp_path, monkeypatch, caps
     assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
     train = cli.train_graph_classifier
 
-    def peaks_early(split, hyper):  # the saved parameters are epoch 1's
-        params, history = train(split, dataclasses.replace(hyper, epochs=3))
+    def peaks_early(split, hyper, log_stream=None):  # the saved parameters are epoch 1's
+        params, history = train(split, dataclasses.replace(hyper, epochs=3), log_stream)
         for record, acc in zip(history, (0.5, 0.875, 0.625)):
             record["val_accuracy"] = acc
         return params, history

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from condgraphgen.evaluation import (
     stats_diff_table,
 )
 from condgraphgen.graphs import Graph, synthesize_toy_corpus
+from helpers import reference_graph_stats
 
 
 def make_graph(n, edges, cls=0):
@@ -230,6 +232,72 @@ def test_missing_class_reported_as_missing():
     assert table[1].diff is None
     assert table[1].reference is not None
     assert table[0].diff is not None
+
+
+# ---------------------------------------------------------------------------
+# the batched search against the per-graph reference
+
+
+def random_edges(n, p, rng):
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.random(rows.size) < p
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def path(nodes):
+    return list(zip(nodes, nodes[1:]))
+
+
+def star(nodes):
+    return [(nodes[0], v) for v in nodes[1:]]
+
+
+def mixed_corpus(rng):
+    """Graphs at and around the bitset word boundaries (edgeless, sparse
+    with isolated nodes and several components, denser), tied largest
+    components, K_300 and two dense 300-node graphs, in random order."""
+    graphs = [
+        make_graph(n, random_edges(n, p, rng))
+        for n in (1, 2, 63, 64, 65, 128, 129, 300)
+        for p in (0.0, 1.5 / n, 0.1)
+    ]
+    graphs += [random_graph(rng) for _ in range(40)]
+    # a triangle tied with a path; two 64-node components whose node ids
+    # interleave across the first word boundary, node 128 isolated
+    graphs.append(make_graph(6, [(3, 4), (4, 5), (3, 5)] + path([0, 1, 2])))
+    low, high = [0] + list(range(65, 128)), list(range(1, 65))
+    graphs.append(make_graph(129, path(low) + star(high)))
+    graphs.append(make_graph(129, star(low) + path(high)))
+    graphs.append(make_graph(300, [(i, j) for i in range(300) for j in range(i + 1, 300)]))
+    graphs += [make_graph(300, random_edges(300, 0.8, rng)) for _ in range(2)]
+    return [graphs[i] for i in rng.permutation(len(graphs))]
+
+
+def test_corpus_stats_equal_the_per_graph_reference():
+    graphs = mixed_corpus(np.random.default_rng(31))
+    chunks = list(evaluation._chunks(graphs))
+    assert len(chunks) >= 3
+    # the dense 300-node graphs exceed one chunk's budget together
+    assert sum(any(graphs[i].num_nodes == 300 for i in c) for c in chunks) >= 2
+    assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
+
+
+def test_corpus_stats_peak_memory_follows_the_chunk_budget():
+    # 300 dense 111-node graphs fill about four chunks, 100 about two; the
+    # peak should stay near one chunk's, not grow with the corpus
+    rng = np.random.default_rng(11)
+    graphs = [make_graph(111, random_edges(111, 0.5, rng)) for _ in range(300)]
+
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            corpus_stats(corpus)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(graphs[:100]), peak(graphs)
+    assert large <= 1.1 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
