@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import backend
+from .classifiers import GraphClassifierParams, predict_graph_classes
 from .graphs import Graph
 
 STAT_FIELDS = ("lcc", "tc", "cpl", "mean_d", "gini")
@@ -41,10 +42,11 @@ class GraphStats:
         return cls(**{f: float(d[f]) for f in STAT_FIELDS})
 
 
-# A chunk's unions hold (directed edges + nodes) x bitset words below this
-# bound, so the search's arrays take a few MB whatever the corpus size; a
-# graph above it alone is one chunk.
-CHUNK_WORDS = 1 << 20
+# A chunk's union holds (directed edges + nodes) x bitset words below this
+# bound, so each of the search's arrays takes at most about 512 KB whatever
+# the corpus size; a graph above it alone is one chunk.  Larger chunks were
+# no faster on NCI1-shaped or dense 111-node corpora.
+CHUNK_WORDS = 1 << 16
 
 
 def graph_stats(g: Graph) -> GraphStats:
@@ -119,16 +121,13 @@ def _union_stats(graphs: Sequence[Graph]) -> np.ndarray:
     common = backend.triangle_count(indptr, indices, neighbours)
     tc = _segment_sums(common, indptr[node_bounds]) // 6
 
-    # the largest component; among tied ones the one with the lowest label
-    starts = node_bounds[:-1]
-    lcc = np.maximum.reduceat(comp_size, starts)
-    tied = comp_size == lcc[graph_of]
-    lcc_label = np.minimum.reduceat(np.where(tied, labels, n.max()), starts)
+    # per graph, a node of the largest component; among tied components
+    # the one with the lowest label
+    best = np.lexsort((labels, -comp_size, graph_of))[node_bounds[:-1]]
+    lcc, lcc_label = comp_size[best], labels[best]
     in_lcc = labels == lcc_label[graph_of]
     pair_total = _segment_sums(np.where(in_lcc, dist_sum, 0), node_bounds) // 2
-    cpl = np.zeros(len(graphs))
-    big = lcc >= 2
-    cpl[big] = pair_total[big] / (lcc[big] * (lcc[big] - 1) / 2)
+    cpl = np.divide(pair_total, lcc * (lcc - 1) / 2, out=np.zeros(len(graphs)), where=lcc >= 2)
 
     mean_d = 2.0 * m / n
 
@@ -137,9 +136,7 @@ def _union_stats(graphs: Sequence[Graph]) -> np.ndarray:
     sorted_deg = deg[np.lexsort((deg, graph_of))]
     weighted = _segment_sums((2 * local - n[graph_of] + 1) * sorted_deg, node_bounds)
     total = 2 * m
-    gini = np.zeros(len(graphs))
-    some = total > 0
-    gini[some] = 2.0 * weighted[some] / (2.0 * n[some] * total[some])
+    gini = np.divide(2.0 * weighted, 2.0 * n * total, out=np.zeros(len(graphs)), where=total > 0)
 
     return np.stack([lcc, tc, cpl, mean_d, gini], axis=1)
 
@@ -196,21 +193,14 @@ def accuracy_per_class(
     generated: Sequence[Graph], clf
 ) -> dict[int, Optional[float]]:
     """Fraction of graphs stamped with each class that the classifier assigns
-    back to that class.  ``clf`` is a callable Graph -> class index, trained
-    graph-classifier parameters, or the predicted classes themselves (an
-    array, one per graph in order).
+    back to that class.  ``clf`` is trained graph-classifier parameters or
+    the predicted class of each graph, in order.
     """
-    if callable(clf):
-        predicted = [clf(g) for g in generated]
-    elif isinstance(clf, np.ndarray):
-        predicted = clf
-    else:
-        from .classifiers import predict_graph_classes
-
-        predicted = predict_graph_classes(clf, generated)
+    if isinstance(clf, GraphClassifierParams):
+        clf = predict_graph_classes(clf, generated)
 
     hits: dict[int, list[bool]] = {}
-    for g, p in zip(generated, predicted):
+    for g, p in zip(generated, clf):
         hits.setdefault(g.class_label, []).append(bool(p == g.class_label))
     return {c: sum(hits[c]) / len(hits[c]) for c in sorted(hits)}
 

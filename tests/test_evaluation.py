@@ -255,7 +255,8 @@ def star(nodes):
 def mixed_corpus(rng):
     """Graphs at and around the bitset word boundaries (edgeless, sparse
     with isolated nodes and several components, denser), tied largest
-    components, K_300 and two dense 300-node graphs, in random order."""
+    components, K_300, two dense 300-node graphs and more dense 60-node
+    graphs than one chunk holds, in random order."""
     graphs = [
         make_graph(n, random_edges(n, p, rng))
         for n in (1, 2, 63, 64, 65, 128, 129, 300)
@@ -270,21 +271,24 @@ def mixed_corpus(rng):
     graphs.append(make_graph(129, star(low) + path(high)))
     graphs.append(make_graph(300, [(i, j) for i in range(300) for j in range(i + 1, 300)]))
     graphs += [make_graph(300, random_edges(300, 0.8, rng)) for _ in range(2)]
+    # enough dense one-word graphs to fill more than one chunk
+    graphs += [make_graph(60, random_edges(60, 0.9, rng)) for _ in range(25)]
     return [graphs[i] for i in rng.permutation(len(graphs))]
 
 
 def test_corpus_stats_equal_the_per_graph_reference():
     graphs = mixed_corpus(np.random.default_rng(31))
     chunks = list(evaluation._chunks(graphs))
+    widths = [evaluation._words(graphs[c[0]].num_nodes) for c in chunks]
     assert len(chunks) >= 3
-    # the dense 300-node graphs exceed one chunk's budget together
-    assert sum(any(graphs[i].num_nodes == 300 for i in c) for c in chunks) >= 2
+    # the budget splits a bitset width between chunks of several graphs
+    assert any(len(c) > 1 and widths.count(w) > 1 for c, w in zip(chunks, widths))
     assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
 
 
 def test_corpus_stats_peak_memory_follows_the_chunk_budget():
-    # 300 dense 111-node graphs fill about four chunks, 100 about two; the
-    # peak should stay near one chunk's, not grow with the corpus
+    # 100 dense 111-node graphs fill 20 chunks and 300 fill 60; the peak
+    # should stay near one chunk's, not grow with the corpus
     rng = np.random.default_rng(11)
     graphs = [make_graph(111, random_edges(111, 0.5, rng)) for _ in range(300)]
 
@@ -306,13 +310,13 @@ def test_corpus_stats_peak_memory_follows_the_chunk_budget():
 
 def test_accuracy_with_oracle_classifier():
     graphs = synthesize_toy_corpus(20, (6, 10), seed=2)
-    acc = accuracy_per_class(graphs, lambda g: g.class_label)
+    acc = accuracy_per_class(graphs, [g.class_label for g in graphs])
     assert acc == {0: 1.0, 1: 1.0}
 
 
 def test_accuracy_with_constant_classifier():
     graphs = synthesize_toy_corpus(20, (6, 10), seed=2)
-    acc = accuracy_per_class(graphs, lambda g: 0)
+    acc = accuracy_per_class(graphs, [0] * len(graphs))
     assert acc == {0: 1.0, 1: 0.0}
 
 
@@ -387,7 +391,7 @@ def test_report_round_trip():
     report = build_report(
         graphs,
         gen,
-        clf=lambda g: g.class_label,
+        clf=[g.class_label for g in gen],
         scores=[0.2, 0.8, 0.3, 0.9],
         score_labels=[0, 1, 0, 1],
     )
@@ -401,7 +405,7 @@ def test_report_round_trip():
 
 def test_render_table_layout():
     graphs = synthesize_toy_corpus(20, (6, 10), seed=4)
-    report = build_report(graphs, list(graphs), clf=lambda g: g.class_label)
+    report = build_report(graphs, list(graphs), clf=[g.class_label for g in graphs])
     text = render_table(report)
     lines = text.splitlines()
     assert "LCC" in lines[0] and "GINI" in lines[0]
