@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
 from .datasets import (
@@ -261,7 +259,7 @@ def cmd_evaluate(args) -> int:
     if clf_params is not None:
         # one classifier read-out gives both the accuracy and the AUC scores
         distributions = class_distributions(clf_params, generated)
-        predicted = np.argmax(distributions, axis=1)
+        predicted = distributions.argmax(axis=1)
         if clf_params.num_classes == 2:
             scores = distributions[:, 1].tolist()
             labels = [g.class_label for g in generated]
