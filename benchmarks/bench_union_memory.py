@@ -8,11 +8,13 @@ freshly initialized.  Only the public ``train_step`` is called.
 
     PYTHONPATH=src python3 benchmarks/bench_union_memory.py
 
-runs 16, 32, 64, 96 and 111 nodes (NCI1's largest graph) unless
+runs 16, 32, 64, 96, 111 (NCI1's largest graph), 160 and 320 nodes unless
 ``--nodes`` says otherwise.  It prints one JSON line per node count
-(``union_nodes``, ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
-``minor_faults``, the minor page faults taken during the step) and, with
-``--out``, writes them to a JSON file.
+(``union_nodes``; ``union_edges``, the step's union edges; ``chunks``, the
+forward/backward passes ``train_step`` split them into; ``step_s``,
+``rss_before_mb``, ``peak_rss_mb`` and ``minor_faults``, the minor page
+faults taken during the step) and, with ``--out``, writes them to a JSON
+file.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def one_step(n: int, seed: int) -> dict:
     from condgraphgen import TrainConfig, decompose
     from condgraphgen.autodiff import Adam
     from condgraphgen.classifiers import init_graph_classifier, init_node_classifier
-    from condgraphgen.generator import init_generator
+    from condgraphgen.generator import UnionPlan, init_generator
+    from condgraphgen.graphs import block_partition
     from condgraphgen.training import train_step
 
     rng = np.random.default_rng(seed)
@@ -54,12 +57,15 @@ def one_step(n: int, seed: int) -> dict:
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=config.lr)
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
-    train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
+    loss = train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
     step_s = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
+    plan = UnionPlan(og.lower_rows, block_partition(n, config.block_size))
     return {
         "nodes": n,
         "union_nodes": n * (n + 1) // 2,  # block size 1: step t holds t nodes
+        "union_edges": int(plan.edges[0].shape[0]),
+        "chunks": loss.chunks,
         "step_s": round(step_s, 4),
         "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),
         "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
@@ -69,7 +75,7 @@ def one_step(n: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--nodes", type=int, nargs="+", default=[16, 32, 64, 96, 111])
+    parser.add_argument("--nodes", type=int, nargs="+", default=[16, 32, 64, 96, 111, 160, 320])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="JSON file for the results")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -152,23 +153,27 @@ def graph_logits(
     return params.head(pooled)
 
 
-def _discrete_parts(g, feature_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-hot features and (recv, send) edges in row-major adjacency order."""
-    recv, send = np.nonzero(g.adjacency())
-    return one_hot_features(g.node_labels, feature_dim), recv, send
-
-
-def _discrete_logits(parts, params: GraphClassifierParams) -> Tensor:
-    """Logits of discrete graphs given as (features, recv, send) parts, run as
-    one union: each graph's edges are offset by the nodes of those before."""
-    sizes = [feats.shape[0] for feats, _, _ in parts]
-    offsets = np.cumsum([0] + sizes[:-1])
-    feats = np.concatenate([f for f, _, _ in parts])
-    recv = np.concatenate([r + o for (_, r, _), o in zip(parts, offsets)])
-    send = np.concatenate([s + o for (_, _, s), o in zip(parts, offsets)])
+def _discrete_logits(graphs, params: GraphClassifierParams) -> Tensor:
+    """Logits of discrete graphs, run as one union: each graph's nodes are
+    offset by the nodes of those before it.  The edges, both directions of
+    each, come straight from the edge sets, in row-major adjacency order by
+    one sort of their recv·N + send keys."""
+    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    pairs += np.repeat(np.cumsum(n) - n, m)[:, None]
+    recv = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    send = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(recv * int(n.sum()) + send)
+    feats = one_hot_features(
+        list(chain.from_iterable(g.node_labels for g in graphs)), params.feature_dim
+    )
     weight = constant(np.ones((recv.size, 1)))
-    graph_of_node = np.repeat(np.arange(len(parts)), sizes)
-    return graph_logits(params, feats, recv, send, weight, graph_of_node, len(parts))
+    graph_of_node = np.repeat(np.arange(len(graphs)), n)
+    return graph_logits(
+        params, feats, recv[order], send[order], weight, graph_of_node, len(graphs)
+    )
 
 
 @no_grad()
@@ -177,8 +182,7 @@ def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
     classified as one union: sigmoid class scores renormalized to sum to 1."""
     if not graphs:
         return np.zeros((0, params.num_classes))
-    parts = [_discrete_parts(g, params.feature_dim) for g in graphs]
-    return softmax(log_sigmoid(_discrete_logits(parts, params)), axis=1).value
+    return softmax(log_sigmoid(_discrete_logits(graphs, params)), axis=1).value
 
 
 def predict_graph_classes(params: GraphClassifierParams, graphs) -> np.ndarray:
@@ -241,12 +245,11 @@ def train_graph_classifier(
     params = init_graph_classifier(feature_dim, num_classes, rng)
     opt = Adam(params.tensors(), lr=hyper.lr)
 
-    parts = [_discrete_parts(g, feature_dim) for g in train]
     labels = np.asarray([g.class_label for g in train], dtype=np.int64)
 
     def batch_loss(idx) -> Tensor:
         """Mean cross-entropy over one minibatch, run as one union."""
-        logits = _discrete_logits([parts[i] for i in idx], params)
+        logits = _discrete_logits([train[i] for i in idx], params)
         log_dist = log_softmax(log_sigmoid(logits), axis=1)
         return -log_dist[np.arange(len(idx)), labels[idx]].sum() * (1.0 / len(idx))
 

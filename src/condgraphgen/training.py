@@ -8,10 +8,15 @@ Condition and node-label terms are discounted by gamma^(nodes missing), so
 nearly complete prefixes weigh more.
 
 One optimizer step runs every generation step of every graph in the
-minibatch as a single forward pass over one block-diagonal union graph
-(see generator.UnionPlan).  The frozen classifier reads the relaxed partial
-graphs as that union's own edge list, weighted by the sampled bits, so
-memory grows with the union's nodes and edges, not with their square.
+minibatch as block-diagonal union graphs (see generator.UnionPlan).  The
+frozen classifier reads the relaxed partial graphs as that union's own edge
+list, weighted by the sampled bits, so memory grows with the union's nodes
+and edges, not with their square.  Given its prefix a step does not depend
+on the others, so a minibatch whose union holds more than
+``UNION_EDGE_BUDGET`` edges runs as a few consecutive chunks of steps, each
+with its own forward and backward; gradients add up in the parameters and
+the update runs once.  A step's peak memory thus follows the budget, not
+the size of its graphs.
 """
 
 from __future__ import annotations
@@ -182,13 +187,17 @@ def _gumbel_soft(p: Tensor, tau: float, noise_diff: np.ndarray) -> Tensor:
 class LossBreakdown:
     """Per-batch averages; total = l_adj + λ1·l_condition + λ2·l_node_label.
     Terms whose weight is zero are skipped and reported as 0.  ``grad_norm``
-    is the joint L2 norm of the step's gradients before clipping."""
+    is the joint L2 norm of the step's gradients before clipping.
+    ``chunks`` is the number of forward/backward passes the step ran and
+    ``max_chunk_edges`` the union edges of the largest one."""
 
     l_adj: float
     l_condition: float
     l_node_label: float
     total: float
     grad_norm: float
+    chunks: int
+    max_chunk_edges: int
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -237,13 +246,14 @@ def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
 class _TeacherPlan:
     """One graph's teacher-forced union plan (every generation step, see
     UnionPlan) plus the values its losses read: teacher bits, the discount
-    weights and the node targets.  A plan depends only on the ordered graph,
-    so it is built once per training run.
+    weights and the node targets, and each step's union edge count
+    ``step_edges``.  A plan depends only on the ordered graph, so it is
+    built once per training run; ``steps`` cuts out a run of its steps.
     """
 
     def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
         n = og.base.num_nodes
-        blocks = block_partition(n, block_size)
+        self.blocks = blocks = block_partition(n, block_size)
         self.forward = UnionPlan(og.lower_rows, blocks)
         counts = [block[-1] + 1 for block in blocks]
         self.teacher_bits = np.concatenate([block_bits(og.lower_rows, b) for b in blocks])
@@ -254,6 +264,28 @@ class _TeacherPlan:
         self.node_targets = np.asarray(
             [og.base.node_labels[og.pi[i]] for i in range(n)], dtype=np.int64
         )
+        self.step_edges = np.bincount(
+            self.forward.node_step[self.forward.edges[0]], minlength=len(blocks)
+        )
+
+    def steps(self, a: int, b: int) -> "_TeacherPlan":
+        """The plan of steps [a, b) alone (itself when that is every step),
+        with a union plan of its own and the loss values sliced to match."""
+        if a == 0 and b == len(self.blocks):
+            return self
+        out = _TeacherPlan.__new__(_TeacherPlan)
+        out.blocks = self.blocks[a:b]
+        out.forward = UnionPlan(self.forward.rows, out.blocks)
+        pairs = self.forward.pair_bounds()
+        # blocks partition the nodes in order, so a run of steps owns a
+        # contiguous range of new nodes
+        nodes = slice(out.blocks[0][0], out.blocks[-1][-1] + 1)
+        out.teacher_bits = self.teacher_bits[pairs[a]:pairs[b]]
+        out.w_steps = self.w_steps[a:b]
+        out.w_node = self.w_node[nodes]
+        out.node_targets = self.node_targets[nodes]
+        out.step_edges = self.step_edges[a:b]
+        return out
 
 
 def _draw_components_and_noise(
@@ -350,6 +382,68 @@ def _batch_losses(
     return l_adj, l_cond, l_node
 
 
+# Union edges per forward/backward pass: a minibatch union of E edges runs
+# as k = ceil(E / budget) passes of about E / k edges, each larger than that
+# by less than one step.  A pass's peak memory is about 11 MB per 1,000
+# union edges and its fixed cost about 9 ms, so this keeps NCI1-sized
+# minibatches (up to about 9k edges) to a few passes.
+UNION_EDGE_BUDGET = 2**12
+
+
+def _balanced_cuts(step_edges: np.ndarray, budget: int) -> np.ndarray:
+    """Bounds of k = ceil(total / budget) consecutive runs of steps with
+    about total / k union edges each: cut j sits at the step boundary
+    nearest j·total/k, so a step is never split and, unlike greedy filling,
+    no run is left much larger than the others."""
+    before = np.concatenate([[0], np.cumsum(step_edges)])
+    k = -(-int(before[-1]) // budget)
+    targets = before[-1] * np.arange(1, k) / k
+    cut = np.searchsorted(before, targets)
+    cut -= targets - before[cut - 1] < before[cut] - targets
+    # the cuts never decrease; drop repeats (a step larger than a run)
+    bounds = np.concatenate([[0], cut, [step_edges.shape[0]]])
+    return bounds[np.diff(bounds, prepend=-1) > 0]
+
+
+def _chunks(batch, rngs, plans, cuts):
+    """Each run of steps [a, b) of the batch's (graph, step) sequence as the
+    (batch, rngs, plans) of the graphs it touches, built one at a time.  A
+    graph's RNG goes to every chunk that holds its steps, in step order."""
+    first = np.concatenate([[0], np.cumsum([p.forward.num_steps for p in plans])])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        graphs = range(
+            int(np.searchsorted(first, a, side="right")) - 1,
+            int(np.searchsorted(first, b, side="left")),
+        )
+        yield (
+            [batch[g] for g in graphs],
+            [rngs[g] for g in graphs],
+            [plans[g].steps(max(a - first[g], 0), min(b, first[g + 1]) - first[g])
+             for g in graphs],
+        )
+
+
+def _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau, scale):
+    """Forward and backward of one chunk of a minibatch's steps; gradients
+    add into the parameters' .grad, and the chunk's tape is released on
+    return.  Returns the chunk's adjacency, condition, node-label and total
+    loss, each scaled by ``scale``."""
+    batch, rngs, plans = chunk
+    l_adj, l_cond, l_node = _batch_losses(
+        batch, gen_params, clf_params, nodeclf_params, config, tau, rngs, plans
+    )
+    adj_total = scale * l_adj
+    cond_total = constant(0.0) if l_cond is None else scale * l_cond
+    node_total = constant(0.0) if l_node is None else scale * l_node
+    total = (
+        adj_total
+        + config.lambda_condition * cond_total
+        + config.lambda_node_label * node_total
+    )
+    total.backward()
+    return adj_total.item(), cond_total.item(), node_total.item(), total.item()
+
+
 def train_step(
     batch: Sequence[tuple[OrderedGraph, int]],
     gen_params: GeneratorParams,
@@ -364,7 +458,13 @@ def train_step(
     """One optimizer update on a batch; the graph classifier stays frozen
     (it is read through constant tensors, so it neither changes nor
     receives gradients).  ``plans`` are the batch graphs' union plans when
-    the caller keeps them across steps.  Raises NumericError, before the
+    the caller keeps them across steps.
+
+    A batch whose union holds more than ``UNION_EDGE_BUDGET`` edges runs as
+    ``_balanced_cuts`` chunks of consecutive steps, each with its own
+    forward and backward.  The loss terms sum over steps and every graph
+    draws from its own RNG in step order, so the update equals the
+    one-pass update up to summation order.  Raises NumericError, before the
     update, on a non-finite loss term or gradient."""
     if not batch:
         raise ValueError("empty batch")
@@ -375,26 +475,23 @@ def train_step(
     if config.lambda_node_label > 0.0 and nodeclf_params is None:
         raise ValueError("node-label loss requires node-classifier parameters")
 
-    l_adj, l_cond, l_node = _batch_losses(
-        batch, gen_params, clf_params, nodeclf_params, config, tau, rngs, plans
-    )
-    scale = 1.0 / len(batch)
-    adj_total = scale * l_adj
-    cond_total = constant(0.0) if l_cond is None else scale * l_cond
-    node_total = constant(0.0) if l_node is None else scale * l_node
-    total = (
-        adj_total
-        + config.lambda_condition * cond_total
-        + config.lambda_node_label * node_total
-    )
-    terms = dict(
-        l_adj=_check_finite(adj_total.item(), "adjacency likelihood"),
-        l_condition=_check_finite(cond_total.item(), "condition"),
-        l_node_label=_check_finite(node_total.item(), "node label"),
-        total=_check_finite(total.item(), "total"),
-    )
+    if plans is None:
+        plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in batch]
+    step_edges = np.concatenate([p.step_edges for p in plans])
+    cuts = _balanced_cuts(step_edges, UNION_EDGE_BUDGET)
     opt.zero_grad()
-    total.backward()
+    parts = [
+        _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau,
+                        1.0 / len(batch))
+        for chunk in _chunks(batch, rngs, plans, cuts)
+    ]
+    sums = np.sum(parts, axis=0)
+    terms = dict(
+        l_adj=_check_finite(float(sums[0]), "adjacency likelihood"),
+        l_condition=_check_finite(float(sums[1]), "condition"),
+        l_node_label=_check_finite(float(sums[2]), "node label"),
+        total=_check_finite(float(sums[3]), "total"),
+    )
     if config.clip_norm > 0.0:
         norm = clip_gradients(opt.params, config.clip_norm)
     else:
@@ -407,7 +504,10 @@ def train_step(
             f"non-finite gradient in {_non_finite_gradient(opt.params, named)}"
         )
     opt.step()
-    return LossBreakdown(**terms, grad_norm=norm)
+    return LossBreakdown(
+        **terms, grad_norm=norm, chunks=len(parts),
+        max_chunk_edges=int(np.add.reduceat(step_edges, cuts[:-1]).max()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +527,9 @@ def train_generator(
     mean loss terms, ``tau``, and the mean and largest gradient norm before
     clipping with the number of clipped steps.  The log line adds the wall
     ``seconds`` and ``graphs_per_s``, which the returned records leave out
-    so that seeded runs return identical histories."""
+    so that seeded runs return identical histories, and ``chunks``, the
+    forward/backward passes the epoch ran, with ``max_chunk_edges``, the
+    union edges of its largest pass (see ``train_step``)."""
     if not graphs:
         raise ValueError("training needs at least one graph")
     num_classes = max(g.class_label for g in graphs) + 1
@@ -451,6 +553,7 @@ def train_generator(
         order = np.random.default_rng([config.seed, 2, epoch]).permutation(len(ordered))
         sums = np.zeros(4)
         norms, clipped = [], 0
+        passes, max_chunk_edges = 0, 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             batch = [ordered[i] for i in idx]
@@ -462,6 +565,8 @@ def train_generator(
             sums += np.array([bd.l_adj, bd.l_condition, bd.l_node_label, bd.total]) * len(idx)
             norms.append(bd.grad_norm)
             clipped += int(0.0 < config.clip_norm < bd.grad_norm)
+            passes += bd.chunks
+            max_chunk_edges = max(max_chunk_edges, bd.max_chunk_edges)
         means = sums / len(ordered)
         record = {
             "epoch": epoch,
@@ -477,7 +582,12 @@ def train_generator(
         history.append(record)
         if log_stream is not None:
             seconds = time.perf_counter() - started
-            timing = {"seconds": seconds, "graphs_per_s": len(ordered) / seconds}
-            log_stream.write(json.dumps({**record, **timing}) + "\n")
+            extra = {
+                "seconds": seconds,
+                "graphs_per_s": len(ordered) / seconds,
+                "chunks": passes,
+                "max_chunk_edges": max_chunk_edges,
+            }
+            log_stream.write(json.dumps({**record, **extra}) + "\n")
             log_stream.flush()
     return gen_params, nodeclf_params, history

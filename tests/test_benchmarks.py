@@ -18,18 +18,24 @@ def _env() -> dict:
 def test_union_memory_benchmark_runs_one_small_step():
     env = _env()
     out = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "bench_union_memory.py"), "--nodes", "8"],
+        [sys.executable, str(ROOT / "benchmarks" / "bench_union_memory.py"),
+         "--nodes", "8", "48"],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    lines = out.stdout.splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert set(record) == {
-        "nodes", "union_nodes", "step_s", "rss_before_mb", "peak_rss_mb", "minor_faults"
-    }
-    assert record["nodes"] == 8 and record["union_nodes"] == 8 * 9 // 2
-    assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0
-    assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["nodes"] for r in records] == [8, 48]
+    for record in records:
+        n = record["nodes"]
+        assert set(record) == {
+            "nodes", "union_nodes", "union_edges", "chunks", "step_s", "rss_before_mb",
+            "peak_rss_mb", "minor_faults",
+        }
+        assert record["union_nodes"] == n * (n + 1) // 2
+        assert record["union_edges"] > 0
+        assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0
+        assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
+    # 8 nodes fit the union edge budget in one pass, 48 do not
+    assert records[0]["chunks"] == 1 and records[1]["chunks"] > 1
 
 
 def test_stats_benchmark_times_both_corpora():

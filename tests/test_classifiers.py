@@ -69,6 +69,38 @@ def test_binary_relaxation_matches_discrete():
     assert np.array_equal(soft.dist.value, hard)
 
 
+def _dense_order_distributions(params, graphs):
+    """Reference for ``class_distributions``: each graph's (recv, send) from
+    ``np.nonzero`` of its dense adjacency, offset into one union."""
+    from condgraphgen.autodiff import log_sigmoid, softmax
+    from condgraphgen.classifiers import graph_logits
+
+    feats, recv, send, offset = [], [], [], 0
+    for g in graphs:
+        r, c = np.nonzero(g.adjacency())
+        feats.append(one_hot_features(g.node_labels, params.feature_dim))
+        recv.append(r + offset)
+        send.append(c + offset)
+        offset += g.num_nodes
+    recv, send = np.concatenate(recv), np.concatenate(send)
+    graph_of_node = np.repeat(np.arange(len(graphs)), [g.num_nodes for g in graphs])
+    logits = graph_logits(
+        params, np.concatenate(feats), recv, send, constant(np.ones((recv.size, 1))),
+        graph_of_node, len(graphs),
+    )
+    return softmax(log_sigmoid(logits), axis=1).value
+
+
+def test_class_distributions_match_dense_edge_order_bit_for_bit():
+    params = small_clf(4)
+    graphs = synthesize_toy_corpus(30, (4, 16), seed=6) + [
+        Graph(1, frozenset(), (2,), 0),
+        Graph(3, frozenset(), (0, 1, 2), 1),
+    ]
+    got = class_distributions(params, graphs)
+    assert np.array_equal(got, _dense_order_distributions(params, graphs))
+
+
 def test_classify_graph_permutation_invariant():
     rng = np.random.default_rng(4)
     params = small_clf(5)

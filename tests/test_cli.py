@@ -12,7 +12,7 @@ from condgraphgen.cli import main
 from condgraphgen.datasets import load_run_dataset
 from condgraphgen.evaluation import corpus_stats, mean_stats
 from condgraphgen.tu_io import load_graph_json, save_graph_list
-from condgraphgen.training import load_train_config
+from condgraphgen.training import UNION_EDGE_BUDGET, load_train_config
 
 FAST_CONFIG = {
     "block_size": 2,
@@ -134,6 +134,7 @@ def test_train_writes_resolved_config_and_log(pipeline_run):
     assert set(log[0]) == {
         "epoch", "l_adj", "l_condition", "l_node_label", "total", "tau",
         "grad_norm_mean", "grad_norm_max", "clipped_steps", "seconds", "graphs_per_s",
+        "chunks", "max_chunk_edges",
     }
     assert (pipeline_run / "checkpoints" / "generator.npz").is_file()
 
@@ -158,6 +159,17 @@ def test_train_log_records_gradient_norms_and_throughput(pipeline_run):
         # a step is clipped exactly when its norm exceeds clip_norm
         assert (rec["clipped_steps"] > 0) == (rec["grad_norm_max"] > config.clip_norm)
         assert rec["graphs_per_s"] == pytest.approx(len(split.train) / rec["seconds"])
+
+
+def test_train_log_records_forward_backward_passes(pipeline_run):
+    config = load_train_config(pipeline_run / "config.json")
+    split, _ = load_run_dataset(pipeline_run)
+    steps = -(-len(split.train) // config.batch_size)
+    log = [json.loads(l) for l in (pipeline_run / "logs" / "train.jsonl").read_text().splitlines()]
+    for rec in log:
+        # every step runs at least one pass; toy unions fit the edge budget
+        assert rec["chunks"] == steps
+        assert 0 < rec["max_chunk_edges"] <= UNION_EDGE_BUDGET
 
 
 def test_classifier_log_records_epoch_seconds(pipeline_run):

@@ -443,6 +443,123 @@ def test_step_peak_memory_stays_near_the_tape(monkeypatch):
     assert peak <= 1.3 * held_at_backward[0] + sum(p.value.nbytes for p in opt.params)
 
 
+def _step_peak(n, max_nodes):
+    """Union edges, loss breakdown and tracemalloc peak of one train_step on
+    the benchmark's n-node graph; the plan is built before tracing starts,
+    as ``train_generator`` keeps it across steps."""
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(max_nodes=max_nodes, batch_size=1, seed=0)
+    og = decompose(_molecule_like(n, rng), cfg.max_nodes)
+    gen = T.init_generator(cfg.generator_config(2), rng)
+    nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
+    clf = init_graph_classifier(3, 2, rng)
+    opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
+    plans = [T._TeacherPlan(og, cfg.block_size, cfg.gamma)]
+    tracemalloc.start()
+    try:
+        bd = train_step([(og, 1)], gen, clf, nodeclf, cfg, opt, cfg.tau, [rng], plans=plans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return int(plans[0].step_edges.sum()), bd, peak
+
+
+def test_step_peak_memory_follows_the_union_edge_budget():
+    """A union three times the budget runs as chunks of steps, so its step
+    peaks near a union just under the budget, not three times higher."""
+    small_edges, small, small_peak = _step_peak(45, 78)
+    large_edges, large, large_peak = _step_peak(78, 78)
+    assert small_edges < T.UNION_EDGE_BUDGET <= large_edges / 3
+    assert small.chunks == 1 and large.chunks >= 3
+    assert small.max_chunk_edges == small_edges
+    assert large.max_chunk_edges < T.UNION_EDGE_BUDGET
+    assert large_peak <= 1.3 * small_peak
+
+
+def _recorded_step(batch, cfg, budget, monkeypatch):
+    """One train_step on fresh parameters under ``budget``: its loss
+    breakdown, the gradients it leaves, its component and noise draws and
+    the next value of each graph's RNG."""
+    monkeypatch.setattr(T, "UNION_EDGE_BUDGET", budget)
+    draws = []
+    draw = T._draw_components_and_noise
+
+    def recording_draw(*args):
+        out = draw(*args)
+        draws.append(out)
+        return out
+
+    monkeypatch.setattr(T, "_draw_components_and_noise", recording_draw)
+    gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(0))
+    nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
+    opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
+    rngs = [np.random.default_rng([4, i]) for i in range(len(batch))]
+    bd = train_step(batch, gen, small_clf(), nodeclf, cfg, opt, 0.7, rngs)
+    return (
+        bd,
+        [p.grad for p in opt.params],
+        [np.concatenate(part) for part in zip(*draws)],
+        [r.random() for r in rngs],
+    )
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_chunked_step_matches_one_pass(block_size, monkeypatch):
+    cfg = TrainConfig(**{**SMALL, "block_size": block_size, "clip_norm": 0.0})
+    graphs = small_corpus(5, seed=13) + [Graph(1, frozenset(), (2,), 1)]
+    batch = [(decompose(g, cfg.max_nodes), g.class_label) for g in graphs]
+    one = _recorded_step(batch, cfg, 10**9, monkeypatch)
+    assert one[0].chunks == 1
+    # 25 edges is less than some single steps, 120 cuts through graphs
+    for budget in (25, 120):
+        got = _recorded_step(batch, cfg, budget, monkeypatch)
+        assert got[0].chunks > 2 and got[0].max_chunk_edges < one[0].max_chunk_edges
+        for term in ("l_adj", "l_condition", "l_node_label", "total", "grad_norm"):
+            assert getattr(got[0], term) == pytest.approx(getattr(one[0], term), rel=1e-12)
+        for g, want in zip(got[1], one[1]):
+            assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], one[2]))
+        assert got[3] == one[3]
+
+
+def test_balanced_cuts_keep_steps_whole_and_runs_even():
+    step_edges = np.array([0, 10, 30, 5, 40, 40, 1, 2, 60, 12])
+    for budget in (1, 20, 50, 100, 200, 10**6):
+        cuts = T._balanced_cuts(step_edges, budget)
+        assert cuts[0] == 0 and cuts[-1] == step_edges.shape[0]
+        assert (np.diff(cuts) > 0).all()
+        runs = np.add.reduceat(step_edges, cuts[:-1])
+        k = -(-int(step_edges.sum()) // budget)
+        assert len(runs) <= max(k, 1)
+        # a run exceeds total / k by less than one step
+        assert runs.max() < step_edges.sum() / max(k, 1) + step_edges.max()
+    assert T._balanced_cuts(step_edges, 200).tolist() == [0, 10]
+    assert T._balanced_cuts(step_edges, 100).tolist() == [0, 5, 10]
+    assert T._balanced_cuts(np.zeros(3, dtype=np.int64), 4).tolist() == [0, 3]
+
+
+def test_non_finite_gradient_in_an_early_chunk_raises(monkeypatch):
+    cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
+    monkeypatch.setattr(T, "UNION_EDGE_BUDGET", 60)
+    target = gen.round_weights[0].gru.un
+    backward = Tensor.backward
+    calls = []
+
+    def poisoned_first(self):
+        backward(self)
+        if not calls:
+            target.grad = np.full_like(target.value, np.nan)
+        calls.append(1)
+
+    monkeypatch.setattr(Tensor, "backward", poisoned_first)
+    before = [t.value.copy() for t in gen.tensors() + nodeclf.tensors()]
+    with pytest.raises(NumericError, match="gradient in gen/round/0/gru/un"):
+        train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
+    assert len(calls) > 1
+    for t, value in zip(gen.tensors() + nodeclf.tensors(), before):
+        assert np.array_equal(t.value, value)
+
+
 def test_condition_gradient_reaches_generator():
     cfg, batch, gen, clf, nodeclf, _, _ = setup_step()
     og, label = batch[0]
@@ -664,6 +781,10 @@ def test_train_generator_history_and_log():
     logged = [json.loads(line) for line in stream.getvalue().splitlines()]
     assert all(line.pop("seconds") > 0 for line in logged)
     assert all(line.pop("graphs_per_s") > 0 for line in logged)
+    # toy unions fit the budget: one forward/backward pass per step
+    steps = -(-len(graphs) // cfg.batch_size)
+    assert all(line.pop("chunks") == steps for line in logged)
+    assert all(0 < line.pop("max_chunk_edges") <= T.UNION_EDGE_BUDGET for line in logged)
     assert logged == history
 
 
