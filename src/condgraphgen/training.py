@@ -15,8 +15,10 @@ and edges, not with their square.  Given its prefix a step does not depend
 on the others, so a minibatch whose union holds more than
 ``UNION_EDGE_BUDGET`` edges runs as a few consecutive chunks of steps, each
 with its own forward and backward; gradients add up in the parameters and
-the update runs once.  A step's peak memory thus follows the budget, not
-the size of its graphs.
+the update runs once.  Each chunk builds the teacher plans of the steps it
+runs and drops them when it is done, so nothing held between steps grows
+with the corpus, and a step's peak memory follows the budget, not the size
+of its graphs.
 """
 
 from __future__ import annotations
@@ -243,17 +245,25 @@ def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
     return "no single parameter (the squared norm overflows)"
 
 
+def _step_edges(og: OrderedGraph, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Union edges of each step over ``blocks`` (see UnionPlan), counted
+    without building the plan: both directions of every observed edge among
+    the block's prefix nodes and of every candidate pair, new node i pairing
+    with each j < i, so 2 × (prefix edges + Σ block)."""
+    prefix = np.concatenate([[0], np.cumsum(np.count_nonzero(og.lower_rows, axis=1))])
+    return np.asarray([2 * (prefix[b[0]] + sum(b)) for b in blocks], dtype=np.int64)
+
+
 class _TeacherPlan:
-    """One graph's teacher-forced union plan (every generation step, see
-    UnionPlan) plus the values its losses read: teacher bits, the discount
-    weights and the node targets, and each step's union edge count
-    ``step_edges``.  A plan depends only on the ordered graph, so it is
-    built once per training run; ``steps`` cuts out a run of its steps.
+    """The teacher-forced union plan of a run of consecutive steps of one
+    graph, ``blocks`` (see UnionPlan), plus the values its losses read:
+    teacher bits, the discount weights and the node targets.  ``train_step``
+    builds it for the chunk that runs those steps and drops it with the
+    chunk; a whole graph is the run of all its blocks.
     """
 
-    def __init__(self, og: OrderedGraph, block_size: int, gamma: float):
+    def __init__(self, og: OrderedGraph, blocks: Sequence[Sequence[int]], gamma: float):
         n = og.base.num_nodes
-        self.blocks = blocks = block_partition(n, block_size)
         self.forward = UnionPlan(og.lower_rows, blocks)
         counts = [block[-1] + 1 for block in blocks]
         self.teacher_bits = np.concatenate([block_bits(og.lower_rows, b) for b in blocks])
@@ -261,31 +271,12 @@ class _TeacherPlan:
         self.w_node = np.concatenate([
             np.full(len(b), gamma ** (n - n_cur) / len(b)) for b, n_cur in zip(blocks, counts)
         ])
-        self.node_targets = np.asarray(
-            [og.base.node_labels[og.pi[i]] for i in range(n)], dtype=np.int64
-        )
-        self.step_edges = np.bincount(
-            self.forward.node_step[self.forward.edges[0]], minlength=len(blocks)
-        )
-
-    def steps(self, a: int, b: int) -> "_TeacherPlan":
-        """The plan of steps [a, b) alone (itself when that is every step),
-        with a union plan of its own and the loss values sliced to match."""
-        if a == 0 and b == len(self.blocks):
-            return self
-        out = _TeacherPlan.__new__(_TeacherPlan)
-        out.blocks = self.blocks[a:b]
-        out.forward = UnionPlan(self.forward.rows, out.blocks)
-        pairs = self.forward.pair_bounds()
         # blocks partition the nodes in order, so a run of steps owns a
         # contiguous range of new nodes
-        nodes = slice(out.blocks[0][0], out.blocks[-1][-1] + 1)
-        out.teacher_bits = self.teacher_bits[pairs[a]:pairs[b]]
-        out.w_steps = self.w_steps[a:b]
-        out.w_node = self.w_node[nodes]
-        out.node_targets = self.node_targets[nodes]
-        out.step_edges = self.step_edges[a:b]
-        return out
+        self.node_targets = np.asarray(
+            [og.base.node_labels[og.pi[i]] for i in range(blocks[0][0], counts[-1])],
+            dtype=np.int64,
+        )
 
 
 def _draw_components_and_noise(
@@ -324,17 +315,15 @@ def _batch_losses(
     config: TrainConfig,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    plans: Optional[Sequence[_TeacherPlan]] = None,
+    plans: Sequence[_TeacherPlan],
 ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
-    """Loss terms summed over every generation step of every batch graph.
+    """Loss terms summed over the steps of ``plans``, one per batch graph.
 
-    All steps of all graphs run as one union forward pass (UnionPlan.stack).
+    All these steps run as one union forward pass (UnionPlan.stack).
     Each graph draws its mixture components and Gumbel noise from its own
     RNG, step by step (see ``_draw_components_and_noise``).  Terms whose
     weight is zero come back as None.
     """
-    if plans is None:
-        plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in batch]
     labels = [label for _, label in batch]
     u = UnionPlan.stack([p.forward for p in plans])
 
@@ -405,11 +394,12 @@ def _balanced_cuts(step_edges: np.ndarray, budget: int) -> np.ndarray:
     return bounds[np.diff(bounds, prepend=-1) > 0]
 
 
-def _chunks(batch, rngs, plans, cuts):
+def _chunks(batch, rngs, blocks, cuts, gamma):
     """Each run of steps [a, b) of the batch's (graph, step) sequence as the
-    (batch, rngs, plans) of the graphs it touches, built one at a time.  A
-    graph's RNG goes to every chunk that holds its steps, in step order."""
-    first = np.concatenate([[0], np.cumsum([p.forward.num_steps for p in plans])])
+    (batch, rngs, plans) of the graphs it touches, built one at a time from
+    each graph's ``blocks`` in the run.  A graph's RNG goes to every chunk
+    that holds its steps, in step order."""
+    first = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
     for a, b in zip(cuts[:-1], cuts[1:]):
         graphs = range(
             int(np.searchsorted(first, a, side="right")) - 1,
@@ -418,7 +408,7 @@ def _chunks(batch, rngs, plans, cuts):
         yield (
             [batch[g] for g in graphs],
             [rngs[g] for g in graphs],
-            [plans[g].steps(max(a - first[g], 0), min(b, first[g + 1]) - first[g])
+            [_TeacherPlan(batch[g][0], blocks[g][max(a - first[g], 0):b - first[g]], gamma)
              for g in graphs],
         )
 
@@ -453,19 +443,18 @@ def train_step(
     opt: Adam,
     tau: float,
     rngs: Sequence[np.random.Generator],
-    plans: Optional[Sequence[_TeacherPlan]] = None,
 ) -> LossBreakdown:
     """One optimizer update on a batch; the graph classifier stays frozen
     (it is read through constant tensors, so it neither changes nor
-    receives gradients).  ``plans`` are the batch graphs' union plans when
-    the caller keeps them across steps.
+    receives gradients).
 
-    A batch whose union holds more than ``UNION_EDGE_BUDGET`` edges runs as
-    ``_balanced_cuts`` chunks of consecutive steps, each with its own
-    forward and backward.  The loss terms sum over steps and every graph
-    draws from its own RNG in step order, so the update equals the
-    one-pass update up to summation order.  Raises NumericError, before the
-    update, on a non-finite loss term or gradient."""
+    A batch whose union holds more than ``UNION_EDGE_BUDGET`` edges (counted
+    by ``_step_edges``) runs as ``_balanced_cuts`` chunks of consecutive
+    steps, each with its own forward and backward over the teacher plans it
+    builds; no plan outlives its chunk.  The loss terms sum over steps and
+    every graph draws from its own RNG in step order, so the update equals
+    the one-pass update up to summation order.  Raises NumericError, before
+    the update, on a non-finite loss term or gradient."""
     if not batch:
         raise ValueError("empty batch")
     if len(rngs) != len(batch):
@@ -475,15 +464,14 @@ def train_step(
     if config.lambda_node_label > 0.0 and nodeclf_params is None:
         raise ValueError("node-label loss requires node-classifier parameters")
 
-    if plans is None:
-        plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in batch]
-    step_edges = np.concatenate([p.step_edges for p in plans])
+    blocks = [block_partition(og.base.num_nodes, config.block_size) for og, _ in batch]
+    step_edges = np.concatenate([_step_edges(og, b) for (og, _), b in zip(batch, blocks)])
     cuts = _balanced_cuts(step_edges, UNION_EDGE_BUDGET)
     opt.zero_grad()
     parts = [
         _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau,
                         1.0 / len(batch))
-        for chunk in _chunks(batch, rngs, plans, cuts)
+        for chunk in _chunks(batch, rngs, blocks, cuts, config.gamma)
     ]
     sums = np.sum(parts, axis=0)
     terms = dict(
@@ -536,7 +524,6 @@ def train_generator(
     if num_node_labels is None:
         num_node_labels = max(max(g.node_labels) for g in graphs) + 1
     ordered = [(decompose(g, config.max_nodes), g.class_label) for g in graphs]
-    plans = [_TeacherPlan(og, config.block_size, config.gamma) for og, _ in ordered]
 
     gen_params = init_generator(
         config.generator_config(num_classes), np.random.default_rng([config.seed, 0])
@@ -559,8 +546,7 @@ def train_generator(
             batch = [ordered[i] for i in idx]
             rngs = [np.random.default_rng([config.seed, 3, epoch, int(i)]) for i in idx]
             bd = train_step(
-                batch, gen_params, clf_params, nodeclf_params, config, opt, tau, rngs,
-                plans=[plans[i] for i in idx],
+                batch, gen_params, clf_params, nodeclf_params, config, opt, tau, rngs
             )
             sums += np.array([bd.l_adj, bd.l_condition, bd.l_node_label, bd.total]) * len(idx)
             norms.append(bd.grad_norm)

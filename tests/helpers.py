@@ -48,7 +48,7 @@ from condgraphgen.generator import (
     gnn_round,
 )
 from condgraphgen.graphs import Graph, block_partition, decompose
-from condgraphgen.training import _gumbel_soft
+from condgraphgen.training import _gumbel_soft, _TeacherPlan
 
 
 def finite_diff(f, arrays, eps=1e-5):
@@ -112,6 +112,15 @@ def reconstructed_edges(og) -> frozenset:
             u, v = og.pi[i], og.pi[int(j)]
             out.add((min(u, v), max(u, v)))
     return frozenset(out)
+
+
+def teacher_plans(batch, config) -> list:
+    """Each batch graph's teacher plan over all its steps: what a
+    ``train_step`` whose union fits one chunk runs."""
+    return [
+        _TeacherPlan(og, block_partition(og.base.num_nodes, config.block_size), config.gamma)
+        for og, _ in batch
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from helpers import (
     gumbel_softmax_edge,
     one_hot,
     rel_error,
+    teacher_plans,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,8 +228,10 @@ def test_acceptance_3_gradient_integrity():
     for seed in range(20):
         for t in gen2.tensors():
             t.grad = None
+        batch = [(og2, 1)]
         _, l_cond, _ = T._batch_losses(
-            [(og2, 1)], gen2, clf2, None, tcfg, 1.0, [np.random.default_rng(seed)]
+            batch, gen2, clf2, None, tcfg, 1.0, [np.random.default_rng(seed)],
+            teacher_plans(batch, tcfg),
         )
         l_cond.backward()
         if any(t.grad is not None and np.any(t.grad != 0.0) for t in gen2.tensors()):

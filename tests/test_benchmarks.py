@@ -55,3 +55,14 @@ def test_stats_benchmark_times_both_corpora():
         assert r["graphs"] == 4 and r["seconds"] > 0 and r["graphs_per_s"] > 0
         assert r["peak_rss_mb"] >= r["rss_before_mb"] > 0
     assert records[1]["nodes"] == 4 * 111
+
+
+def test_epoch_benchmark_trains_one_small_epoch():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_epoch.py"), "--graphs", "4"],
+        capture_output=True, text=True, env=_env(), timeout=300, check=True,
+    )
+    (record,) = [json.loads(line) for line in out.stdout.splitlines()]
+    assert set(record) == {"graphs", "epoch_s", "graphs_per_s", "rss_before_mb", "peak_rss_mb"}
+    assert record["graphs"] == 4 and record["epoch_s"] > 0 and record["graphs_per_s"] > 0
+    assert record["peak_rss_mb"] >= record["rss_before_mb"] > 0

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from helpers import (
     sample_block_relaxed,
     step_forward,
     symmetric_scatter,
+    teacher_plans,
 )
 
 from condgraphgen import training as T
@@ -30,7 +32,7 @@ from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoi
 from condgraphgen.classifiers import init_graph_classifier
 from condgraphgen.errors import ConfigError, NumericError
 from condgraphgen.generator import UnionPlan
-from condgraphgen.graphs import Graph, decompose, synthesize_toy_corpus
+from condgraphgen.graphs import Graph, block_partition, decompose, synthesize_toy_corpus
 from condgraphgen.training import (
     LossBreakdown,
     TrainConfig,
@@ -445,8 +447,8 @@ def test_step_peak_memory_stays_near_the_tape(monkeypatch):
 
 def _step_peak(n, max_nodes):
     """Union edges, loss breakdown and tracemalloc peak of one train_step on
-    the benchmark's n-node graph; the plan is built before tracing starts,
-    as ``train_generator`` keeps it across steps."""
+    the benchmark's n-node graph; the step builds its plans inside the
+    trace, as it does in ``train_generator``."""
     rng = np.random.default_rng(0)
     cfg = TrainConfig(max_nodes=max_nodes, batch_size=1, seed=0)
     og = decompose(_molecule_like(n, rng), cfg.max_nodes)
@@ -454,14 +456,13 @@ def _step_peak(n, max_nodes):
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
     clf = init_graph_classifier(3, 2, rng)
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
-    plans = [T._TeacherPlan(og, cfg.block_size, cfg.gamma)]
     tracemalloc.start()
     try:
-        bd = train_step([(og, 1)], gen, clf, nodeclf, cfg, opt, cfg.tau, [rng], plans=plans)
+        bd = train_step([(og, 1)], gen, clf, nodeclf, cfg, opt, cfg.tau, [rng])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return int(plans[0].step_edges.sum()), bd, peak
+    return int(T._step_edges(og, block_partition(n, cfg.block_size)).sum()), bd, peak
 
 
 def test_step_peak_memory_follows_the_union_edge_budget():
@@ -522,6 +523,69 @@ def test_chunked_step_matches_one_pass(block_size, monkeypatch):
         assert got[3] == one[3]
 
 
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_closed_form_step_edges_count_the_union_plan(block_size):
+    graphs = small_corpus() + [
+        Graph(1, frozenset(), (0,), 0),
+        Graph(7, frozenset(), (0,) * 7, 1),
+        _molecule_like(48, np.random.default_rng(5)),
+    ]
+    for g in graphs:
+        og = decompose(g, 48)
+        blocks = block_partition(g.num_nodes, block_size)
+        u = UnionPlan(og.lower_rows, blocks)
+        want = np.bincount(u.node_step[u.edges[0]], minlength=len(blocks))
+        assert T._step_edges(og, blocks).tolist() == want.tolist()
+
+
+def test_train_generator_holds_no_plan_between_steps(monkeypatch):
+    alive = []
+    init = T._TeacherPlan.__init__
+
+    def registering_init(self, *args):
+        init(self, *args)
+        alive.append(weakref.ref(self))
+
+    step = T.train_step
+    entries = []
+
+    def checking_step(*args, **kwargs):
+        entries.append(sum(ref() is not None for ref in alive))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(T._TeacherPlan, "__init__", registering_init)
+    monkeypatch.setattr(T, "train_step", checking_step)
+    cfg, graphs = TrainConfig(**SMALL), small_corpus()
+    train_generator(graphs, small_clf(), cfg)
+    assert alive and len(entries) == cfg.epochs * -(-len(graphs) // cfg.batch_size)
+    assert entries == [0] * len(entries)
+
+
+def test_over_budget_step_builds_no_whole_graph_plan(monkeypatch):
+    built = []
+
+    class RecordingPlan(UnionPlan):
+        def __init__(self, lower_rows, blocks):
+            built.append((lower_rows.shape[0], len(blocks)))
+            super().__init__(lower_rows, blocks)
+
+    monkeypatch.setattr(T, "UnionPlan", RecordingPlan)
+    cfg = TrainConfig(**{**SMALL, "max_nodes": 80, "block_size": 1})
+    rng = np.random.default_rng(2)
+    graphs = [_molecule_like(80, rng), _molecule_like(64, rng)]
+    batch = [(decompose(g, cfg.max_nodes), 1) for g in graphs]
+    gen = T.init_generator(cfg.generator_config(2), rng)
+    nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
+    opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
+    bd = train_step(batch, gen, small_clf(), nodeclf, cfg, opt, 1.0, [rng, rng])
+    assert all(steps < n for n, steps in built)
+    # each graph's union alone exceeds a chunk, so every graph is cut
+    for og, _ in batch:
+        whole = T._step_edges(og, block_partition(og.base.num_nodes, 1)).sum()
+        assert whole > bd.max_chunk_edges
+    assert len(built) > bd.chunks > 2
+
+
 def test_balanced_cuts_keep_steps_whole_and_runs_even():
     step_edges = np.array([0, 10, 30, 5, 40, 40, 1, 2, 60, 12])
     for budget in (1, 20, 50, 100, 200, 10**6):
@@ -562,11 +626,11 @@ def test_non_finite_gradient_in_an_early_chunk_raises(monkeypatch):
 
 def test_condition_gradient_reaches_generator():
     cfg, batch, gen, clf, nodeclf, _, _ = setup_step()
-    og, label = batch[0]
     found = False
     for seed in range(20):
         _, l_cond, _ = T._batch_losses(
-            [(og, label)], gen, clf, nodeclf, cfg, 1.0, [np.random.default_rng(seed)]
+            batch[:1], gen, clf, nodeclf, cfg, 1.0, [np.random.default_rng(seed)],
+            teacher_plans(batch[:1], cfg),
         )
         for t in gen.tensors():
             t.grad = None
@@ -610,9 +674,10 @@ def _per_step_draws(alpha, u, rngs):
 @pytest.mark.parametrize("block_size", [1, 3])
 def test_component_and_noise_draws_match_per_step_choice(block_size):
     graphs = small_corpus(5, seed=17) + [Graph(1, frozenset(), (0,), 1)]
-    u = UnionPlan.stack(
-        [T._TeacherPlan(decompose(g, 8), block_size, 0.8).forward for g in graphs]
-    )
+    u = UnionPlan.stack([
+        UnionPlan(decompose(g, 8).lower_rows, block_partition(g.num_nodes, block_size))
+        for g in graphs
+    ])
     alpha = np.random.default_rng(block_size).dirichlet(np.full(4, 0.2), size=u.num_steps)
     alpha[0] = [0.0, 1.0, 0.0, 0.0]
 
@@ -628,7 +693,8 @@ def test_component_and_noise_draws_match_per_step_choice(block_size):
 
 
 def test_mixture_weights_off_the_simplex_raise_numeric_error():
-    u = UnionPlan.stack([T._TeacherPlan(decompose(small_corpus()[0], 8), 1, 0.8).forward])
+    g = small_corpus()[0]
+    u = UnionPlan.stack([UnionPlan(decompose(g, 8).lower_rows, block_partition(g.num_nodes, 1))])
     alpha = np.full((u.num_steps, 2), 0.5)
     for bad in ([0.5, 0.6], [1.5, -0.5], [np.nan, 0.5]):
         alpha[-1] = bad
@@ -705,8 +771,10 @@ def test_union_losses_match_per_step_oracle(block_size):
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
     for gi, g in enumerate(small_corpus(6, seed=11)):
         og = decompose(g, cfg.max_nodes)
+        batch = [(og, g.class_label)]
         got = T._batch_losses(
-            [(og, g.class_label)], gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(gi)]
+            batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(gi)],
+            teacher_plans(batch, cfg),
         )
         want = reference_graph_losses(
             og, g.class_label, gen, clf, nodeclf, cfg, 0.7, np.random.default_rng(gi)
@@ -726,7 +794,8 @@ def test_batch_losses_match_sum_of_per_graph_oracle(block_size):
     batch = [(decompose(g, cfg.max_nodes), g.class_label) for g in graphs]
     assert len({og.base.num_nodes for og, _ in batch}) > 2
     got = T._batch_losses(
-        batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(i) for i in range(len(batch))]
+        batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(i) for i in range(len(batch))],
+        teacher_plans(batch, cfg),
     )
     want = np.zeros(3)
     for i, (og, label) in enumerate(batch):
@@ -746,15 +815,19 @@ def test_adjacency_loss_gradient_matches_fd():
     og = decompose(small_corpus(4, seed=5)[1], cfg.max_nodes)
 
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
+    batch = [(og, 1)]
+    plans = teacher_plans(batch, cfg)
 
     def loss_value():
         l_adj, _, _ = T._batch_losses(
-            [(og, 1)], gen, None, None, cfg, 1.0, [np.random.default_rng(0)]
+            batch, gen, None, None, cfg, 1.0, [np.random.default_rng(0)], plans
         )
         return l_adj.item()
 
     numeric = finite_diff(loss_value, [t.value for t in checked])
-    l_adj, _, _ = T._batch_losses([(og, 1)], gen, None, None, cfg, 1.0, [np.random.default_rng(0)])
+    l_adj, _, _ = T._batch_losses(
+        batch, gen, None, None, cfg, 1.0, [np.random.default_rng(0)], plans
+    )
     for t in gen.tensors():
         t.grad = None
     l_adj.backward()
