@@ -44,7 +44,7 @@ def one_step(n: int, seed: int) -> dict:
     from condgraphgen import TrainConfig, decompose
     from condgraphgen.autodiff import Adam
     from condgraphgen.classifiers import init_graph_classifier, init_node_classifier
-    from condgraphgen.generator import UnionPlan, init_generator
+    from condgraphgen.generator import init_generator, step_edges
     from condgraphgen.graphs import block_partition
     from condgraphgen.training import train_step
 
@@ -60,11 +60,11 @@ def one_step(n: int, seed: int) -> dict:
     loss = train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
     step_s = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
-    plan = UnionPlan(og.lower_rows, block_partition(n, config.block_size))
+    edges = step_edges(og.lower_rows, block_partition(n, config.block_size))
     return {
         "nodes": n,
         "union_nodes": n * (n + 1) // 2,  # block size 1: step t holds t nodes
-        "union_edges": int(plan.edges[0].shape[0]),
+        "union_edges": int(edges.sum()),
         "chunks": loss.chunks,
         "step_s": round(step_s, 4),
         "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),

@@ -41,6 +41,7 @@ from .autodiff import (
 )
 from .datasets import DatasetSplit
 from .errors import DataError
+from .graphs import union_edges
 
 CONV_CHANNELS = 32
 NODE_HIDDEN = (256, 256)
@@ -158,11 +159,7 @@ def _discrete_logits(graphs, params: GraphClassifierParams) -> Tensor:
     offset by the nodes of those before it.  The edges, both directions of
     each, come straight from the edge sets, in row-major adjacency order by
     one sort of their recv·N + send keys."""
-    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
-    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
-    pairs += np.repeat(np.cumsum(n) - n, m)[:, None]
+    n, _, pairs = union_edges(graphs)
     recv = np.concatenate([pairs[:, 0], pairs[:, 1]])
     send = np.concatenate([pairs[:, 1], pairs[:, 0]])
     order = np.argsort(recv * int(n.sum()) + send)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import backend
 from .classifiers import GraphClassifierParams, predict_graph_classes
-from .graphs import Graph
+from .graphs import Graph, union_edges
 
 STAT_FIELDS = ("lcc", "tc", "cpl", "mean_d", "gini")
 _STAT_HEADERS = ("LCC", "TC", "CPL", "MeanD", "GINI")
@@ -104,12 +103,8 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _union_stats(graphs: Sequence[Graph]) -> np.ndarray:
     """Statistics of graphs of one bitset width, one row per graph, from one
     search over their union."""
-    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
+    n, m, pairs = union_edges(graphs)
     node_bounds = np.concatenate(([0], np.cumsum(n)))
-    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
-    pairs += np.repeat(node_bounds[:-1], m)[:, None]
     indptr, indices = backend.csr_from_edges(int(node_bounds[-1]), pairs)
 
     graph_of = np.repeat(np.arange(len(graphs)), n)

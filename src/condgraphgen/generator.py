@@ -7,12 +7,14 @@ observed-plus-candidate edge set, and scores all candidate edges of the new
 block with a mixture of Bernoulli heads.  Training maximizes the
 teacher-forced sum of per-block log-likelihoods.
 
-There is one forward, ``step_forward`` over a ``UnionPlan``: training runs
-every step of a minibatch as one union, sampling runs one step at a time.
-The first round's input states depend only on each node's graph and
-embedded row, so ``run_rounds`` computes its messages once per distinct
-(graph, receiver row, sender row) edge, from the plan's round-one table, and
-gathers them back onto the union's edges; later rounds run per edge.
+There is one forward, ``step_forward`` over a ``UnionPlan``, and one way to
+build that plan: from runs of consecutive steps, one run per graph.
+Training runs the steps of a chunk of a minibatch as one union, each graph
+a run; sampling runs one step of one sample, a one-step run.  The first
+round's input states depend only on each node's graph and embedded row, so
+``run_rounds`` computes its messages once per distinct (run, receiver row,
+sender row) edge, from the plan's round-one table, and gathers them back
+onto the union's edges; later rounds run per edge.
 """
 
 from __future__ import annotations
@@ -145,44 +147,31 @@ def init_generator(config: GeneratorConfig, rng: np.random.Generator) -> Generat
 def candidate_pairs(block: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Canonical candidate-edge order for a block of new nodes: each new node
     i (ascending) paired with every j < i (ascending)."""
-    rows, cols = [], []
-    for i in block:
-        rows.extend([i] * i)
-        cols.extend(range(i))
-    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    block = np.asarray(block, dtype=np.int64)
+    rows = np.repeat(block, block)
+    cols = np.arange(rows.shape[0]) - np.repeat(np.cumsum(block) - block, block)
+    return rows, cols
 
 
-def augmented_edges(
-    lower_rows: np.ndarray, n_prev: int, block: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (receiver, sender) arrays over observed prefix edges plus all
-    candidate edges of the block, both directions each."""
-    obs_i, obs_j = np.nonzero(lower_rows[:n_prev])
-    cand_i, cand_j = candidate_pairs(block)
-    u = np.concatenate([obs_i, cand_i])
-    v = np.concatenate([obs_j, cand_j])
-    return np.concatenate([u, v]), np.concatenate([v, u])
-
-
-def block_bits(lower_rows: np.ndarray, block: Sequence[int]) -> np.ndarray:
-    """Ground-truth candidate-edge indicators in canonical order."""
-    return np.concatenate([lower_rows[i, :i] for i in block]).astype(np.float64)
+def step_edges(lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Union edges of each step over ``blocks`` (see UnionPlan), counted
+    without building the plan: both directions of every observed edge among
+    the block's prefix nodes and of every candidate pair, new node i pairing
+    with each j < i, so 2 × (prefix edges + Σ block)."""
+    prefix = np.concatenate([[0], np.cumsum(np.count_nonzero(lower_rows, axis=1))])
+    return np.asarray([2 * (prefix[b[0]] + sum(b)) for b in blocks], dtype=np.int64)
 
 
 def _ints(parts) -> np.ndarray:
-    return np.concatenate(parts).astype(np.int64)
-
-
-def _offsets(sizes) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    return np.concatenate(parts, dtype=np.int64)
 
 
 def _distinct_edges(
     src_idx: np.ndarray, edges: tuple[np.ndarray, np.ndarray], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One edge per distinct (receiver row, sender row) key of a one-graph
-    plan whose nodes read rows ``[0, width)``, in key order, and each edge's
-    index into that list.  Keys are counted in a dense table of
+    """One edge per distinct (receiver row, sender row) key of one run's
+    edges, whose nodes read rows ``[0, width)``, in key order, and each
+    edge's index into that list.  Keys are counted in a dense table of
     ``width``² flags, not sorted."""
     recv, send = edges
     key = src_idx[recv] * width + src_idx[send]
@@ -200,111 +189,101 @@ class UnionPlan:
     block-diagonal 'union' graph, so a single forward pass runs them all.
 
     Given its prefix rows a step does not depend on the other steps, so
-    training runs every teacher-forced step of a minibatch at once and
-    sampling runs the current block of one sample; per-step quantities come
-    back through segment sums.  Union node ``offset_t + i`` stands for node
-    ``i`` at step ``t``.  A plan is built for one graph from ``lower_rows``
-    (every row is embedded once, so pass only the rows the steps read) and
-    its ``blocks``; ``stack`` offsets several plans into one.
+    training runs every teacher-forced step of a chunk of a minibatch at
+    once and sampling runs the current block of one sample; per-step
+    quantities come back through segment sums.  Union node ``offset_t + i``
+    stands for node ``i`` at step ``t``.  A plan is built from ``runs``, one
+    ``(lower_rows, blocks)`` pair per graph: the graph's rows (every row is
+    embedded once, so pass only the rows the steps read) and a run of its
+    consecutive blocks, one step each.  Steps are laid out run after run,
+    and the new nodes of every run read one shared zero row after all real
+    rows.
 
-    Fields: ``rows`` to embed; ``src_idx``, each union node's embedded row,
-    where new nodes read the shared zero row after the real rows; the
-    augmented ``edges`` (receiver, sender) and ``edge_pair``, the candidate
-    pair each edge carries (-1 for an observed prefix edge); candidate
-    ``pairs`` (new node, partner) in canonical order; ``node_step`` and
-    ``node_graph``, each node's step and graph; the per-graph first step
-    ``step_off``; and the round-one table.  Two fields are derived from
-    these: the new-node flags ``x`` and each pair's step ``pair_seg``.
+    Fields: ``rows`` to embed; ``src_idx``, each union node's embedded row;
+    the augmented ``edges`` (receiver, sender), for each step its observed
+    prefix edges, then its candidate pairs, then both lists again reversed,
+    and ``edge_pair``, the candidate pair each edge carries (-1 for an
+    observed prefix edge); candidate ``pairs`` (new node, partner) in
+    canonical order; ``node_step`` and ``node_graph``, each node's step and
+    run; each run's first step ``step_off``; and the round-one table.  Two
+    fields are derived from these: the new-node flags ``x`` and each pair's
+    step ``pair_seg``.
 
     The round-one table lists the distinct first-round edges.  Two edges of
-    one graph whose receivers read the same row and whose senders read the
+    one run whose receivers read the same row and whose senders read the
     same row carry the same first-round message, flag included, whatever
     their steps.  ``round_one_edges`` holds one edge per such
-    (graph, receiver row, sender row) key, and ``round_one_index`` gives
-    each edge's position in it.  A plan builds the table once for its graph,
-    and ``stack`` offsets it.  A one-step plan lists every edge.
+    (run, receiver row, sender row) key, and ``round_one_index`` gives each
+    edge's position in it.  A one-step run lists every edge.
     """
 
-    def __init__(self, lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]):
-        src_idx, recv, send, edge_pair, rows, cols = [], [], [], [], [], []
-        offset = num_pairs = 0
-        for block in blocks:
-            n_prev, n_cur = block[0], block[-1] + 1
-            src_idx += [np.arange(n_prev), np.full(len(block), lower_rows.shape[0])]
-            er, es = augmented_edges(lower_rows, n_prev, block)
-            recv.append(er + offset)
-            send.append(es + offset)
-            cr, cc = candidate_pairs(block)
-            # augmented_edges lists the observed edges, then the candidates,
-            # then both lists again reversed
-            n_obs = er.shape[0] // 2 - cr.shape[0]
-            carried = np.append(np.full(n_obs, -1), np.arange(cr.shape[0]) + num_pairs)
-            edge_pair += [carried, carried]
-            rows.append(cr + offset)
-            cols.append(cc + offset)
-            offset += n_cur
-            num_pairs += cr.shape[0]
-        self.rows = lower_rows
+    def __init__(self, runs: Sequence[tuple[np.ndarray, Sequence[Sequence[int]]]]):
+        self.rows = np.concatenate([rows for rows, _ in runs])
+        zero_row = self.rows.shape[0]
+        src_idx, recv, send, edge_pair, pair_rows, pair_cols = [], [], [], [], [], []
+        first, index, step_nodes, run_nodes, step_off = [], [], [], [], []
+        # union nodes, pairs, edges, distinct round-one edges and rows so far
+        nodes = pairs = edges = distinct = row_off = 0
+        for rows, blocks in runs:
+            run_src, run_recv, run_send = [], [], []
+            run_start, run_edges = nodes, edges
+            step_off.append(len(step_nodes))
+            obs_i, obs_j = np.nonzero(rows)
+            # observed edges come row by row, so a step's prefix edges are a
+            # head of them; the blocks are consecutive, so a step's candidate
+            # pairs are the next slice of the run's
+            n_obs = np.searchsorted(obs_i, [block[0] for block in blocks])
+            cand_i, cand_j = candidate_pairs(range(blocks[0][0], blocks[-1][-1] + 1))
+            cand = 0
+            for block, m in zip(blocks, n_obs):
+                k = sum(block)
+                u = np.concatenate([obs_i[:m], cand_i[cand:cand + k]]) + nodes
+                v = np.concatenate([obs_j[:m], cand_j[cand:cand + k]]) + nodes
+                run_recv += [u, v]
+                run_send += [v, u]
+                edges += 2 * u.shape[0]
+                carried = np.arange(pairs - m, pairs + k)
+                carried[:m] = -1
+                edge_pair += [carried, carried]
+                pair_rows.append(u[m:])
+                pair_cols.append(v[m:])
+                run_src += [np.arange(row_off, row_off + block[0]),
+                            np.full(len(block), zero_row)]
+                step_nodes.append(block[-1] + 1)
+                nodes += block[-1] + 1
+                pairs += k
+                cand += k
+            if len(blocks) == 1:
+                # one step repeats a key only within its block, which saves
+                # less than the table costs: sampling runs round one per edge
+                run_first = run_index = np.arange(edges - run_edges)
+            else:
+                # keys over the run's own rows, the zero row right after them
+                local = np.minimum(_ints(run_src) - row_off, rows.shape[0])
+                run_first, run_index = _distinct_edges(
+                    local, (_ints(run_recv) - run_start, _ints(run_send) - run_start),
+                    rows.shape[0] + 1,
+                )
+            src_idx += run_src
+            recv += run_recv
+            send += run_send
+            first.append(run_first + run_edges)
+            index.append(run_index + distinct)
+            run_nodes.append(nodes - run_start)
+            distinct += run_first.shape[0]
+            row_off += rows.shape[0]
         self.src_idx = _ints(src_idx)
         self.edges = (_ints(recv), _ints(send))
-        if len(blocks) == 1:
-            # one step repeats a key only within its block, which saves less
-            # than the table costs: sampling runs round one per edge
-            self.round_one_edges = self.round_one_index = np.arange(self.edges[0].shape[0])
-        else:
-            self.round_one_edges, self.round_one_index = _distinct_edges(
-                self.src_idx, self.edges, lower_rows.shape[0] + 1
-            )
+        self.round_one_edges, self.round_one_index = _ints(first), _ints(index)
         self.edge_pair = _ints(edge_pair)
-        self.pairs = (_ints(rows), _ints(cols))
-        self.num_steps = len(blocks)
-        self.node_step = np.repeat(np.arange(len(blocks)), [b[-1] + 1 for b in blocks])
-        self.node_graph = np.zeros(offset, dtype=np.int64)
-        self.step_off = np.zeros(1, dtype=np.int64)
-        self._derive()
-
-    @classmethod
-    def stack(cls, plans: Sequence["UnionPlan"]) -> "UnionPlan":
-        """One union of single-graph plans: each graph's node, step and row
-        indices are offset by the graphs before it, and the new nodes of
-        every graph share one zero row after all real rows."""
-        out = cls.__new__(cls)
-        node_off = _offsets([p.num_nodes for p in plans])
-        out.step_off = step_off = _offsets([p.num_steps for p in plans])
-        row_off = _offsets([p.rows.shape[0] for p in plans])
-        out.rows = np.concatenate([p.rows for p in plans])
-        pad = out.rows.shape[0]
-        out.src_idx = np.concatenate([
-            np.where(p.src_idx == p.rows.shape[0], pad, p.src_idx + o)
-            for p, o in zip(plans, row_off)
-        ])
-
-        def shifted(arrays, offs):
-            return np.concatenate([a + o for a, o in zip(arrays, offs)])
-
-        out.edges = tuple(shifted([p.edges[i] for p in plans], node_off) for i in (0, 1))
-        out.round_one_edges = shifted(
-            [p.round_one_edges for p in plans], _offsets([p.edges[0].shape[0] for p in plans])
-        )
-        out.round_one_index = shifted(
-            [p.round_one_index for p in plans],
-            _offsets([p.round_one_edges.shape[0] for p in plans]),
-        )
-        pair_off = _offsets([p.num_pairs for p in plans])
-        out.edge_pair = np.concatenate([
-            np.where(p.edge_pair < 0, -1, p.edge_pair + o) for p, o in zip(plans, pair_off)
-        ])
-        out.pairs = tuple(shifted([p.pairs[i] for p in plans], node_off) for i in (0, 1))
-        out.node_step = shifted([p.node_step for p in plans], step_off)
-        out.num_steps = int(sum(p.num_steps for p in plans))
-        out.node_graph = np.repeat(np.arange(len(plans)), [p.num_nodes for p in plans])
-        out._derive()
-        return out
-
-    def _derive(self) -> None:
-        # a new node reads the zero row after the real rows, and a pair
-        # belongs to the step of its new node
-        self.x = (self.src_idx == self.rows.shape[0]).astype(np.float64)
+        self.pairs = (_ints(pair_rows), _ints(pair_cols))
+        self.num_steps = len(step_nodes)
+        self.node_step = np.repeat(np.arange(self.num_steps), step_nodes)
+        self.node_graph = np.repeat(np.arange(len(runs)), run_nodes)
+        self.step_off = np.asarray(step_off, dtype=np.int64)
+        # a new node reads the zero row, and a pair belongs to the step of
+        # its new node
+        self.x = (self.src_idx == zero_row).astype(np.float64)
         self.pair_seg = self.node_step[self.pairs[0]]
 
     @property

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +75,19 @@ class Graph:
         for lst in adj:
             lst.sort()
         return adj
+
+
+def union_edges(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block-diagonal union of ``graphs``: each graph's node and edge
+    counts, and every edge once as an (edges, 2) array, each graph's nodes
+    offset by the nodes of those before it.  Edges keep each graph's
+    edge-set order."""
+    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    pairs += np.repeat(np.cumsum(n) - n, m)[:, None]
+    return n, m, pairs
 
 
 @dataclass(frozen=True)

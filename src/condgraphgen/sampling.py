@@ -1,12 +1,12 @@
 """Inference-time class-conditional graph generation.
 
-Generation runs the training-time forward (``step_forward``) on a one-step
-union plan of the sampled prefix and draws hard samples: one mixture
-component per block, then an independent Bernoulli draw per candidate edge
-(no relaxation).  Node labels come from the node classifier applied to each
-block's final states.  The target node count is drawn from the per-class
-empirical histogram of the training split, since the autoregressive model
-itself has no stopping rule.
+Generation runs the training-time forward (``step_forward``) on a union
+plan of one one-step run, the current block over the sampled prefix, and
+draws hard samples: one mixture component per block, then an independent
+Bernoulli draw per candidate edge (no relaxation).  Node labels come from
+the node classifier applied to each block's final states.  The target node
+count is drawn from the per-class empirical histogram of the training
+split, since the autoregressive model itself has no stopping rule.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def generate(
     for block in block_partition(n, config.block_size):
         if block[-1] < n_fixed:
             continue
-        plan = UnionPlan(lower[: block[0]], [block])
+        plan = UnionPlan([(lower[: block[0]], [block])])
         log_alpha, theta_logits, h = step_forward(plan, [class_label], gen_params)
         alpha = np.exp(log_alpha.value[0])
         theta = np.clip(sigmoid(theta_logits).value, 1e-12, 1.0 - 1e-12)

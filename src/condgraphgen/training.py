@@ -8,17 +8,18 @@ Condition and node-label terms are discounted by gamma^(nodes missing), so
 nearly complete prefixes weigh more.
 
 One optimizer step runs every generation step of every graph in the
-minibatch as block-diagonal union graphs (see generator.UnionPlan).  The
+minibatch as a block-diagonal union graph (see generator.UnionPlan).  The
 frozen classifier reads the relaxed partial graphs as that union's own edge
 list, weighted by the sampled bits, so memory grows with the union's nodes
 and edges, not with their square.  Given its prefix a step does not depend
 on the others, so a minibatch whose union holds more than
 ``UNION_EDGE_BUDGET`` edges runs as a few consecutive chunks of steps, each
 with its own forward and backward; gradients add up in the parameters and
-the update runs once.  Each chunk builds the teacher plans of the steps it
-runs and drops them when it is done, so nothing held between steps grows
-with the corpus, and a step's peak memory follows the budget, not the size
-of its graphs.
+the update runs once.  Each chunk builds one union plan, with a run of
+steps per graph it touches, and the teacher bits, weights and node targets
+of those steps, and drops them when it is done, so nothing held between
+steps grows with the corpus, and a step's peak memory follows the budget,
+not the size of its graphs.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from .generator import (
     GeneratorConfig,
     GeneratorParams,
     UnionPlan,
-    block_bits,
     init_generator,
     initial_states,
     mixture_heads,
     run_rounds,
+    step_edges,
 )
 from .graphs import Graph, OrderedGraph, block_partition, decompose
 
@@ -245,38 +246,22 @@ def _non_finite_gradient(params: Sequence[Tensor], named: dict) -> str:
     return "no single parameter (the squared norm overflows)"
 
 
-def _step_edges(og: OrderedGraph, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Union edges of each step over ``blocks`` (see UnionPlan), counted
-    without building the plan: both directions of every observed edge among
-    the block's prefix nodes and of every candidate pair, new node i pairing
-    with each j < i, so 2 × (prefix edges + Σ block)."""
-    prefix = np.concatenate([[0], np.cumsum(np.count_nonzero(og.lower_rows, axis=1))])
-    return np.asarray([2 * (prefix[b[0]] + sum(b)) for b in blocks], dtype=np.int64)
-
-
-class _TeacherPlan:
-    """The teacher-forced union plan of a run of consecutive steps of one
-    graph, ``blocks`` (see UnionPlan), plus the values its losses read:
-    teacher bits, the discount weights and the node targets.  ``train_step``
-    builds it for the chunk that runs those steps and drops it with the
-    chunk; a whole graph is the run of all its blocks.
-    """
-
-    def __init__(self, og: OrderedGraph, blocks: Sequence[Sequence[int]], gamma: float):
-        n = og.base.num_nodes
-        self.forward = UnionPlan(og.lower_rows, blocks)
-        counts = [block[-1] + 1 for block in blocks]
-        self.teacher_bits = np.concatenate([block_bits(og.lower_rows, b) for b in blocks])
-        self.w_steps = gamma ** (n - np.asarray(counts, dtype=np.float64))
-        self.w_node = np.concatenate([
-            np.full(len(b), gamma ** (n - n_cur) / len(b)) for b, n_cur in zip(blocks, counts)
-        ])
-        # blocks partition the nodes in order, so a run of steps owns a
-        # contiguous range of new nodes
-        self.node_targets = np.asarray(
-            [og.base.node_labels[og.pi[i]] for i in range(blocks[0][0], counts[-1])],
-            dtype=np.int64,
-        )
+def _teacher(og: OrderedGraph, blocks: Sequence[Sequence[int]], gamma: float):
+    """What the losses of a run of consecutive steps ``blocks`` of one graph
+    read, from the run's block bounds: each candidate pair's teacher bit,
+    each step's condition weight gamma^(nodes missing), and each new node's
+    node-label weight (its step's, shared by the block) and target."""
+    n, a, c = og.base.num_nodes, blocks[0][0], blocks[-1][-1] + 1
+    # the run's candidate pairs are rows a..c-1 of the strict lower
+    # triangle, read in row order
+    bits = og.lower_rows[a:c, :c][np.tri(c, c, -1, dtype=bool)[a:c]].astype(np.float64)
+    ends = [block[-1] + 1 for block in blocks]
+    w_steps = gamma ** (n - np.asarray(ends, dtype=np.float64))
+    w_node = np.repeat(
+        [gamma ** (n - end) / len(b) for b, end in zip(blocks, ends)], [len(b) for b in blocks]
+    )
+    targets = np.asarray(og.base.node_labels, dtype=np.int64)[list(og.pi[a:c])]
+    return bits, w_steps, w_node, targets
 
 
 def _draw_components_and_noise(
@@ -308,33 +293,31 @@ def _draw_components_and_noise(
 
 
 def _batch_losses(
-    batch: Sequence[tuple[OrderedGraph, int]],
+    u: UnionPlan,
+    labels: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+    teacher: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     gen_params: GeneratorParams,
     clf_params: Optional[GraphClassifierParams],
     nodeclf_params: Optional[NodeClassifierParams],
     config: TrainConfig,
     tau: float,
-    rngs: Sequence[np.random.Generator],
-    plans: Sequence[_TeacherPlan],
 ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
-    """Loss terms summed over the steps of ``plans``, one per batch graph.
+    """Loss terms summed over the steps of one chunk (see ``_chunks``): its
+    union plan ``u`` with one class label and RNG per run, and the runs'
+    teacher arrays (see ``_teacher``), concatenated.
 
-    All these steps run as one union forward pass (UnionPlan.stack).
-    Each graph draws its mixture components and Gumbel noise from its own
-    RNG, step by step (see ``_draw_components_and_noise``).  Terms whose
-    weight is zero come back as None.
+    All these steps run as one union forward pass.  Each graph draws its
+    mixture components and Gumbel noise from its own RNG, step by step (see
+    ``_draw_components_and_noise``).  Terms whose weight is zero come back
+    as None.
     """
-    labels = [label for _, label in batch]
-    u = UnionPlan.stack([p.forward for p in plans])
-
-    def stack(field):
-        return np.concatenate([getattr(p, field) for p in plans])
-
+    teacher_bits, w_steps, w_node, node_targets = teacher
     h = initial_states(u, labels, gen_params)
     h = run_rounds(h, u, gen_params)
     log_alpha, theta_logits = mixture_heads(h, u, gen_params)
 
-    b = constant(stack("teacher_bits")[:, None])
+    b = constant(teacher_bits[:, None])
     pair_ll = b * log_sigmoid(theta_logits) + (1.0 - b) * log_sigmoid(-theta_logits)
     per_component = segment_sum(pair_ll, u.pair_seg, u.num_steps)
     l_adj = -logsumexp(log_alpha + per_component, axis=1).sum()
@@ -357,17 +340,16 @@ def _batch_losses(
             gather_rows(weight_table, u.edge_pair + 1), u.node_step, u.num_steps,
         )
         log_dist = log_softmax(log_sigmoid(logits), axis=1)
-        step_labels = np.repeat(labels, [p.forward.num_steps for p in plans])
+        step_labels = np.repeat(labels, np.diff(u.step_off, append=u.num_steps))
         picked = log_dist[np.arange(u.num_steps), step_labels]
-        l_cond = -(constant(stack("w_steps")) * picked).sum()
+        l_cond = -(constant(w_steps) * picked).sum()
 
     l_node = None
     if config.lambda_node_label > 0.0:
         block_states = gather_rows(h, u.new_nodes)
         dists = classify_nodes(block_states, nodeclf_params)
-        targets = stack("node_targets")
-        picked = dists[np.arange(targets.shape[0]), targets]
-        l_node = -(constant(stack("w_node")) * log(picked)).sum()
+        picked = dists[np.arange(node_targets.shape[0]), node_targets]
+        l_node = -(constant(w_node) * log(picked)).sum()
     return l_adj, l_cond, l_node
 
 
@@ -396,20 +378,23 @@ def _balanced_cuts(step_edges: np.ndarray, budget: int) -> np.ndarray:
 
 def _chunks(batch, rngs, blocks, cuts, gamma):
     """Each run of steps [a, b) of the batch's (graph, step) sequence as the
-    (batch, rngs, plans) of the graphs it touches, built one at a time from
-    each graph's ``blocks`` in the run.  A graph's RNG goes to every chunk
-    that holds its steps, in step order."""
+    arguments of ``_batch_losses`` for those steps: one union plan with a
+    run per graph the steps touch, those graphs' labels and RNGs, and the
+    runs' teacher arrays.  A graph's RNG goes to every chunk that holds its
+    steps, in step order."""
     first = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
     for a, b in zip(cuts[:-1], cuts[1:]):
         graphs = range(
             int(np.searchsorted(first, a, side="right")) - 1,
             int(np.searchsorted(first, b, side="left")),
         )
+        runs = [(batch[g][0], blocks[g][max(a - first[g], 0):b - first[g]]) for g in graphs]
+        teacher = zip(*(_teacher(og, run, gamma) for og, run in runs))
         yield (
-            [batch[g] for g in graphs],
+            UnionPlan([(og.lower_rows, run) for og, run in runs]),
+            [batch[g][1] for g in graphs],
             [rngs[g] for g in graphs],
-            [_TeacherPlan(batch[g][0], blocks[g][max(a - first[g], 0):b - first[g]], gamma)
-             for g in graphs],
+            tuple(np.concatenate(arrays) for arrays in teacher),
         )
 
 
@@ -418,9 +403,8 @@ def _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau, 
     add into the parameters' .grad, and the chunk's tape is released on
     return.  Returns the chunk's adjacency, condition, node-label and total
     loss, each scaled by ``scale``."""
-    batch, rngs, plans = chunk
     l_adj, l_cond, l_node = _batch_losses(
-        batch, gen_params, clf_params, nodeclf_params, config, tau, rngs, plans
+        *chunk, gen_params, clf_params, nodeclf_params, config, tau
     )
     adj_total = scale * l_adj
     cond_total = constant(0.0) if l_cond is None else scale * l_cond
@@ -449,9 +433,9 @@ def train_step(
     receives gradients).
 
     A batch whose union holds more than ``UNION_EDGE_BUDGET`` edges (counted
-    by ``_step_edges``) runs as ``_balanced_cuts`` chunks of consecutive
-    steps, each with its own forward and backward over the teacher plans it
-    builds; no plan outlives its chunk.  The loss terms sum over steps and
+    by ``step_edges``) runs as ``_balanced_cuts`` chunks of consecutive
+    steps, each with its own forward and backward over the one union plan
+    it builds; no plan outlives its chunk.  The loss terms sum over steps and
     every graph draws from its own RNG in step order, so the update equals
     the one-pass update up to summation order.  Raises NumericError, before
     the update, on a non-finite loss term or gradient."""
@@ -465,8 +449,8 @@ def train_step(
         raise ValueError("node-label loss requires node-classifier parameters")
 
     blocks = [block_partition(og.base.num_nodes, config.block_size) for og, _ in batch]
-    step_edges = np.concatenate([_step_edges(og, b) for (og, _), b in zip(batch, blocks)])
-    cuts = _balanced_cuts(step_edges, UNION_EDGE_BUDGET)
+    edges = np.concatenate([step_edges(og.lower_rows, b) for (og, _), b in zip(batch, blocks)])
+    cuts = _balanced_cuts(edges, UNION_EDGE_BUDGET)
     opt.zero_grad()
     parts = [
         _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau,
@@ -494,7 +478,7 @@ def train_step(
     opt.step()
     return LossBreakdown(
         **terms, grad_norm=norm, chunks=len(parts),
-        max_chunk_edges=int(np.add.reduceat(step_edges, cuts[:-1]).max()),
+        max_chunk_edges=int(np.add.reduceat(edges, cuts[:-1]).max()),
     )
 
 

@@ -60,6 +60,18 @@ def _read_lines(path: Path) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
+def _read_ints(path: Path, what: str) -> list[int]:
+    """One integer per non-blank line; anything else raises TuFormatError
+    naming the file and the line."""
+    values = []
+    for lineno, ln in enumerate(_read_lines(path), start=1):
+        try:
+            values.append(int(ln))
+        except ValueError:
+            raise TuFormatError(f"non-integer {what} {ln!r} in {path.name}", line=lineno) from None
+    return values
+
+
 def load_tu(directory, name: str) -> TuDataset:
     directory = Path(directory)
     a_path = directory / f"{name}_A.txt"
@@ -67,40 +79,30 @@ def load_tu(directory, name: str) -> TuDataset:
     glab_path = directory / f"{name}_graph_labels.txt"
     nlab_path = directory / f"{name}_node_labels.txt"
 
-    indicator = []
-    for lineno, ln in enumerate(_read_lines(ind_path), start=1):
-        try:
-            indicator.append(int(ln))
-        except ValueError:
-            raise TuFormatError(f"bad graph indicator {ln!r}", line=lineno)
+    indicator = _read_ints(ind_path, "graph indicator")
     total_nodes = len(indicator)
     if total_nodes == 0:
         raise IngestionError(f"{ind_path} declares no nodes")
 
-    raw_glabels = _read_lines(glab_path)
-    num_graphs = len(raw_glabels)
+    vals = _read_ints(glab_path, "graph label")
+    num_graphs = len(vals)
     if num_graphs == 0:
         raise IngestionError(f"{glab_path} declares no graphs")
-    if max(indicator) > num_graphs or min(indicator) < 1:
-        raise TuFormatError(
-            f"graph indicator outside [1, {num_graphs}]", line=indicator.index(max(indicator)) + 1
-        )
-
-    try:
-        vals = [int(s) for s in raw_glabels]
-    except ValueError as exc:
-        raise TuFormatError(f"non-integer graph label: {exc}") from exc
+    for lineno, gid in enumerate(indicator, start=1):
+        if not 1 <= gid <= num_graphs:
+            raise TuFormatError(
+                f"graph indicator {gid} outside [1, {num_graphs}] in {ind_path.name}", line=lineno
+            )
     graph_label_map = {str(v): i for i, v in enumerate(sorted(set(vals)))}
     graph_labels = [graph_label_map[str(v)] for v in vals]
 
     if nlab_path.exists():
-        raw_nlabels = _read_lines(nlab_path)
-        if len(raw_nlabels) != total_nodes:
+        vals = _read_ints(nlab_path, "node label")
+        if len(vals) != total_nodes:
             raise TuFormatError(
-                f"{nlab_path.name} has {len(raw_nlabels)} lines, expected {total_nodes}",
-                line=len(raw_nlabels),
+                f"{nlab_path.name} has {len(vals)} lines, expected {total_nodes}",
+                line=len(vals),
             )
-        vals = [int(s) for s in raw_nlabels]
         node_label_map = {str(v): i for i, v in enumerate(sorted(set(vals)))}
         node_labels_global = [node_label_map[str(v)] for v in vals]
     else:

@@ -6,10 +6,12 @@ statistics.
 
 The package runs one forward, ``generator.step_forward`` over a union plan.
 The oracle below is the independent per-step formulation it replaced: each
-generation step gets its own forward (``step_forward`` here), its own mixture
-(``MixtureParams``), its own dense classifier pass (``classify_graph``) and
-its own loss terms, and ``oracle_generate`` samples through it.  Tests hold
-the union path to this oracle.
+generation step gets its own augmented edge list (``augmented_edges``), its
+own forward (``step_forward`` here), its own mixture (``MixtureParams``), its
+own dense classifier pass (``classify_graph``) and its own loss terms, and
+``oracle_generate`` samples through it.  ``reference_plan`` lays the same
+per-step edge lists out as the fields of a union plan.  Tests hold the union
+path to this oracle.
 """
 
 from dataclasses import dataclass
@@ -40,15 +42,9 @@ from condgraphgen.autodiff import (
 from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
 from condgraphgen.errors import NumericError
 from condgraphgen.evaluation import GraphStats
-from condgraphgen.generator import (
-    GeneratorParams,
-    augmented_edges,
-    block_bits,
-    candidate_pairs,
-    gnn_round,
-)
+from condgraphgen.generator import GeneratorParams, candidate_pairs, gnn_round
 from condgraphgen.graphs import Graph, block_partition, decompose
-from condgraphgen.training import _gumbel_soft, _TeacherPlan
+from condgraphgen.training import _chunks, _gumbel_soft
 
 
 def finite_diff(f, arrays, eps=1e-5):
@@ -114,13 +110,90 @@ def reconstructed_edges(og) -> frozenset:
     return frozenset(out)
 
 
-def teacher_plans(batch, config) -> list:
-    """Each batch graph's teacher plan over all its steps: what a
-    ``train_step`` whose union fits one chunk runs."""
-    return [
-        _TeacherPlan(og, block_partition(og.base.num_nodes, config.block_size), config.gamma)
-        for og, _ in batch
-    ]
+def teacher_chunk(batch, config, rngs) -> tuple:
+    """The ``_batch_losses`` arguments of every step of every batch graph:
+    the one chunk a ``train_step`` whose union fits the edge budget runs."""
+    blocks = [block_partition(og.base.num_nodes, config.block_size) for og, _ in batch]
+    return next(_chunks(batch, rngs, blocks, [0, sum(map(len, blocks))], config.gamma))
+
+
+# ---------------------------------------------------------------------------
+# per-step edge lists and the union plan they make
+
+
+def augmented_edges(
+    lower_rows: np.ndarray, n_prev: int, block: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directed (receiver, sender) arrays over observed prefix edges plus all
+    candidate edges of the block, both directions each."""
+    obs_i, obs_j = np.nonzero(lower_rows[:n_prev])
+    cand_i, cand_j = candidate_pairs(block)
+    u = np.concatenate([obs_i, cand_i])
+    v = np.concatenate([obs_j, cand_j])
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def block_bits(lower_rows: np.ndarray, block: Sequence[int]) -> np.ndarray:
+    """Ground-truth candidate-edge indicators in canonical order."""
+    return np.concatenate([lower_rows[i, :i] for i in block]).astype(np.float64)
+
+
+def reference_plan(runs) -> dict:
+    """The fields of ``generator.UnionPlan(runs)``, laid out one step at a
+    time from ``augmented_edges``: union nodes, rows and pairs count up step
+    by step and run by run, and new nodes read the zero row after all rows.
+    A run of several steps lists one edge per distinct (receiver row,
+    sender row) key in key order, the last edge of each key standing for
+    it; a one-step run lists every edge."""
+    zero_row = sum(rows.shape[0] for rows, _ in runs)
+    f = {k: [] for k in ("src_idx", "recv", "send", "edge_pair", "pair_rows", "pair_cols",
+                         "node_step", "node_graph", "step_off", "first", "index")}
+    nodes = pairs = steps = row_off = 0
+    for r, (rows, blocks) in enumerate(runs):
+        f["step_off"].append(steps)
+        keys = []
+        for block in blocks:
+            n_prev, n_cur = block[0], block[-1] + 1
+            src = [row_off + i for i in range(n_prev)] + [zero_row] * len(block)
+            cand = list(zip(*candidate_pairs(block)))
+            for i, j in zip(*augmented_edges(rows, n_prev, block)):
+                f["recv"].append(nodes + i)
+                f["send"].append(nodes + j)
+                pair = (max(i, j), min(i, j))
+                f["edge_pair"].append(pairs + cand.index(pair) if pair in cand else -1)
+                keys.append((src[i], src[j]))
+            f["pair_rows"] += [nodes + i for i, _ in cand]
+            f["pair_cols"] += [nodes + j for _, j in cand]
+            f["src_idx"] += src
+            f["node_step"] += [steps] * n_cur
+            f["node_graph"] += [r] * n_cur
+            nodes, pairs, steps = nodes + n_cur, pairs + len(cand), steps + 1
+        edges_before = len(f["recv"]) - len(keys)
+        if len(blocks) == 1:
+            first, index = list(range(len(keys))), list(range(len(keys)))
+        else:
+            last = {key: e for e, key in enumerate(keys)}
+            order = sorted(last)
+            first, index = [last[key] for key in order], [order.index(key) for key in keys]
+        f["index"] += [len(f["first"]) + i for i in index]
+        f["first"] += [edges_before + e for e in first]
+        row_off += rows.shape[0]
+    out = {k: np.asarray(v, dtype=np.int64) for k, v in f.items()}
+    return {
+        "rows": np.concatenate([rows for rows, _ in runs]),
+        "src_idx": out["src_idx"],
+        "edges": (out["recv"], out["send"]),
+        "round_one_edges": out["first"],
+        "round_one_index": out["index"],
+        "edge_pair": out["edge_pair"],
+        "pairs": (out["pair_rows"], out["pair_cols"]),
+        "num_steps": steps,
+        "node_step": out["node_step"],
+        "node_graph": out["node_graph"],
+        "step_off": out["step_off"],
+        "x": (out["src_idx"] == zero_row).astype(np.float64),
+        "pair_seg": out["node_step"][out["pair_rows"]],
+    }
 
 
 # ---------------------------------------------------------------------------

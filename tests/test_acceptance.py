@@ -30,7 +30,7 @@ from helpers import (
     gumbel_softmax_edge,
     one_hot,
     rel_error,
-    teacher_plans,
+    teacher_chunk,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,8 +230,8 @@ def test_acceptance_3_gradient_integrity():
             t.grad = None
         batch = [(og2, 1)]
         _, l_cond, _ = T._batch_losses(
-            batch, gen2, clf2, None, tcfg, 1.0, [np.random.default_rng(seed)],
-            teacher_plans(batch, tcfg),
+            *teacher_chunk(batch, tcfg, [np.random.default_rng(seed)]),
+            gen2, clf2, None, tcfg, 1.0,
         )
         l_cond.backward()
         if any(t.grad is not None and np.any(t.grad != 0.0) for t in gen2.tensors()):

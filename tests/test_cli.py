@@ -74,6 +74,17 @@ def test_ingest_missing_tu_directory(tmp_path):
     assert main(["ingest", "--tu", str(tmp_path / "missing"), "--out", str(tmp_path / "run")]) == 3
 
 
+def test_ingest_malformed_tu_label_exits_three(tmp_path, capsys):
+    tu = tmp_path / "bad"
+    tu.mkdir()
+    (tu / "bad_A.txt").write_text("1, 2\n2, 1\n")
+    (tu / "bad_graph_indicator.txt").write_text("1\n1\n")
+    (tu / "bad_graph_labels.txt").write_text("1\n")
+    (tu / "bad_node_labels.txt").write_text("0\nC\n")
+    assert main(["ingest", "--tu", str(tu), "--out", str(tmp_path / "run")]) == 3
+    assert "bad_node_labels.txt (line 2)" in capsys.readouterr().err
+
+
 def test_ingest_capacity_violation(tmp_path):
     config = write_config(tmp_path, max_nodes=5, block_size=1)
     code = main(["ingest", "--toy", "20", "--out", str(tmp_path / "run"), "--config", config])

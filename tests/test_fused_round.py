@@ -41,12 +41,12 @@ def _params(block_size, tied, seed=0):
 
 def _union(params, rng, sizes=(7, 4, 10)):
     """Initial states and plan of a union of random graphs, every step."""
-    plans = []
+    runs = []
     for n in sizes:
         edges = frozenset((j, i) for i in range(n) for j in range(i) if rng.random() < 0.35)
         og = decompose(Graph(n, edges, (0,) * n, 0), params.config.max_nodes)
-        plans.append(UnionPlan(og.lower_rows, block_partition(n, params.config.block_size)))
-    u = UnionPlan.stack(plans)
+        runs.append((og.lower_rows, block_partition(n, params.config.block_size)))
+    u = UnionPlan(runs)
     with no_grad():
         h0 = initial_states(u, [i % 2 for i in range(len(sizes))], params)
     return h0.value, u
@@ -249,13 +249,13 @@ def _mixed_union(params, seed, sizes=(7, 1, 4, 10, 5)):
     """A union of random graphs with both classes, a 1-node graph among
     them; returns the plan and its labels."""
     rng = np.random.default_rng(seed)
-    plans, labels = [], []
+    runs, labels = [], []
     for i, n in enumerate(sizes):
         edges = frozenset((j, k) for k in range(n) for j in range(k) if rng.random() < 0.35)
         og = decompose(Graph(n, edges, (0,) * n, 0), params.config.max_nodes)
-        plans.append(UnionPlan(og.lower_rows, block_partition(n, params.config.block_size)))
+        runs.append((og.lower_rows, block_partition(n, params.config.block_size)))
         labels.append((i // 2) % 2)
-    return UnionPlan.stack(plans), labels
+    return UnionPlan(runs), labels
 
 
 def _state_keys(u):
@@ -283,9 +283,9 @@ def test_round_one_runs_per_edge_in_one_step_plans_and_without_edges():
     params = _params(1, True)
     og = decompose(Graph(6, frozenset({(0, 1), (1, 2), (2, 5)}), (0,) * 6, 0), 10)
     for block in [(4,), (3, 4, 5)]:
-        one_step = UnionPlan(og.lower_rows[:block[0]], [block])
+        one_step = UnionPlan([(og.lower_rows[:block[0]], [block])])
         assert one_step.edges[0].size > 0 and one_step.round_one is None
-    no_edges = UnionPlan.stack([UnionPlan(np.zeros((1, 10)), [(0,)])] * 3)
+    no_edges = UnionPlan([(np.zeros((1, 10)), [(0,)])] * 3)
     assert no_edges.edges[0].size == 0 and no_edges.round_one is None
     h0 = initial_states(no_edges, [0, 1, 0], params)
     assert np.array_equal(run_rounds(h0, no_edges, params).value,

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from helpers import (
     MixtureParams,
+    augmented_edges,
+    block_bits,
     block_log_likelihood,
     finite_diff,
     graph_log_likelihood,
     init_representations,
     one_hot,
     output_heads,
+    reference_plan,
     rel_error,
     step_forward,
 )
@@ -19,8 +22,6 @@ from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
     GeneratorConfig,
     UnionPlan,
-    augmented_edges,
-    block_bits,
     candidate_pairs,
     gnn_round,
     init_generator,
@@ -68,8 +69,8 @@ def random_ordered(rng, n, params, p=0.4):
 
 def test_initial_states_embed_each_graphs_class_one_hot():
     params = small_params(1, num_classes=3)
-    plans = [UnionPlan(np.zeros((0, 8)), [(0, 1)]), UnionPlan(np.zeros((0, 8)), [(0,)])]
-    h = G.initial_states(UnionPlan.stack(plans), [2, 0], params).value
+    runs = [(np.zeros((0, 8)), [(0, 1)]), (np.zeros((0, 8)), [(0,)])]
+    h = G.initial_states(UnionPlan(runs), [2, 0], params).value
     wc, bc = params.cond_embed.W.value, params.cond_embed.b.value
     assert np.array_equal(h[:2, HID_H:], np.tile(wc[2] + bc, (2, 1)))
     assert np.array_equal(h[2:, HID_H:], (wc[0] + bc)[None, :])
@@ -85,7 +86,7 @@ def test_condition_vector_rejects_non_one_hot(bad):
 
 
 def test_condition_vector_label_range():
-    plan = UnionPlan(np.zeros((0, 8)), [(0,)])
+    plan = UnionPlan([(np.zeros((0, 8)), [(0,)])])
     for label in (2, -1):
         with pytest.raises(ValueError, match="outside"):
             G.initial_states(plan, [label], small_params())
@@ -366,7 +367,7 @@ def test_one_step_plan_matches_per_step_oracle_bit_for_bit():
             og = random_ordered(rng, int(rng.integers(1, 9)), params)
             c = one_hot(label, 2)
             for t, block in enumerate(block_partition(og.base.num_nodes, block_size), 1):
-                plan = UnionPlan(og.lower_rows[: block[0]], [block])
+                plan = UnionPlan([(og.lower_rows[: block[0]], [block])])
                 log_alpha, theta_logits, h = G.step_forward(plan, [label], params)
                 mix, want = step_forward(og.lower_rows, block, c, t, params)
                 assert np.array_equal(log_alpha.value[0], mix.log_alpha.value)
@@ -380,8 +381,9 @@ def test_stacked_plan_matches_each_graph_alone():
     params = small_params(28)
     ogs = [random_ordered(rng, n, params) for n in (5, 1, 8, 3)]
     labels = [1, 0, 0, 1]
-    plans = [UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, 2)) for og in ogs]
-    u = UnionPlan.stack(plans)
+    runs = [(og.lower_rows, block_partition(og.base.num_nodes, 2)) for og in ogs]
+    plans = [UnionPlan([run]) for run in runs]
+    u = UnionPlan(runs)
     log_alpha, theta_logits, h = G.step_forward(u, labels, params)
     bounds = u.pair_bounds()
     for i, (plan, label, s0) in enumerate(zip(plans, labels, u.step_off)):
@@ -396,12 +398,12 @@ def test_stacked_plan_matches_each_graph_alone():
 def test_stack_offsets_and_shared_zero_row():
     lower = np.zeros((3, 8))
     lower[1, 0] = lower[2, 1] = 1.0
-    a = UnionPlan(lower, [[0], [1], [2]])
-    b = UnionPlan(lower[:2], [[0, 1]])
+    run_a, run_b = (lower, [[0], [1], [2]]), (lower[:2], [[0, 1]])
+    a = UnionPlan([run_a])
     assert a.num_nodes == 1 + 2 + 3 and a.num_steps == 3 and a.num_pairs == 0 + 1 + 2
     assert a.src_idx.tolist() == [3, 0, 3, 0, 1, 3]
     assert a.pair_bounds().tolist() == [0, 0, 1, 3]
-    u = UnionPlan.stack([a, b])
+    u = UnionPlan([run_a, run_b])
     assert u.rows.shape == (5, 8)
     # new nodes of both graphs read the one zero row after the five real rows
     assert u.src_idx.tolist() == [5, 0, 5, 0, 1, 5, 5, 5]
@@ -420,11 +422,50 @@ def test_stack_offsets_and_shared_zero_row():
         else:
             assert {recv[e], send[e]} == {u.pairs[0][pair], u.pairs[1][pair]}
     # a one-node graph has no candidate pairs: it shifts steps, not pairs
-    lone = UnionPlan(np.zeros((0, 8)), [[0]])
+    run_lone = (np.zeros((0, 8)), [[0]])
+    lone = UnionPlan([run_lone])
     assert lone.num_pairs == 0 and lone.edge_pair.size == 0
-    v = UnionPlan.stack([b, lone, a])
+    v = UnionPlan([run_b, run_lone, run_a])
     assert v.node_step.tolist() == [0, 0, 1, 2, 3, 3, 4, 4, 4]
     assert v.edge_pair.tolist() == [0, 0, 1, 1, -1, 2, 3, -1, 2, 3]
+
+
+def _assert_plan_fields(plan, want):
+    assert set(vars(plan)) == set(want)
+    for name, value in want.items():
+        got = getattr(plan, name)
+        if isinstance(value, tuple):
+            assert len(got) == len(value)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, value))
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(got, value) and got.dtype == value.dtype, name
+        else:
+            assert got == value, name
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_plan_matches_the_per_step_layout_field_by_field(block_size):
+    """Each kind of run a chunk or a sample holds, alone and side by side."""
+    rng = np.random.default_rng(40 + block_size)
+    params = small_params(41)
+    ogs = [random_ordered(rng, n, params, p=0.5) for n in (8, 7, 8, 6)]
+    ogs.append(decompose(Graph(1, frozenset(), (0,), 0), 8))
+    blocks = [block_partition(og.base.num_nodes, block_size) for og in ogs]
+    cut = len(blocks[1]) // 2
+    runs = [
+        (ogs[0].lower_rows, blocks[0]),  # a whole graph
+        (ogs[1].lower_rows, blocks[1][cut:cut + 1]),  # one step at a chunk cut
+        (ogs[2].lower_rows, blocks[2][1:]),  # starts mid-graph
+        (ogs[3].lower_rows, blocks[3][:1]),  # the first step: edgeless at B = 1
+        (ogs[4].lower_rows, blocks[4]),  # a one-node graph: no edges at all
+        (ogs[1].lower_rows[:blocks[1][-1][0]], blocks[1][-1:]),  # a sampling step
+    ]
+    # a first step has no prefix edges, only its B(B - 1) / 2 candidate pairs
+    assert UnionPlan([runs[3]]).edges[0].size == block_size * (block_size - 1)
+    for run in runs:
+        _assert_plan_fields(UnionPlan([run]), reference_plan([run]))
+    _assert_plan_fields(UnionPlan(runs), reference_plan(runs))
+    _assert_plan_fields(UnionPlan(runs[::-1]), reference_plan(runs[::-1]))
 
 
 def test_classifier_reads_union_edges_as_the_separate_layout_did():
@@ -436,15 +477,13 @@ def test_classifier_reads_union_edges_as_the_separate_layout_did():
     clf = init_graph_classifier(4, 2, np.random.default_rng(33))
     for block_size in (1, 2, 3):
         ogs = [random_ordered(rng, n, params) for n in (6, 1, 8, 4)]
-        plans = [
-            UnionPlan(og.lower_rows, block_partition(og.base.num_nodes, block_size))
-            for og in ogs
-        ]
-        u = UnionPlan.stack(plans)
+        u = UnionPlan([
+            (og.lower_rows, block_partition(og.base.num_nodes, block_size)) for og in ogs
+        ])
         pair_weight = rng.random((u.num_pairs, 1))
         pre_recv, pre_send, node_seg = [], [], []
         node0 = step0 = 0
-        for og, plan in zip(ogs, plans):
+        for og in ogs:
             for block in block_partition(og.base.num_nodes, block_size):
                 obs_i, obs_j = np.nonzero(og.lower_rows[: block[0]])
                 pre_recv += [obs_i + node0, obs_j + node0]

@@ -11,6 +11,7 @@ from condgraphgen.graphs import (
     canonical_ordering,
     decompose,
     synthesize_toy_corpus,
+    union_edges,
 )
 
 
@@ -119,6 +120,14 @@ class TestDecompose:
     def test_round_trip(self, g):
         og = decompose(g, N=10)
         assert reconstructed_edges(og) == g.edges
+
+
+def test_union_edges_offset_each_graph_by_the_nodes_before_it():
+    graphs = [make_graph(3, [(0, 1), (1, 2)]), make_graph(1, []), make_graph(2, [(0, 1)])]
+    n, m, pairs = union_edges(graphs)
+    assert n.tolist() == [3, 1, 2] and m.tolist() == [2, 0, 1]
+    assert sorted(map(tuple, pairs[:2].tolist())) == [(0, 1), (1, 2)]
+    assert pairs[2:].tolist() == [[4, 5]] and pairs.dtype == np.int64
 
 
 class TestToyCorpus:

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     ClassProbabilities,
     MixtureParams,
+    block_bits,
     block_log_likelihood,
     classify_graph,
     condition_loss,
@@ -24,14 +25,14 @@ from helpers import (
     sample_block_relaxed,
     step_forward,
     symmetric_scatter,
-    teacher_plans,
+    teacher_chunk,
 )
 
 from condgraphgen import training as T
 from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoid
 from condgraphgen.classifiers import init_graph_classifier
 from condgraphgen.errors import ConfigError, NumericError
-from condgraphgen.generator import UnionPlan
+from condgraphgen.generator import UnionPlan, step_edges
 from condgraphgen.graphs import Graph, block_partition, decompose, synthesize_toy_corpus
 from condgraphgen.training import (
     LossBreakdown,
@@ -462,7 +463,7 @@ def _step_peak(n, max_nodes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return int(T._step_edges(og, block_partition(n, cfg.block_size)).sum()), bd, peak
+    return int(step_edges(og.lower_rows, block_partition(n, cfg.block_size)).sum()), bd, peak
 
 
 def test_step_peak_memory_follows_the_union_edge_budget():
@@ -533,14 +534,14 @@ def test_closed_form_step_edges_count_the_union_plan(block_size):
     for g in graphs:
         og = decompose(g, 48)
         blocks = block_partition(g.num_nodes, block_size)
-        u = UnionPlan(og.lower_rows, blocks)
+        u = UnionPlan([(og.lower_rows, blocks)])
         want = np.bincount(u.node_step[u.edges[0]], minlength=len(blocks))
-        assert T._step_edges(og, blocks).tolist() == want.tolist()
+        assert step_edges(og.lower_rows, blocks).tolist() == want.tolist()
 
 
 def test_train_generator_holds_no_plan_between_steps(monkeypatch):
     alive = []
-    init = T._TeacherPlan.__init__
+    init = UnionPlan.__init__
 
     def registering_init(self, *args):
         init(self, *args)
@@ -553,7 +554,7 @@ def test_train_generator_holds_no_plan_between_steps(monkeypatch):
         entries.append(sum(ref() is not None for ref in alive))
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(T._TeacherPlan, "__init__", registering_init)
+    monkeypatch.setattr(UnionPlan, "__init__", registering_init)
     monkeypatch.setattr(T, "train_step", checking_step)
     cfg, graphs = TrainConfig(**SMALL), small_corpus()
     train_generator(graphs, small_clf(), cfg)
@@ -565,9 +566,9 @@ def test_over_budget_step_builds_no_whole_graph_plan(monkeypatch):
     built = []
 
     class RecordingPlan(UnionPlan):
-        def __init__(self, lower_rows, blocks):
-            built.append((lower_rows.shape[0], len(blocks)))
-            super().__init__(lower_rows, blocks)
+        def __init__(self, runs):
+            built.extend((lower_rows.shape[0], len(blocks)) for lower_rows, blocks in runs)
+            super().__init__(runs)
 
     monkeypatch.setattr(T, "UnionPlan", RecordingPlan)
     cfg = TrainConfig(**{**SMALL, "max_nodes": 80, "block_size": 1})
@@ -581,7 +582,7 @@ def test_over_budget_step_builds_no_whole_graph_plan(monkeypatch):
     assert all(steps < n for n, steps in built)
     # each graph's union alone exceeds a chunk, so every graph is cut
     for og, _ in batch:
-        whole = T._step_edges(og, block_partition(og.base.num_nodes, 1)).sum()
+        whole = step_edges(og.lower_rows, block_partition(og.base.num_nodes, 1)).sum()
         assert whole > bd.max_chunk_edges
     assert len(built) > bd.chunks > 2
 
@@ -629,8 +630,8 @@ def test_condition_gradient_reaches_generator():
     found = False
     for seed in range(20):
         _, l_cond, _ = T._batch_losses(
-            batch[:1], gen, clf, nodeclf, cfg, 1.0, [np.random.default_rng(seed)],
-            teacher_plans(batch[:1], cfg),
+            *teacher_chunk(batch[:1], cfg, [np.random.default_rng(seed)]),
+            gen, clf, nodeclf, cfg, 1.0,
         )
         for t in gen.tensors():
             t.grad = None
@@ -674,9 +675,8 @@ def _per_step_draws(alpha, u, rngs):
 @pytest.mark.parametrize("block_size", [1, 3])
 def test_component_and_noise_draws_match_per_step_choice(block_size):
     graphs = small_corpus(5, seed=17) + [Graph(1, frozenset(), (0,), 1)]
-    u = UnionPlan.stack([
-        UnionPlan(decompose(g, 8).lower_rows, block_partition(g.num_nodes, block_size))
-        for g in graphs
+    u = UnionPlan([
+        (decompose(g, 8).lower_rows, block_partition(g.num_nodes, block_size)) for g in graphs
     ])
     alpha = np.random.default_rng(block_size).dirichlet(np.full(4, 0.2), size=u.num_steps)
     alpha[0] = [0.0, 1.0, 0.0, 0.0]
@@ -694,7 +694,7 @@ def test_component_and_noise_draws_match_per_step_choice(block_size):
 
 def test_mixture_weights_off_the_simplex_raise_numeric_error():
     g = small_corpus()[0]
-    u = UnionPlan.stack([UnionPlan(decompose(g, 8).lower_rows, block_partition(g.num_nodes, 1))])
+    u = UnionPlan([(decompose(g, 8).lower_rows, block_partition(g.num_nodes, 1))])
     alpha = np.full((u.num_steps, 2), 0.5)
     for bad in ([0.5, 0.6], [1.5, -0.5], [np.nan, 0.5]):
         alpha[-1] = bad
@@ -737,7 +737,7 @@ def reference_graph_losses(og, label, gen, clf, nodeclf, config, tau, rng):
     from condgraphgen.autodiff import constant as const
     from condgraphgen.autodiff import gather_rows
     from condgraphgen.classifiers import classify_nodes, uniform_features
-    from condgraphgen.generator import block_bits, candidate_pairs
+    from condgraphgen.generator import candidate_pairs
     from condgraphgen.graphs import block_partition
 
     c = one_hot(label, gen.config.num_classes)
@@ -773,8 +773,8 @@ def test_union_losses_match_per_step_oracle(block_size):
         og = decompose(g, cfg.max_nodes)
         batch = [(og, g.class_label)]
         got = T._batch_losses(
-            batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(gi)],
-            teacher_plans(batch, cfg),
+            *teacher_chunk(batch, cfg, [np.random.default_rng(gi)]),
+            gen, clf, nodeclf, cfg, 0.7,
         )
         want = reference_graph_losses(
             og, g.class_label, gen, clf, nodeclf, cfg, 0.7, np.random.default_rng(gi)
@@ -794,8 +794,8 @@ def test_batch_losses_match_sum_of_per_graph_oracle(block_size):
     batch = [(decompose(g, cfg.max_nodes), g.class_label) for g in graphs]
     assert len({og.base.num_nodes for og, _ in batch}) > 2
     got = T._batch_losses(
-        batch, gen, clf, nodeclf, cfg, 0.7, [np.random.default_rng(i) for i in range(len(batch))],
-        teacher_plans(batch, cfg),
+        *teacher_chunk(batch, cfg, [np.random.default_rng(i) for i in range(len(batch))]),
+        gen, clf, nodeclf, cfg, 0.7,
     )
     want = np.zeros(3)
     for i, (og, label) in enumerate(batch):
@@ -816,17 +816,16 @@ def test_adjacency_loss_gradient_matches_fd():
 
     checked = [gen.row_embed.W, gen.round_weights[0].gru.un, gen.head_theta.layers[0].W]
     batch = [(og, 1)]
-    plans = teacher_plans(batch, cfg)
 
     def loss_value():
         l_adj, _, _ = T._batch_losses(
-            batch, gen, None, None, cfg, 1.0, [np.random.default_rng(0)], plans
+            *teacher_chunk(batch, cfg, [np.random.default_rng(0)]), gen, None, None, cfg, 1.0
         )
         return l_adj.item()
 
     numeric = finite_diff(loss_value, [t.value for t in checked])
     l_adj, _, _ = T._batch_losses(
-        batch, gen, None, None, cfg, 1.0, [np.random.default_rng(0)], plans
+        *teacher_chunk(batch, cfg, [np.random.default_rng(0)]), gen, None, None, cfg, 1.0
     )
     for t in gen.tensors():
         t.grad = None

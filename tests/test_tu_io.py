@@ -97,3 +97,24 @@ def test_graph_list_round_trip(tmp_path):
     tu_io.save_graph_list(path, graphs)
     reloaded = tu_io.load_graph_list(path)
     assert [g.edges for g in reloaded] == [g.edges for g in graphs]
+
+
+@pytest.mark.parametrize(
+    "field, suffix, files",
+    [
+        ("node label", "node_labels", ("1, 2\n", "1\n1\n", "0\n", "3\nC\n")),
+        ("graph label", "graph_labels", ("1, 2\n", "1\n1\n2\n", "0\nx\n")),
+        ("graph indicator", "graph_indicator", ("1, 2\n", "1\none\n", "0\n")),
+    ],
+)
+def test_non_integer_value_names_file_and_line(tmp_path, field, suffix, files):
+    write_tu(tmp_path, "bad", *files)
+    where = rf"in bad_{suffix}.txt \(line 2\)"
+    with pytest.raises(TuFormatError, match=rf"non-integer {field} .* {where}"):
+        tu_io.load_tu(tmp_path, "bad")
+
+
+def test_out_of_range_indicator_reports_its_first_line(tmp_path):
+    write_tu(tmp_path, "bad", "1, 3\n", "1\n0\n1\n5\n", "0\n")
+    with pytest.raises(TuFormatError, match=r"indicator 0 outside \[1, 1\] .*\(line 2\)"):
+        tu_io.load_tu(tmp_path, "bad")
