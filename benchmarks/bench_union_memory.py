@@ -11,10 +11,11 @@ freshly initialized.  Only the public ``train_step`` is called.
 runs 16, 32, 64, 96, 111 (NCI1's largest graph), 160 and 320 nodes unless
 ``--nodes`` says otherwise.  It prints one JSON line per node count
 (``union_nodes``; ``union_edges``, the step's union edges; ``chunks``, the
-forward/backward passes ``train_step`` split them into; ``step_s``,
-``rss_before_mb``, ``peak_rss_mb`` and ``minor_faults``, the minor page
-faults taken during the step) and, with ``--out``, writes them to a JSON
-file.
+forward/backward passes ``train_step`` split them into; ``tape_nodes``, the
+autodiff tape nodes the step records, counted by wrapping
+``autodiff._make``; ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
+``minor_faults``, the minor page faults taken during the step) and, with
+``--out``, writes them to a JSON file.
 """
 
 from __future__ import annotations
@@ -40,8 +41,22 @@ def molecule_like(n: int, rng: np.random.Generator):
     return Graph(n, frozenset(edges), labels, 1)
 
 
+def count_tape_nodes(autodiff) -> list[int]:
+    """Wrap ``autodiff._make`` so that every recorded tape node adds one to
+    the returned counter."""
+    make, counter = autodiff._make, [0]
+
+    def counting(value, parents, backward):
+        out = make(value, parents, backward)
+        counter[0] += out.requires_grad
+        return out
+
+    autodiff._make = counting
+    return counter
+
+
 def one_step(n: int, seed: int) -> dict:
-    from condgraphgen import TrainConfig, decompose
+    from condgraphgen import TrainConfig, autodiff, decompose
     from condgraphgen.autodiff import Adam
     from condgraphgen.classifiers import init_graph_classifier, init_node_classifier
     from condgraphgen.generator import init_generator, step_edges
@@ -55,6 +70,7 @@ def one_step(n: int, seed: int) -> dict:
     nodeclf = init_node_classifier(gen.config.hidden_dim, 3, rng)
     clf = init_graph_classifier(3, 2, rng)
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=config.lr)
+    tape_nodes = count_tape_nodes(autodiff)
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     loss = train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
@@ -66,6 +82,7 @@ def one_step(n: int, seed: int) -> dict:
         "union_nodes": n * (n + 1) // 2,  # block size 1: step t holds t nodes
         "union_edges": int(edges.sum()),
         "chunks": loss.chunks,
+        "tape_nodes": tape_nodes[0],
         "step_s": round(step_s, 4),
         "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),
         "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),

@@ -223,48 +223,19 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 1-d or 2-d operands (numpy @ semantics)."""
+    """Matrix product of 2-d operands."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError("matmul() takes 2-d operands")
     out_val = a.value @ b.value
 
     def backward(g):
-        an, bn = a.value.ndim, b.value.ndim
         if a.requires_grad:
-            if an == 1 and bn == 1:
-                a._accumulate(g * b.value)
-            elif an == 2 and bn == 1:
-                a._accumulate(np.outer(g, b.value))
-            else:
-                a._accumulate(g @ b.value.T)
+            a._accumulate(g @ b.value.T)
         if b.requires_grad:
-            if an == 1 and bn == 1:
-                b._accumulate(g * a.value)
-            elif an == 1 and bn == 2:
-                b._accumulate(np.outer(a.value, g))
-            else:
-                b._accumulate(a.value.T @ g)
+            b._accumulate(a.value.T @ g)
 
     return _make(out_val, (a, b), backward)
-
-
-def linear(x, W, b) -> Tensor:
-    """x @ W + b for a 2-d x as one tape node: the bias is added in place on
-    the fresh product, so the tape keeps one array, not two."""
-    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
-    if x.value.ndim != 2:
-        raise ValueError("linear() takes a 2-d input")
-    out_val = x.value @ W.value
-    out_val += b.value
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ W.value.T)
-        if W.requires_grad:
-            W._accumulate(x.value.T @ g)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-
-    return _make(out_val, (x, W, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +478,7 @@ def gated_messages(
         hidden, s_inputs = _mlp_values(gate.layers[:-1], d_flag)
         np.maximum(hidden, 0.0, out=hidden)
         s_inputs.append(hidden)
-        s = hidden[index] @ gate.layers[-1].W.value
-        s += gate.layers[-1].b.value
-        s = _sigmoid_val(s)
+        s = _sigmoid_val(_mlp_values(gate.layers[-1:], hidden[index])[0])
         agg = backend.segment_sum(s * m[index], recv, num)
         # the backward differentiates at the first edges' gates
         s = s[first]
@@ -536,8 +505,8 @@ def gated_messages(
 
 
 def _mlp_values(layers: list[Linear], x: Array) -> tuple[Array, list[Array]]:
-    """An MLP's output and each layer's input, computed as ``MLP.__call__``
-    does; past the first layer an input is a ReLU output."""
+    """An MLP's output and each layer's input; past the first layer an input
+    is a ReLU output, taken in place on the layer before's product."""
     inputs = []
     for i, layer in enumerate(layers):
         if i:
@@ -549,15 +518,18 @@ def _mlp_values(layers: list[Linear], x: Array) -> tuple[Array, list[Array]]:
     return x, inputs
 
 
-def _mlp_backward(mlp: MLP, inputs: list[Array], g: Array) -> Array:
+def _mlp_backward(mlp: MLP, inputs: list[Array], g: Array, input_grad: bool = True):
     """Accumulate every layer's weight and bias gradients at output gradient
-    g; returns the gradient of the MLP's input."""
+    g; returns the gradient of the MLP's input, or None when ``input_grad``
+    is false."""
     for i in reversed(range(len(mlp.layers))):
         layer, x = mlp.layers[i], inputs[i]
         if layer.W.requires_grad:
             layer.W._accumulate(x.T @ g)
         if layer.b.requires_grad:
             layer.b._accumulate(_unbroadcast(g, layer.b.value.shape))
+        if not (i or input_grad):
+            return None
         g = g @ layer.W.value.T
         if i:
             g *= x > 0.0
@@ -569,14 +541,14 @@ def _mlp_backward(mlp: MLP, inputs: list[Array], g: Array) -> Array:
 
 
 class Linear:
-    """x @ W + b with W stored (in_dim, out_dim)."""
+    """x @ W + b with W stored (in_dim, out_dim): a one-layer MLP."""
 
     def __init__(self, W: Tensor, b: Tensor):
         self.W = W
         self.b = b
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.W, self.b)
+        return MLP([self])(x)
 
     def tensors(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -589,11 +561,20 @@ class MLP:
         self.layers = layers
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = relu(x)
-        return x
+        """The MLP on a 2-d input as one tape node: ``_mlp_values`` forward,
+        ``_mlp_backward`` backward, which skips the input's gradient when
+        the input needs none."""
+        x = as_tensor(x)
+        if x.value.ndim != 2:
+            raise ValueError("MLP and Linear take a 2-d input")
+        out, inputs = _mlp_values(self.layers, x.value)
+
+        def backward(g):
+            g = _mlp_backward(self, inputs, g, x.requires_grad)
+            if g is not None:
+                x._accumulate(g)
+
+        return _make(out, (x, *self.tensors()), backward)
 
     def tensors(self) -> list[Tensor]:
         return [t for layer in self.layers for t in layer.tensors()]

@@ -146,33 +146,29 @@ def _rebuild_generator(header: dict, arrays: dict[str, np.ndarray]) -> Generator
     return params
 
 
-def _rebuild_graph_classifier(arrays: dict[str, np.ndarray]) -> GraphClassifierParams:
-    try:
-        feature_dim = int(arrays["clf/conv/0/self"].shape[0])
-        last_bias = max(
-            (name for name in arrays if name.startswith("clf/head/") and name.endswith("/bias")),
-            key=lambda name: int(name.split("/")[2]),
-        )
-        num_classes = int(arrays[last_bias].shape[0])
-    except (KeyError, ValueError) as exc:
-        raise DataError("checkpoint graph-classifier section is incomplete") from exc
-    params = init_graph_classifier(feature_dim, num_classes, np.random.default_rng(0))
-    _assign(params.named_tensors(), arrays, "clf")
-    return params
+# per classifier section: its builder, the weight whose rows give the input
+# width, the prefix of its numbered layers and its name in errors
+_CLASSIFIERS = {
+    "clf": (init_graph_classifier, "clf/conv/0/self", "clf/head/", "graph-classifier"),
+    "nodeclf": (init_node_classifier, "nodeclf/0/weight", "nodeclf/", "node-classifier"),
+}
 
 
-def _rebuild_node_classifier(arrays: dict[str, np.ndarray]) -> NodeClassifierParams:
+def _rebuild_classifier(arrays: dict[str, np.ndarray], section: str):
+    """A classifier section built at the input width of its first weight
+    and the output width of its highest-numbered layer's bias."""
+    init, first, layers, what = _CLASSIFIERS[section]
     try:
-        input_dim = int(arrays["nodeclf/0/weight"].shape[0])
+        in_dim = int(arrays[first].shape[0])
         last_bias = max(
-            (name for name in arrays if name.startswith("nodeclf/") and name.endswith("/bias")),
-            key=lambda name: int(name.split("/")[1]),
+            (name for name in arrays if name.startswith(layers) and name.endswith("/bias")),
+            key=lambda name: int(name[len(layers):].split("/")[0]),
         )
-        num_labels = int(arrays[last_bias].shape[0])
+        out_dim = int(arrays[last_bias].shape[0])
     except (KeyError, ValueError) as exc:
-        raise DataError("checkpoint node-classifier section is incomplete") from exc
-    params = init_node_classifier(input_dim, num_labels, np.random.default_rng(0))
-    _assign(params.named_tensors(), arrays, "nodeclf")
+        raise DataError(f"checkpoint {what} section is incomplete") from exc
+    params = init(in_dim, out_dim, np.random.default_rng(0))
+    _assign(params.named_tensors(), arrays, section)
     return params
 
 
@@ -185,11 +181,9 @@ def load_checkpoint(path) -> Checkpoint:
     if unknown:
         raise DataError(f"checkpoint contains unknown sections {sorted(unknown)}")
     generator = _rebuild_generator(header, arrays) if "gen" in sections else None
-    graph_classifier = (
-        _rebuild_graph_classifier(arrays) if "clf" in sections else None
-    )
-    node_classifier = (
-        _rebuild_node_classifier(arrays) if "nodeclf" in sections else None
+    graph_classifier, node_classifier = (
+        _rebuild_classifier(arrays, section) if section in sections else None
+        for section in ("clf", "nodeclf")
     )
     if generator is None and graph_classifier is None and node_classifier is None:
         raise DataError(f"checkpoint {path} holds no parameters")

@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import backend
 from .autodiff import (
     Adam,
     Linear,
@@ -157,20 +158,17 @@ def graph_logits(
 def _discrete_logits(graphs, params: GraphClassifierParams) -> Tensor:
     """Logits of discrete graphs, run as one union: each graph's nodes are
     offset by the nodes of those before it.  The edges, both directions of
-    each, come straight from the edge sets, in row-major adjacency order by
-    one sort of their recv·N + send keys."""
+    each, are the union's CSR in row-major adjacency order: a receiver per
+    row entry, and the entry as its sender."""
     n, _, pairs = union_edges(graphs)
-    recv = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    send = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(recv * int(n.sum()) + send)
+    indptr, send = backend.csr_from_edges(int(n.sum()), pairs)
+    recv = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
     feats = one_hot_features(
         list(chain.from_iterable(g.node_labels for g in graphs)), params.feature_dim
     )
     weight = constant(np.ones((recv.size, 1)))
     graph_of_node = np.repeat(np.arange(len(graphs)), n)
-    return graph_logits(
-        params, feats, recv[order], send[order], weight, graph_of_node, len(graphs)
-    )
+    return graph_logits(params, feats, recv, send, weight, graph_of_node, len(graphs))
 
 
 @no_grad()

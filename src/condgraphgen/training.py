@@ -379,7 +379,8 @@ def _balanced_cuts(step_edges: np.ndarray, budget: int) -> np.ndarray:
 def _chunks(batch, rngs, blocks, cuts, gamma):
     """Each run of steps [a, b) of the batch's (graph, step) sequence as the
     arguments of ``_batch_losses`` for those steps: one union plan with a
-    run per graph the steps touch, those graphs' labels and RNGs, and the
+    run per graph the steps touch, over the rows before the run's last
+    block (all its steps read), those graphs' labels and RNGs, and the
     runs' teacher arrays.  A graph's RNG goes to every chunk that holds its
     steps, in step order."""
     first = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
@@ -391,7 +392,7 @@ def _chunks(batch, rngs, blocks, cuts, gamma):
         runs = [(batch[g][0], blocks[g][max(a - first[g], 0):b - first[g]]) for g in graphs]
         teacher = zip(*(_teacher(og, run, gamma) for og, run in runs))
         yield (
-            UnionPlan([(og.lower_rows, run) for og, run in runs]),
+            UnionPlan([(og.lower_rows[:run[-1][0]], run) for og, run in runs]),
             [batch[g][1] for g in graphs],
             [rngs[g] for g in graphs],
             tuple(np.concatenate(arrays) for arrays in teacher),

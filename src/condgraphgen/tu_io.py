@@ -52,24 +52,28 @@ class TuDataset:
     node_label_map: dict[str, int]
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path) -> list[tuple[int, str]]:
+    """The stripped non-blank lines of a file, each with its line number in
+    the file."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise IngestionError(f"missing or unreadable mandatory file: {path}") from exc
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    return [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
 
 
-def _read_ints(path: Path, what: str) -> list[int]:
-    """One integer per non-blank line; anything else raises TuFormatError
-    naming the file and the line."""
-    values = []
-    for lineno, ln in enumerate(_read_lines(path), start=1):
+def _read_ints(path: Path, what: str) -> tuple[list[int], list[int]]:
+    """One integer per non-blank line, and each one's line number in the
+    file; anything else raises TuFormatError naming the file and the line."""
+    values, lines = [], []
+    for lineno, ln in _read_lines(path):
         try:
             values.append(int(ln))
         except ValueError:
             raise TuFormatError(f"non-integer {what} {ln!r} in {path.name}", line=lineno) from None
-    return values
+        lines.append(lineno)
+    return values, lines
 
 
 def load_tu(directory, name: str) -> TuDataset:
@@ -79,16 +83,17 @@ def load_tu(directory, name: str) -> TuDataset:
     glab_path = directory / f"{name}_graph_labels.txt"
     nlab_path = directory / f"{name}_node_labels.txt"
 
-    indicator = _read_ints(ind_path, "graph indicator")
+    # node ids count the indicator's values, not its file lines
+    indicator, ind_lines = _read_ints(ind_path, "graph indicator")
     total_nodes = len(indicator)
     if total_nodes == 0:
         raise IngestionError(f"{ind_path} declares no nodes")
 
-    vals = _read_ints(glab_path, "graph label")
+    vals, glab_lines = _read_ints(glab_path, "graph label")
     num_graphs = len(vals)
     if num_graphs == 0:
         raise IngestionError(f"{glab_path} declares no graphs")
-    for lineno, gid in enumerate(indicator, start=1):
+    for lineno, gid in zip(ind_lines, indicator):
         if not 1 <= gid <= num_graphs:
             raise TuFormatError(
                 f"graph indicator {gid} outside [1, {num_graphs}] in {ind_path.name}", line=lineno
@@ -97,11 +102,11 @@ def load_tu(directory, name: str) -> TuDataset:
     graph_labels = [graph_label_map[str(v)] for v in vals]
 
     if nlab_path.exists():
-        vals = _read_ints(nlab_path, "node label")
+        vals, nlab_lines = _read_ints(nlab_path, "node label")
         if len(vals) != total_nodes:
             raise TuFormatError(
                 f"{nlab_path.name} has {len(vals)} lines, expected {total_nodes}",
-                line=len(vals),
+                line=nlab_lines[-1] if nlab_lines else None,
             )
         node_label_map = {str(v): i for i, v in enumerate(sorted(set(vals)))}
         node_labels_global = [node_label_map[str(v)] for v in vals]
@@ -117,23 +122,24 @@ def load_tu(directory, name: str) -> TuDataset:
         nodes_of[gid - 1].append(node_id)
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    for lineno, ln in enumerate(_read_lines(a_path), start=1):
+    where = f"in {a_path.name}"
+    for lineno, ln in _read_lines(a_path):
         parts = ln.replace(",", " ").split()
         if len(parts) != 2:
-            raise TuFormatError(f"expected 'i, j' pair, got {ln!r}", line=lineno)
+            raise TuFormatError(f"expected 'i, j' pair, got {ln!r} {where}", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise TuFormatError(f"non-integer node id in {ln!r}", line=lineno)
+            raise TuFormatError(f"non-integer node id in {ln!r} {where}", line=lineno) from None
         if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
-            raise TuFormatError(f"edge ({u}, {v}) references an undeclared node", line=lineno)
+            raise TuFormatError(
+                f"edge ({u}, {v}) references an undeclared node {where}", line=lineno
+            )
         gu, gv = indicator[u - 1], indicator[v - 1]
         if gu != gv:
-            raise TuFormatError(
-                f"edge ({u}, {v}) spans graphs {gu} and {gv}", line=lineno
-            )
+            raise TuFormatError(f"edge ({u}, {v}) spans graphs {gu} and {gv} {where}", line=lineno)
         if u == v:
-            raise TuFormatError(f"self-loop at node {u}", line=lineno)
+            raise TuFormatError(f"self-loop at node {u} {where}", line=lineno)
         lu, lv = local_index[u], local_index[v]
         edge_sets[gu - 1].add((min(lu, lv), max(lu, lv)))
 
@@ -141,7 +147,8 @@ def load_tu(directory, name: str) -> TuDataset:
     for gi in range(num_graphs):
         members = nodes_of[gi]
         if not members:
-            raise TuFormatError(f"graph {gi + 1} has no nodes", line=gi + 1)
+            raise TuFormatError(f"graph {gi + 1} of {glab_path.name} has no nodes",
+                                line=glab_lines[gi])
         graphs.append(
             Graph(
                 num_nodes=len(members),

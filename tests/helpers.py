@@ -21,6 +21,7 @@ import numpy as np
 
 from condgraphgen import autodiff
 from condgraphgen.autodiff import (
+    MLP,
     GruCell,
     Pending,
     Tensor,
@@ -34,6 +35,7 @@ from condgraphgen.autodiff import (
     log_softmax,
     logsumexp,
     matmul,
+    relu,
     segment_sum,
     sigmoid,
     softmax,
@@ -224,13 +226,23 @@ def recorded(op: Pending) -> Tensor:
     return autodiff._make(*op)
 
 
+def reference_mlp(mlp: MLP, x) -> Tensor:
+    """``MLP.__call__`` one tape node per op: each layer a matmul and a bias
+    add, with a ReLU between layers."""
+    for i, layer in enumerate(mlp.layers):
+        if i:
+            x = relu(x)
+        x = matmul(x, layer.W) + layer.b
+    return x
+
+
 def reference_messages(h, x, aug_edges, msg, gate) -> Tensor:
     """The gated messages of one round, one tape node per op."""
     recv, send = aug_edges
     diff = gather_rows(h, recv) - gather_rows(h, send)
     flag_diff = constant((x[recv] - x[send])[:, None])
-    g = sigmoid(gate(concat([diff, flag_diff], axis=1)))
-    return segment_sum(g * msg(diff), recv, h.shape[0])
+    g = sigmoid(reference_mlp(gate, concat([diff, flag_diff], axis=1)))
+    return segment_sum(g * reference_mlp(msg, diff), recv, h.shape[0])
 
 
 def reference_gru(cell: GruCell, h, m) -> Tensor:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from condgraphgen import autodiff as ad
 from condgraphgen import backend
-from helpers import finite_diff, rel_error, symmetric_scatter, tanh, tmean
+from helpers import finite_diff, reference_mlp, rel_error, symmetric_scatter, tanh, tmean
 
 RNG = np.random.default_rng(42)
 
@@ -58,16 +58,16 @@ def test_sub_equals_add_of_negation_bit_for_bit():
 
 def test_linear_grads():
     x, w, b = arr(5, 3), arr(3, 4), arr(4)
-    check_grad(lambda x_, w_, b_: (ad.linear(x_, w_, b_) * ad.linear(x_, w_, b_)).sum(),
+    check_grad(lambda x_, w_, b_: (ad.Linear(w_, b_)(x_) * ad.Linear(w_, b_)(x_)).sum(),
                [x, w, b])
-    assert np.array_equal(ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).value, x @ w + b)
+    assert np.array_equal(ad.Linear(ad.Tensor(w), ad.Tensor(b))(ad.Tensor(x)).value, x @ w + b)
     with pytest.raises(ValueError):
-        ad.linear(ad.Tensor(x[0]), ad.Tensor(w), ad.Tensor(b))
+        ad.Linear(ad.Tensor(w), ad.Tensor(b))(ad.Tensor(x[0]))
 
 
 def test_backward_keeps_gradients_only_on_leaves():
     x, w, b = (ad.parameter(a) for a in (arr(4, 3), arr(3, 2), arr(2)))
-    h = ad.relu(ad.linear(x, w, b) + 0.1)
+    h = ad.relu(ad.Linear(w, b)(x) + 0.1)
     loss = ad.log_softmax(h - tmean(h), axis=1).sum()
     interior, stack = [], [loss]
     while stack:
@@ -109,11 +109,11 @@ def test_matmul_grads():
     check_grad(lambda x: (ad.Tensor(a) @ x).sum(), [b.copy()])
 
 
-def test_matmul_grads_one_dimensional():
-    v, w, m = arr(5), arr(5), arr(5, 3)
-    check_grad(lambda x, y: (x @ y).sum(), [v, m])
-    check_grad(lambda x, y: (x @ y).sum(), [m.T.copy(), w])
-    check_grad(lambda x, y: x @ y, [v, w])
+def test_matmul_rejects_one_dimensional_operands():
+    v, m = ad.Tensor(arr(5)), ad.Tensor(arr(5, 3))
+    for a, b in ((v, m), (m.value.T, v), (v, v)):
+        with pytest.raises(ValueError, match="2-d"):
+            ad.matmul(a, b)
 
 
 def test_elementwise_grads():
@@ -298,6 +298,53 @@ def test_matmul_grad_property(n, m, k, seed):
 def test_orthogonal_init_is_orthonormal():
     q = ad.orthogonal(np.random.default_rng(0), 8)
     assert np.allclose(q @ q.T, np.eye(8), atol=1e-10)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("layers", [1, 2, 3, "linear"])
+def test_mlp_is_one_tape_node_equal_to_the_op_by_op_reference(monkeypatch, layers, input_grad):
+    """An MLP of one to three layers, and a Linear, record one tape node; its
+    value and every gradient equal ``reference_mlp`` bit for bit, and a
+    constant input gets no gradient."""
+    rng = np.random.default_rng(7)
+    dims = [3, 5, 4, 2][: (1 if layers == "linear" else layers) + 1]
+    mlp = ad.make_mlp(rng, dims)
+    for t in mlp.tensors():
+        t.value += rng.standard_normal(t.shape)  # nonzero biases
+    call = mlp.layers[0] if layers == "linear" else mlp
+    x, out_weight = arr(6, dims[0]), arr(6, dims[-1])
+
+    def run(forward):
+        for t in mlp.tensors():
+            t.grad = None
+        xt = ad.parameter(x) if input_grad else ad.constant(x)
+        out = forward(xt)
+        (out * out_weight).sum().backward()
+        return [out.value, xt.grad] + [t.grad for t in mlp.tensors()]
+
+    want = run(lambda xt: reference_mlp(mlp, xt))
+    recorded = []
+    make = ad._make
+
+    def counting(value, parents, backward):
+        out = make(value, parents, backward)
+        recorded.append(out.requires_grad)
+        return out
+
+    def counted(xt):
+        monkeypatch.setattr(ad, "_make", counting)
+        out = call(xt)
+        monkeypatch.undo()
+        return out
+
+    got = run(counted)
+    assert recorded == [True]
+    assert (want[1] is None) == (got[1] is None) == (not input_grad)
+    for w, g in zip(want, got):
+        assert (w is None and g is None) or np.array_equal(w, g)
+    # some first-layer outputs are negative, so the ReLU masks take effect
+    if len(dims) > 2:
+        assert (reference_mlp(ad.MLP(mlp.layers[:1]), ad.Tensor(x)).value < 0).any()
 
 
 def test_mlp_forward_matches_manual():

@@ -27,15 +27,17 @@ def test_union_memory_benchmark_runs_one_small_step():
     for record in records:
         n = record["nodes"]
         assert set(record) == {
-            "nodes", "union_nodes", "union_edges", "chunks", "step_s", "rss_before_mb",
-            "peak_rss_mb", "minor_faults",
+            "nodes", "union_nodes", "union_edges", "chunks", "tape_nodes", "step_s",
+            "rss_before_mb", "peak_rss_mb", "minor_faults",
         }
+        assert record["tape_nodes"] > 0
         assert record["union_nodes"] == n * (n + 1) // 2
         assert record["union_edges"] > 0
         assert record["step_s"] > 0 and record["peak_rss_mb"] >= record["rss_before_mb"] > 0
         assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
     # 8 nodes fit the union edge budget in one pass, 48 do not
     assert records[0]["chunks"] == 1 and records[1]["chunks"] > 1
+    assert records[1]["tape_nodes"] > records[0]["tape_nodes"]
 
 
 def test_stats_benchmark_times_both_corpora():

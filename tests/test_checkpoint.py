@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 import json
 
@@ -184,6 +185,43 @@ def test_shape_mismatch_rejected(tmp_path):
     path = corrupt_archive(tmp_path, mutate)
     with pytest.raises(DataError, match="shape"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "dropped, section",
+    [
+        ("clf/conv/0/self", "graph-classifier"),
+        ("nodeclf/0/weight", "node-classifier"),
+        ("clf/head/*/bias", "graph-classifier"),
+        ("nodeclf/*/bias", "node-classifier"),
+    ],
+)
+def test_incomplete_classifier_section_names_it(tmp_path, dropped, section):
+    """Without the first weight, or without any layer bias, a classifier's
+    widths cannot be read."""
+    _, clf, nodeclf = make_params()
+    path = tmp_path / "clf.npz"
+    save_checkpoint(path, graph_classifier=clf, node_classifier=nodeclf)
+    with np.load(path) as archive:
+        payload = {name: archive[name] for name in archive.files
+                   if not fnmatch.fnmatchcase(name, dropped)}
+    np.savez(path, **payload)
+    with pytest.raises(DataError, match=f"checkpoint {section} section is incomplete"):
+        load_checkpoint(path)
+
+
+def test_classifier_widths_come_from_the_stored_shapes(tmp_path):
+    clf = init_graph_classifier(5, 4, np.random.default_rng(3))
+    nodeclf = init_node_classifier(7, 6, np.random.default_rng(4))
+    path = tmp_path / "clf.npz"
+    save_checkpoint(path, graph_classifier=clf, node_classifier=nodeclf)
+    ckpt = load_checkpoint(path)
+    got_clf, got_node = ckpt.graph_classifier, ckpt.node_classifier
+    assert (got_clf.feature_dim, got_clf.num_classes) == (5, 4)
+    assert (got_node.input_dim, got_node.num_labels) == (7, 6)
+    for want, got in ((clf, got_clf), (nodeclf, got_node)):
+        for a, b in zip(want.tensors(), got.tensors()):
+            assert np.array_equal(a.value, b.value)
 
 
 def test_incomplete_header_rejected(tmp_path):

@@ -567,7 +567,7 @@ def test_over_budget_step_builds_no_whole_graph_plan(monkeypatch):
 
     class RecordingPlan(UnionPlan):
         def __init__(self, runs):
-            built.extend((lower_rows.shape[0], len(blocks)) for lower_rows, blocks in runs)
+            built.extend((blocks[0][0], blocks[-1][-1] + 1) for _, blocks in runs)
             super().__init__(runs)
 
     monkeypatch.setattr(T, "UnionPlan", RecordingPlan)
@@ -579,12 +579,33 @@ def test_over_budget_step_builds_no_whole_graph_plan(monkeypatch):
     nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, rng)
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
     bd = train_step(batch, gen, small_clf(), nodeclf, cfg, opt, 1.0, [rng, rng])
-    assert all(steps < n for n, steps in built)
+    # no run holds every step of a graph, from node 0 to its last node
+    assert not any(start == 0 and end in {g.num_nodes for g in graphs} for start, end in built)
     # each graph's union alone exceeds a chunk, so every graph is cut
     for og, _ in batch:
         whole = step_edges(og.lower_rows, block_partition(og.base.num_nodes, 1)).sum()
         assert whole > bd.max_chunk_edges
     assert len(built) > bd.chunks > 2
+
+
+def test_chunk_plans_embed_only_the_rows_their_steps_read(monkeypatch):
+    plans = []
+
+    class RecordingPlan(UnionPlan):
+        def __init__(self, runs):
+            super().__init__(runs)
+            plans.append((runs, self))
+
+    monkeypatch.setattr(T, "UnionPlan", RecordingPlan)
+    monkeypatch.setattr(T, "UNION_EDGE_BUDGET", 60)
+    cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
+    train_step(batch, gen, clf, nodeclf, cfg, opt, 1.0, rngs)
+    assert len(plans) > 2
+    for runs, plan in plans:
+        # a run holds the rows before its last block, the prefix of that step
+        assert all(rows.shape[0] == blocks[-1][0] for rows, blocks in runs)
+        # every row (and the shared zero row after them) is some node's row
+        assert np.array_equal(np.unique(plan.src_idx), np.arange(plan.rows.shape[0] + 1))
 
 
 def test_balanced_cuts_keep_steps_whole_and_runs_even():

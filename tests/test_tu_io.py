@@ -118,3 +118,45 @@ def test_out_of_range_indicator_reports_its_first_line(tmp_path):
     write_tu(tmp_path, "bad", "1, 3\n", "1\n0\n1\n5\n", "0\n")
     with pytest.raises(TuFormatError, match=r"indicator 0 outside \[1, 1\] .*\(line 2\)"):
         tu_io.load_tu(tmp_path, "bad")
+
+
+def test_edge_error_reports_the_file_line_past_blank_lines(tmp_path):
+    write_tu(tmp_path, "bad", "1, 2\n2, 1\n\n2, x\n", "1\n1\n", "0\n")
+    with pytest.raises(TuFormatError, match=r"in bad_A.txt \(line 4\)"):
+        tu_io.load_tu(tmp_path, "bad")
+
+
+def test_indicator_error_reports_the_file_line_past_blank_lines(tmp_path):
+    write_tu(tmp_path, "bad", "1, 2\n", "\n1\nq\n", "0\n")
+    with pytest.raises(TuFormatError, match=r"in bad_graph_indicator.txt \(line 3\)"):
+        tu_io.load_tu(tmp_path, "bad")
+
+
+def test_node_ids_count_non_blank_indicator_lines(tmp_path):
+    write_tu(tmp_path, "gaps", "2, 3\n3, 2\n", "\n1\n\n2\n2\n", "0\n\n1\n", "\n5\n6\n\n7\n")
+    graphs = tu_io.load_tu(tmp_path, "gaps").graphs
+    assert [g.num_nodes for g in graphs] == [1, 2]
+    assert graphs[0].edges == frozenset() and graphs[1].edges == frozenset({(0, 1)})
+    assert graphs[1].node_labels == (1, 2) and graphs[1].class_label == 1
+
+
+@pytest.mark.parametrize(
+    "edge, problem",
+    [
+        ("1 2 3", "expected 'i, j' pair"),
+        ("1, y", "non-integer node id"),
+        ("1, 9", "undeclared node"),
+        ("1, 3", "spans graphs 1 and 2"),
+        ("2, 2", "self-loop at node 2"),
+    ],
+)
+def test_every_edge_error_names_the_edge_file(tmp_path, edge, problem):
+    write_tu(tmp_path, "bad", f"1, 2\n\n{edge}\n", "1\n1\n2\n", "0\n1\n")
+    with pytest.raises(TuFormatError, match=rf"{problem}.* in bad_A.txt \(line 3\)"):
+        tu_io.load_tu(tmp_path, "bad")
+
+
+def test_graph_without_nodes_reports_its_label_line(tmp_path):
+    write_tu(tmp_path, "bad", "1, 2\n", "1\n1\n", "0\n\n1\n")
+    with pytest.raises(TuFormatError, match=r"graph 2 of bad_graph_labels.txt .*\(line 3\)"):
+        tu_io.load_tu(tmp_path, "bad")
