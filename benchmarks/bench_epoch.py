@@ -13,8 +13,11 @@ graph classifier is freshly initialized.
 
 3,288 graphs (the default) is the train split ``ingest`` makes of NCI1's
 4,110.  It prints one JSON line: ``graphs``, ``epoch_s``, ``graphs_per_s``,
-``rss_before_mb`` (after building the corpus) and ``peak_rss_mb``, the
-process's peak resident set.
+``rss_before_mb`` (after building the corpus), ``peak_rss_mb``, the
+process's peak resident set, and ``minor_faults``, the minor page faults
+taken during the epoch.  With ``--out`` it also writes that line to a JSON
+file with the git commit and the ``*_NUM_THREADS`` variables (see
+``record.py``).
 """
 
 from __future__ import annotations
@@ -44,16 +47,18 @@ def one_epoch(count: int, seed: int) -> dict:
     graphs = nci1_like_corpus(lognormal_sizes(count, 8, 111, rng), rng, "train")
     clf = init_graph_classifier(NUM_NODE_LABELS, 2, rng)
     config = TrainConfig(max_nodes=111, epochs=1, seed=seed)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     train_generator(graphs, clf, config, num_node_labels=NUM_NODE_LABELS)
     seconds = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "graphs": len(graphs),
         "epoch_s": round(seconds, 2),
         "graphs_per_s": round(len(graphs) / seconds, 2),
-        "rss_before_mb": round(before / 1024.0, 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
+        "minor_faults": after.ru_minflt - before.ru_minflt,
     }
 
 
@@ -61,8 +66,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--graphs", type=int, default=3288)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="JSON file for the result")
     args = parser.parse_args(argv)
-    print(json.dumps(one_epoch(args.graphs, args.seed)), flush=True)
+    result = one_epoch(args.graphs, args.seed)
+    print(json.dumps(result), flush=True)
+    if args.out:
+        import record
+
+        record.write(args.out, result)
     return 0
 
 

@@ -15,7 +15,8 @@ forward/backward passes ``train_step`` split them into; ``tape_nodes``, the
 autodiff tape nodes the step records, counted by wrapping
 ``autodiff._make``; ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
 ``minor_faults``, the minor page faults taken during the step) and, with
-``--out``, writes them to a JSON file.
+``--out``, writes them to a JSON file with the git commit and the
+``*_NUM_THREADS`` variables (see ``record.py``).
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def main(argv=None) -> int:
         results.append(json.loads(out.stdout))
         print(out.stdout.strip(), flush=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
+        import record
+
+        record.write(args.out, results)
     return 0
 
 

@@ -1,0 +1,43 @@
+"""The ``--out`` file of a benchmark script: its JSON results with the git
+commit they were measured at and the thread settings they depend on.
+
+Bits and speed both change with the BLAS thread count, so the file records
+every ``*_NUM_THREADS`` variable that is set and the CPU count next to the
+results.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def commit() -> str | None:
+    """The checked-out commit, with ``-dirty`` when tracked files differ
+    from it; None outside a git checkout."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD"], cwd=ROOT, capture_output=True
+        ).returncode != 0
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head + ("-dirty" if dirty else "")
+
+
+def write(path: str, results) -> None:
+    record = {
+        "commit": commit(),
+        "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+        "results": results,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")

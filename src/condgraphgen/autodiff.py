@@ -253,10 +253,15 @@ def relu(x) -> Tensor:
 
 
 def _sigmoid_val(v: Array) -> Array:
-    # e = exp(-|v|) never overflows; 1/(1+e) for v >= 0 and e/(1+e) below
-    # are the two stable branches, evaluated without masked copies
+    """σ(v) = max(e, [v >= 0]) / (1 + e) with e = exp(-|v|), which never
+    overflows: the stable branch 1 / (1 + e) for v >= 0 and e / (1 + e)
+    below, each the same single division, so the value is exact without a
+    select between two computed branches."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.maximum(e, v >= 0)
+    e += 1.0
+    s /= e
+    return s
 
 
 def sigmoid(x) -> Tensor:
@@ -302,7 +307,16 @@ def softplus(x) -> Tensor:
 
 
 def log_sigmoid(x) -> Tensor:
-    return -softplus(-as_tensor(x))
+    """log σ(x) = -(log(1 + e^-|x|) + max(-x, 0)), with gradient σ(-x): the
+    value and gradient of -softplus(-x), to the last bit, as one node."""
+    x = as_tensor(x)
+    v = -x.value
+    out_val = -(np.log1p(np.exp(-np.abs(v))) + np.maximum(v, 0.0))
+
+    def backward(g):
+        x._accumulate(g * _sigmoid_val(v))
+
+    return _make(out_val, (x,), backward)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:

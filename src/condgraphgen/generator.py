@@ -162,25 +162,39 @@ def step_edges(lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.nd
     return np.asarray([2 * (prefix[b[0]] + sum(b)) for b in blocks], dtype=np.int64)
 
 
-def _ints(parts) -> np.ndarray:
-    return np.concatenate(parts, dtype=np.int64)
-
-
-def _distinct_edges(
-    src_idx: np.ndarray, edges: tuple[np.ndarray, np.ndarray], width: int
+def _round_one(
+    local: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray],
+    edge_run: np.ndarray,
+    run_rows: np.ndarray,
+    run_steps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One edge per distinct (receiver row, sender row) key of one run's
-    edges, whose nodes read rows ``[0, width)``, in key order, and each
-    edge's index into that list.  Keys are counted in a dense table of
-    ``width``² flags, not sorted."""
+    """The round-one table of a plan (see UnionPlan) from each node's row
+    within its run, ``run_rows`` for the zero row, and each edge's run: one
+    edge per distinct (run, receiver row, sender row) key, in key order, and
+    each edge's index into that list.  The keys of a run of several steps
+    are counted in a dense table of (rows + 1)² flags, not sorted; a
+    one-step run keys each edge by its place, so it lists every edge."""
     recv, send = edges
-    key = src_idx[recv] * width + src_idx[send]
-    present = np.zeros(width * width, dtype=bool)
+    num_edges = recv.shape[0]
+    multi = run_steps > 1
+    if not multi.any():
+        return np.arange(num_edges), np.arange(num_edges)
+    width = run_rows + 1
+    run_edge_off = np.searchsorted(edge_run, np.arange(run_rows.shape[0]))
+    table = np.where(multi, width * width, np.diff(run_edge_off, append=num_edges))
+    key = np.where(
+        multi[edge_run],
+        local[recv] * width[edge_run] + local[send],
+        np.arange(num_edges) - run_edge_off[edge_run],
+    )
+    key += (np.cumsum(table) - table)[edge_run]
+    present = np.zeros(table.sum(), dtype=bool)
     present[key] = True
     index = (np.cumsum(present) - 1)[key]
     first = np.empty(np.count_nonzero(present), dtype=np.int64)
     # any edge of a key stands for it: all carry the same message
-    first[index] = np.arange(key.shape[0])
+    first[index] = np.arange(num_edges)
     return first, index
 
 
@@ -219,72 +233,103 @@ class UnionPlan:
 
     def __init__(self, runs: Sequence[tuple[np.ndarray, Sequence[Sequence[int]]]]):
         self.rows = np.concatenate([rows for rows, _ in runs])
+        if len(runs) == 1 and len(runs[0][1]) == 1:
+            self._one_step(runs[0][1][0])
+            return
         zero_row = self.rows.shape[0]
-        src_idx, recv, send, edge_pair, pair_rows, pair_cols = [], [], [], [], [], []
-        first, index, step_nodes, run_nodes, step_off = [], [], [], [], []
-        # union nodes, pairs, edges, distinct round-one edges and rows so far
-        nodes = pairs = edges = distinct = row_off = 0
-        for rows, blocks in runs:
-            run_src, run_recv, run_send = [], [], []
-            run_start, run_edges = nodes, edges
-            step_off.append(len(step_nodes))
-            obs_i, obs_j = np.nonzero(rows)
-            # observed edges come row by row, so a step's prefix edges are a
-            # head of them; the blocks are consecutive, so a step's candidate
-            # pairs are the next slice of the run's
-            n_obs = np.searchsorted(obs_i, [block[0] for block in blocks])
-            cand_i, cand_j = candidate_pairs(range(blocks[0][0], blocks[-1][-1] + 1))
-            cand = 0
-            for block, m in zip(blocks, n_obs):
-                k = sum(block)
-                u = np.concatenate([obs_i[:m], cand_i[cand:cand + k]]) + nodes
-                v = np.concatenate([obs_j[:m], cand_j[cand:cand + k]]) + nodes
-                run_recv += [u, v]
-                run_send += [v, u]
-                edges += 2 * u.shape[0]
-                carried = np.arange(pairs - m, pairs + k)
-                carried[:m] = -1
-                edge_pair += [carried, carried]
-                pair_rows.append(u[m:])
-                pair_cols.append(v[m:])
-                run_src += [np.arange(row_off, row_off + block[0]),
-                            np.full(len(block), zero_row)]
-                step_nodes.append(block[-1] + 1)
-                nodes += block[-1] + 1
-                pairs += k
-                cand += k
-            if len(blocks) == 1:
-                # one step repeats a key only within its block, which saves
-                # less than the table costs: sampling runs round one per edge
-                run_first = run_index = np.arange(edges - run_edges)
-            else:
-                # keys over the run's own rows, the zero row right after them
-                local = np.minimum(_ints(run_src) - row_off, rows.shape[0])
-                run_first, run_index = _distinct_edges(
-                    local, (_ints(run_recv) - run_start, _ints(run_send) - run_start),
-                    rows.shape[0] + 1,
-                )
-            src_idx += run_src
-            recv += run_recv
-            send += run_send
-            first.append(run_first + run_edges)
-            index.append(run_index + distinct)
-            run_nodes.append(nodes - run_start)
-            distinct += run_first.shape[0]
-            row_off += rows.shape[0]
-        self.src_idx = _ints(src_idx)
-        self.edges = (_ints(recv), _ints(send))
-        self.round_one_edges, self.round_one_index = _ints(first), _ints(index)
-        self.edge_pair = _ints(edge_pair)
-        self.pairs = (_ints(pair_rows), _ints(pair_cols))
-        self.num_steps = len(step_nodes)
-        self.node_step = np.repeat(np.arange(self.num_steps), step_nodes)
-        self.node_graph = np.repeat(np.arange(len(runs)), run_nodes)
-        self.step_off = np.asarray(step_off, dtype=np.int64)
-        # a new node reads the zero row, and a pair belongs to the step of
-        # its new node
+        run_rows = np.asarray([rows.shape[0] for rows, _ in runs], dtype=np.int64)
+        run_steps = np.asarray([len(blocks) for _, blocks in runs], dtype=np.int64)
+        # each step's first new node, which is its count of prefix nodes,
+        # and its block size; steps are laid out run after run
+        start = np.asarray([b[0] for _, blocks in runs for b in blocks], dtype=np.int64)
+        size = np.asarray([len(b) for _, blocks in runs for b in blocks], dtype=np.int64)
+        steps = np.arange(start.shape[0])
+        step_run = np.repeat(np.arange(len(runs)), run_steps)
+        run_row_off = np.cumsum(run_rows) - run_rows
+        row_off = run_row_off[step_run]
+        end = start + size
+        node_off = np.cumsum(end) - end
+
+        # observed edges come row by row, so a step's prefix edges are the
+        # head of its run's below row ``start``; candidate pairs, Σ block
+        # per step, follow all observed edges in step order
+        obs_i, obs_j = np.nonzero(self.rows)
+        lo, hi = np.searchsorted(obs_i, [row_off, row_off + start])
+        obs_i -= np.repeat(run_row_off, run_rows)[obs_i]
+        new = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+        cand_i, cand_j = candidate_pairs(new)
+        ends_i = np.concatenate([obs_i, cand_i])
+        ends_j = np.concatenate([obs_j, cand_j])
+        m = hi - lo
+        k = size * start + size * (size - 1) // 2
+        pair_off = np.cumsum(k) - k
+
+        # a step's edges are u then v as receivers, with v then u as senders,
+        # where (u, v) lists its m prefix edges, then its k candidate pairs
+        half = m + k
+        half_off = np.cumsum(half) - half
+        hstep = np.repeat(steps, half)
+        p = np.arange(half.sum()) - half_off[hstep]
+        cand = p >= m[hstep]
+        idx = p + np.where(cand, (pair_off - m)[hstep] + obs_i.shape[0], lo[hstep])
+        u = ends_i[idx] + node_off[hstep]
+        v = ends_j[idx] + node_off[hstep]
+        carried = np.where(cand, idx - obs_i.shape[0], -1)
+        at_u = p + 2 * half_off[hstep]
+        at_v = at_u + half[hstep]
+        num_edges = 2 * u.shape[0]
+        recv, send, edge_pair = (np.empty(num_edges, dtype=np.int64) for _ in range(3))
+        recv[at_u], recv[at_v] = u, v
+        send[at_u], send[at_v] = v, u
+        edge_pair[at_u] = edge_pair[at_v] = carried
+
+        # a step's union nodes are its prefix nodes, which read the run's
+        # rows, then its block, which reads the zero row
+        node_step = np.repeat(steps, end)
+        local = np.arange(end.sum()) - node_off[node_step]
+        is_new = local >= start[node_step]
+        self.src_idx = np.where(is_new, zero_row, local + row_off[node_step])
+        self.edges = (recv, send)
+        self.round_one_edges, self.round_one_index = _round_one(
+            np.where(is_new, run_rows[step_run][node_step], local),
+            self.edges, np.repeat(step_run, 2 * half), run_rows, run_steps,
+        )
+        self.edge_pair = edge_pair
+        self.pairs = (u[cand], v[cand])
+        self.num_steps = steps.shape[0]
+        self.node_step = node_step
+        self.node_graph = step_run[node_step]
+        self.step_off = np.cumsum(run_steps) - run_steps
+        self.x = is_new.astype(np.float64)
+        # a pair belongs to the step of its new node
+        self.pair_seg = hstep[cand]
+
+    def _one_step(self, block: Sequence[int]) -> None:
+        """The fields of a plan of one step of one graph, the plan sampling
+        builds for each block: the layout above for one step, written out
+        directly, since the general layout's fixed cost of about 60 NumPy
+        calls made it twice as slow on one step (and slower than the
+        per-block loop it replaced)."""
+        zero_row = self.rows.shape[0]
+        obs_i, obs_j = np.nonzero(self.rows[:block[0]])
+        cand_i, cand_j = candidate_pairs(block)
+        u = np.concatenate([obs_i, cand_i])
+        v = np.concatenate([obs_j, cand_j])
+        carried = np.arange(-obs_i.shape[0], cand_i.shape[0])
+        carried[:obs_i.shape[0]] = -1
+        num_nodes, num_edges = block[-1] + 1, 2 * u.shape[0]
+        self.src_idx = np.arange(num_nodes)
+        self.src_idx[block[0]:] = zero_row
+        self.edges = (np.concatenate([u, v]), np.concatenate([v, u]))
+        self.round_one_edges, self.round_one_index = np.arange(num_edges), np.arange(num_edges)
+        self.edge_pair = np.concatenate([carried, carried])
+        self.pairs = (cand_i, cand_j)
+        self.num_steps = 1
+        self.node_step = np.zeros(num_nodes, dtype=np.int64)
+        self.node_graph = np.zeros(num_nodes, dtype=np.int64)
+        self.step_off = np.zeros(1, dtype=np.int64)
         self.x = (self.src_idx == zero_row).astype(np.float64)
-        self.pair_seg = self.node_step[self.pairs[0]]
+        self.pair_seg = np.zeros(cand_i.shape[0], dtype=np.int64)
 
     @property
     def num_nodes(self) -> int:

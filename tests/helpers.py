@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
-round-trip oracle for ordered graphs, the op-by-op reference for one
+round-trip oracle for ordered graphs, the two-branch sigmoid and composed
+log-sigmoid that the fused ops are held to, the op-by-op reference for one
 message-passing round, the per-step reference oracle for the generator
 and the graph classifier, and the per-graph reference for the evaluation
 statistics.
@@ -39,6 +40,7 @@ from condgraphgen.autodiff import (
     segment_sum,
     sigmoid,
     softmax,
+    softplus,
     straight_through,
 )
 from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
@@ -200,6 +202,18 @@ def reference_plan(runs) -> dict:
 
 # ---------------------------------------------------------------------------
 # ops only the tests use, and the op-by-op message-passing round
+
+
+def two_branch_sigmoid(v: np.ndarray) -> np.ndarray:
+    """The sigmoid as a select between its two stable branches, 1 / (1 + e)
+    for v >= 0 and e / (1 + e) below, with e = exp(-|v|)."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def reference_log_sigmoid(x) -> Tensor:
+    """log σ(x) as the composition -softplus(-x), three tape nodes."""
+    return -softplus(-as_tensor(x))
 
 
 def tanh(x) -> Tensor:

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 from condgraphgen import autodiff as ad
 from condgraphgen import backend
-from helpers import finite_diff, reference_mlp, rel_error, symmetric_scatter, tanh, tmean
+from helpers import (
+    finite_diff,
+    reference_log_sigmoid,
+    reference_mlp,
+    rel_error,
+    symmetric_scatter,
+    tanh,
+    tmean,
+    two_branch_sigmoid,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -151,6 +160,62 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# ±0, ±inf, NaN, the smallest normal and subnormal, the largest double and
+# the arguments where exp(-|v|) underflows to a subnormal and to zero
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 5e-324, -5e-324, 1e-310, -1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 708.5, -708.5,
+                     745.0, -745.0, 746.0, -746.0])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    """NaN included: each entry, in every shape, has the bits of the select
+    between the two stable branches."""
+    rng = np.random.default_rng(3)
+    inputs = [SPECIALS, SPECIALS.reshape(1, -1), np.array(-0.0)]
+    for scale in (1e-8, 1e-2, 1.0, 30.0, 1e3):
+        for shape in ((7,), (780, 64), (33, 1), (2, 3, 5)):
+            inputs.append(scale * rng.standard_normal(shape))
+    for v in inputs:
+        got = ad._sigmoid_val(v)
+        assert np.shape(got) == v.shape
+        assert np.array_equal(_bits(got), _bits(two_branch_sigmoid(v)))
+
+
+def _tape_nodes(out):
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t.requires_grad and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_log_sigmoid_is_one_node_equal_to_the_composition():
+    """Values and input gradients equal -softplus(-x) to the last bit (NaN
+    only up to its sign bit), recorded as one node in place of three."""
+    rng = np.random.default_rng(4)
+    for v in (SPECIALS, 40.0 * rng.standard_normal((300, 7)), rng.standard_normal(1000)):
+        w = rng.standard_normal(v.shape)
+        results = []
+        for op in (ad.log_sigmoid, reference_log_sigmoid):
+            x = ad.parameter(v)
+            out = op(x)
+            (out * w).sum().backward()
+            results.append((out, x.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert _tape_nodes(got) == 1 and _tape_nodes(want) == 3
+        for a, b in ((got.value, want.value), (got_grad, want_grad)):
+            nan = np.isnan(b)
+            assert np.array_equal(np.isnan(a), nan)
+            assert np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
 
 
 def test_softplus_extreme_values_stable():

@@ -59,12 +59,25 @@ def test_stats_benchmark_times_both_corpora():
     assert records[1]["nodes"] == 4 * 111
 
 
-def test_epoch_benchmark_trains_one_small_epoch():
+def test_epoch_benchmark_trains_one_small_epoch(tmp_path):
+    path = tmp_path / "epoch.json"
+    env = _env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
     out = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "bench_epoch.py"), "--graphs", "4"],
-        capture_output=True, text=True, env=_env(), timeout=300, check=True,
+        [sys.executable, str(ROOT / "benchmarks" / "bench_epoch.py"), "--graphs", "4",
+         "--out", str(path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     (record,) = [json.loads(line) for line in out.stdout.splitlines()]
-    assert set(record) == {"graphs", "epoch_s", "graphs_per_s", "rss_before_mb", "peak_rss_mb"}
+    assert set(record) == {
+        "graphs", "epoch_s", "graphs_per_s", "rss_before_mb", "peak_rss_mb", "minor_faults",
+    }
     assert record["graphs"] == 4 and record["epoch_s"] > 0 and record["graphs_per_s"] > 0
     assert record["peak_rss_mb"] >= record["rss_before_mb"] > 0
+    assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
+    saved = json.loads(path.read_text())
+    assert saved["results"] == record
+    assert saved["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert saved["cpu_count"] == os.cpu_count()
+    # a git checkout records its commit, a copy without .git records None
+    assert saved["commit"] is None or len(saved["commit"].split("-")[0]) == 40

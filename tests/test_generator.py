@@ -447,11 +447,13 @@ def _assert_plan_fields(plan, want):
 def test_plan_matches_the_per_step_layout_field_by_field(block_size):
     """Each kind of run a chunk or a sample holds, alone and side by side."""
     rng = np.random.default_rng(40 + block_size)
-    params = small_params(41)
+    params = small_params(41, max_nodes=40)
     ogs = [random_ordered(rng, n, params, p=0.5) for n in (8, 7, 8, 6)]
-    ogs.append(decompose(Graph(1, frozenset(), (0,), 0), 8))
+    ogs.append(decompose(Graph(1, frozenset(), (0,), 0), 40))
+    ogs.append(random_ordered(rng, 40, params, p=0.1))
     blocks = [block_partition(og.base.num_nodes, block_size) for og in ogs]
     cut = len(blocks[1]) // 2
+    mid = blocks[5][5:]
     runs = [
         (ogs[0].lower_rows, blocks[0]),  # a whole graph
         (ogs[1].lower_rows, blocks[1][cut:cut + 1]),  # one step at a chunk cut
@@ -459,6 +461,7 @@ def test_plan_matches_the_per_step_layout_field_by_field(block_size):
         (ogs[3].lower_rows, blocks[3][:1]),  # the first step: edgeless at B = 1
         (ogs[4].lower_rows, blocks[4]),  # a one-node graph: no edges at all
         (ogs[1].lower_rows[:blocks[1][-1][0]], blocks[1][-1:]),  # a sampling step
+        (ogs[5].lower_rows[:mid[-1][0]], mid),  # 40 nodes from mid-graph, chunk rows
     ]
     # a first step has no prefix edges, only its B(B - 1) / 2 candidate pairs
     assert UnionPlan([runs[3]]).edges[0].size == block_size * (block_size - 1)
