@@ -37,7 +37,7 @@ def _keep_freed_memory() -> None:
     twice that threshold.  A chunk of a training step frees its whole tape,
     arrays of up to a few MB, at the end of its backward, so the heap top
     is trimmed after every backward and the next chunk faults its arrays
-    in again page by page: about 56,000 minor faults per ``toy`` epoch.
+    in again page by page: 34,000-60,000 minor faults per ``toy`` epoch.
     Fixed thresholds stop that.  Arrays up to 32 MiB, the ceiling of
     glibc's own dynamic threshold, come from the heap, so later large
     arrays (the evaluation's) reuse what training freed rather than
