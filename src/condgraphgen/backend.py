@@ -8,56 +8,14 @@ Traversal", PVLDB 8(4), 2014).  Each union node carries a bitset of
 ``words`` uint64 words whose bit i says that node i of its own graph has
 reached it.  A level is one gather over the CSR neighbours, one OR
 reduction per node, a mask against the reached set and a popcount.
-
-Importing the module also fixes glibc's allocator thresholds, so that the
-arrays a training step frees stay mapped for the next one (see
-``_keep_freed_memory``).
 """
 
 from __future__ import annotations
-
-import ctypes
-import sys
 
 import numpy as np
 
 # The benchmark's environment record reads this flag.
 HAS_NUMBA = False
-
-# glibc's mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Keep freed arrays mapped between training steps, on glibc only.
-
-    By default glibc serves each allocation above a dynamic threshold with
-    its own mmap and returns the heap's free top to the OS once it exceeds
-    twice that threshold.  A chunk of a training step frees its whole tape,
-    arrays of up to a few MB, at the end of its backward, so the heap top
-    is trimmed after every backward and the next chunk faults its arrays
-    in again page by page: 34,000-60,000 minor faults per ``toy`` epoch.
-    Fixed thresholds stop that.  Arrays up to 32 MiB, the ceiling of
-    glibc's own dynamic threshold, come from the heap, so later large
-    arrays (the evaluation's) reuse what training freed rather than
-    mapping more; at 8 MiB the ``nci1`` benchmark's peak RSS rose by about
-    6%.  The heap keeps up to 64 MiB of free top, the smallest power of two
-    that left no repeated faults in a training step on graphs of up to
-    620 nodes (32 MiB left them at 620 nodes).  The price is that RSS
-    stays near its peak between steps instead of falling.  Off glibc
-    nothing changes."""
-    if not sys.platform.startswith("linux"):
-        return
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "gnu_get_libc_version"):
-        return
-    # fixing either threshold turns off glibc's adjustment of both
-    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
-_keep_freed_memory()
 
 
 # ---------------------------------------------------------------------------

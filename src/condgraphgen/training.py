@@ -24,8 +24,12 @@ not the size of its graphs.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import json
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -419,6 +423,52 @@ def _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau, 
     return adj_total.item(), cond_total.item(), node_total.item(), total.item()
 
 
+# glibc's mallopt parameters, and the environment settings that fix them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_ALLOCATOR_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+_ALLOCATOR_TUNABLES = ("glibc.malloc.trim_threshold", "glibc.malloc.mmap_threshold")
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Keep the arrays a training step frees mapped for the next step, on
+    glibc only; True when both thresholds were set.
+
+    By default glibc serves each allocation above a dynamic threshold with
+    its own mmap and returns the heap's free top to the OS once it exceeds
+    twice that threshold.  A chunk of a training step frees its whole tape,
+    arrays of up to a few MB, at the end of its backward, so the heap top
+    is trimmed after every backward and the next chunk faults its arrays
+    in again page by page: 34,000-60,000 minor faults per ``toy`` epoch.
+    Fixed thresholds stop that.  Arrays up to 32 MiB, the ceiling of
+    glibc's own dynamic threshold, come from the heap, so later large
+    arrays reuse what training freed rather than mapping more (at 8 MiB
+    the ``nci1`` benchmark's peak RSS rose by about 6%).  The heap keeps up
+    to 256 MiB of free top.  64 MiB, the smallest power of two that left no
+    repeated faults in a training step on graphs of up to 620 nodes, left
+    the same faults per ``nci1`` iteration, but in ten rotated runs of the
+    ``nci1`` benchmark its median training step took 11% longer than at
+    256 MiB, for no lower peak RSS.  The price is that RSS stays near its
+    peak between steps instead of falling.
+
+    The first ``train_step`` of a process calls this, so importing the
+    package changes nothing.  Thresholds fixed in the environment
+    (``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_MMAP_THRESHOLD_`` or their
+    ``GLIBC_TUNABLES``) are left as they are."""
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (not sys.platform.startswith("linux")
+            or any(name in os.environ for name in _ALLOCATOR_VARIABLES)
+            or any(name in tunables for name in _ALLOCATOR_TUNABLES)):
+        return False
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    # fixing either threshold turns off glibc's adjustment of both
+    return bool(libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20))
+
+
 def train_step(
     batch: Sequence[tuple[OrderedGraph, int]],
     gen_params: GeneratorParams,
@@ -439,9 +489,11 @@ def train_step(
     it builds; no plan outlives its chunk.  The loss terms sum over steps and
     every graph draws from its own RNG in step order, so the update equals
     the one-pass update up to summation order.  Raises NumericError, before
-    the update, on a non-finite loss term or gradient."""
+    the update, on a non-finite loss term or gradient.  The first call of a
+    process fixes glibc's allocator thresholds (``_keep_freed_memory``)."""
     if not batch:
         raise ValueError("empty batch")
+    _keep_freed_memory()
     if len(rngs) != len(batch):
         raise ValueError("one RNG substream per batch graph required")
     if config.lambda_condition > 0.0 and clf_params is None:

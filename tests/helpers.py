@@ -204,11 +204,16 @@ def reference_plan(runs) -> dict:
 # ops only the tests use, and the op-by-op message-passing round
 
 
-def two_branch_sigmoid(v: np.ndarray) -> np.ndarray:
-    """The sigmoid as a select between its two stable branches, 1 / (1 + e)
-    for v >= 0 and e / (1 + e) below, with e = exp(-|v|)."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def masked_sigmoid(v: np.ndarray) -> np.ndarray:
+    """The sigmoid from its two stable branches on boolean-masked copies,
+    1 / (1 + exp(-v)) for v >= 0 and e / (1 + e) with e = exp(v) below."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 def reference_log_sigmoid(x) -> Tensor:

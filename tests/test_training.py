@@ -453,19 +453,20 @@ def test_step_peak_memory_stays_near_the_tape(monkeypatch):
 _REPEATED_EPOCHS = """
 import resource
 import numpy as np
-from condgraphgen import TrainConfig
+from condgraphgen import TrainConfig, training
 from condgraphgen.classifiers import init_graph_classifier
 from condgraphgen.graphs import synthesize_toy_corpus
-from condgraphgen.training import train_generator
 
+# importing the package leaves the allocator alone
+assert training._keep_freed_memory.cache_info().currsize == 0
 graphs = synthesize_toy_corpus(16, seed=0)
 clf = init_graph_classifier(3, 2, np.random.default_rng(0))
 faults = []
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    train_generator(graphs, clf, TrainConfig(epochs=1))
+    training.train_generator(graphs, clf, TrainConfig(epochs=1))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(faults[1])
+print(training._keep_freed_memory(), faults[1])
 """
 
 
@@ -479,13 +480,27 @@ def test_repeated_training_reuses_freed_memory():
     faults, not one per page of every chunk's tape (about 4,100 with
     glibc's default thresholds, against 2 with the package's)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items()
+           if k not in T._ALLOCATOR_VARIABLES and k != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", _REPEATED_EPOCHS],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    assert int(out.stdout) < 1000
+    applied, faults = out.stdout.split()
+    assert applied == "True" and int(faults) < 1000
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_TRIM_THRESHOLD_", "1048576"),
+    ("MALLOC_MMAP_THRESHOLD_", "1048576"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1048576"),
+    ("GLIBC_TUNABLES", "glibc.cpu.x86_shstk=on:glibc.malloc.mmap_threshold=65536"),
+])
+def test_allocator_thresholds_set_in_the_environment_are_kept(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    # the uncached function, so the check runs again in this process
+    assert T._keep_freed_memory.__wrapped__() is False
 
 
 def _step_peak(n, max_nodes):
