@@ -477,8 +477,8 @@ print(training._keep_freed_memory(), faults[1])
 def test_repeated_training_reuses_freed_memory():
     """Once a first epoch has run, another one on the same graphs takes
     its arrays from memory the process already holds: a few minor page
-    faults, not one per page of every chunk's tape (about 4,100 with
-    glibc's default thresholds, against 2 with the package's)."""
+    faults, not one per page of every chunk's tape (about 14,600 with
+    glibc's default thresholds, against 6-170 with the package's)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items()
            if k not in T._ALLOCATOR_VARIABLES and k != "GLIBC_TUNABLES"}
