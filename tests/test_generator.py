@@ -467,8 +467,9 @@ def test_plan_matches_the_per_step_layout_field_by_field(block_size):
     assert UnionPlan([runs[3]]).edges[0].size == block_size * (block_size - 1)
     for run in runs:
         _assert_plan_fields(UnionPlan([run]), reference_plan([run]))
-    _assert_plan_fields(UnionPlan(runs), reference_plan(runs))
-    _assert_plan_fields(UnionPlan(runs[::-1]), reference_plan(runs[::-1]))
+    one_step = [runs[1], runs[3], runs[5]]
+    for plan_runs in (runs, runs[::-1], one_step):
+        _assert_plan_fields(UnionPlan(plan_runs), reference_plan(plan_runs))
 
 
 def test_classifier_reads_union_edges_as_the_separate_layout_did():
