@@ -16,7 +16,8 @@ otherwise.  It calls ``corpus_stats`` once to warm up and then
 ``--repeats`` times (default 5).  It prints one JSON line per corpus:
 ``graphs``, ``nodes``, ``edges``, ``seconds`` (the median call),
 ``graphs_per_s``, ``rss_before_mb`` (after building the corpus) and
-``peak_rss_mb``.  With ``--out`` it also writes them to a JSON file.
+``peak_rss_mb``.  With ``--out`` it also writes them, as a list, to a JSON
+file with the git commit and thread settings (see ``record.py``).
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ def main(argv=None) -> int:
         results.append(json.loads(out.stdout))
         print(out.stdout.strip(), flush=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
+        import record
+
+        record.write(args.out, results)
     return 0
 
 

@@ -294,18 +294,6 @@ def log(x) -> Tensor:
     return _make(out_val, (x,), backward)
 
 
-def softplus(x) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
-    x = as_tensor(x)
-    v = x.value
-    out_val = np.log1p(np.exp(-np.abs(v))) + np.maximum(v, 0.0)
-
-    def backward(g):
-        x._accumulate(g * _sigmoid_val(v))
-
-    return _make(out_val, (x,), backward)
-
-
 def log_sigmoid(x) -> Tensor:
     """log σ(x) = -(log(1 + e^-|x|) + max(-x, 0)), with gradient σ(-x): the
     value and gradient of -softplus(-x), to the last bit, as one node."""

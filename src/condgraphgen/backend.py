@@ -7,7 +7,8 @@ once (Then et al., "The More the Merrier: Efficient Multi-Source Graph
 Traversal", PVLDB 8(4), 2014).  Each union node carries a bitset of
 ``words`` uint64 words whose bit i says that node i of its own graph has
 reached it.  A level is one gather over the CSR neighbours, one OR
-reduction per node, a mask against the reached set and a popcount.
+reduction over every node's segment, a mask against the unreached set and
+a popcount.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ def segment_sum(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 def _popcount(bits: np.ndarray) -> np.ndarray:
     """Set bits per row of an (n, words) uint64 array."""
-    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    counts = np.bitwise_count(bits)
+    if bits.shape[1] == 1:
+        return counts.reshape(-1).astype(np.int64)
+    return counts.sum(axis=1, dtype=np.int64)
 
 
 def sp_pair_sum(
@@ -75,28 +79,33 @@ def sp_pair_sum(
     bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
     reach[np.arange(n), local >> 6] = bit
     dist_sum = np.zeros(n, dtype=np.int64)
+    # Rows 0..n-1 of ``frontier`` hold the bits each node reached last
+    # level; row n stays zero.  An isolated node reads that row, so every
+    # node owns a non-empty segment of ``sources`` and one reduceat over
+    # them all gives every node's next frontier.
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier[:n] = reach
+    reached = frontier[:n]
+    isolated = indptr[1:] == indptr[:-1]
+    sources = np.insert(indices, indptr[:-1][isolated], n)
+    starts = indptr[:-1] + np.cumsum(isolated) - isolated
+    gathered = np.empty((sources.shape[0], words), dtype=np.uint64)
+    unreached = ~reach
     neighbours = np.zeros_like(reach)
-    has_edges = np.diff(indptr) > 0
-    # reduceat over the nodes that have neighbours only: their segments
-    # tile ``indices``, where an empty segment would read its next element
-    starts = indptr[:-1][has_edges]
-    frontier = reach
     level = 0
-    while starts.size:
-        reached = np.zeros_like(reach)
-        gathered = np.take(frontier, indices, axis=0)
-        reached[has_edges] = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        reached &= ~reach
+    while True:
+        np.take(frontier, sources, axis=0, out=gathered, mode="clip")
+        np.bitwise_or.reduceat(gathered, starts, axis=0, out=reached)
+        reached &= unreached
         found = _popcount(reached)
         if not found.any():
             break
         level += 1
         dist_sum += level * found
-        reach |= reached
+        unreached ^= reached
         if level == 1:
-            neighbours = reached
-        frontier = reached
-    return dist_sum, reach, neighbours
+            neighbours = reached.copy()
+    return dist_sum, ~unreached, neighbours
 
 
 def components_labels(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ blocks of B consecutive nodes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -23,13 +23,19 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected labeled graph with a class label."""
+    """Immutable undirected labeled graph with a class label.
+
+    ``edge_array`` holds the normalized edges as a read-only (edges, 2)
+    int64 array in ``edges``' iteration order.  It is derived from
+    ``edges``, so it takes no part in ``==``, hashing or ``repr``.
+    """
 
     num_nodes: int
     edges: frozenset[Edge]
     node_labels: tuple[int, ...]
     class_label: int
     dataset_id: str | None = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_nodes <= 0:
@@ -45,6 +51,25 @@ class Graph:
         object.__setattr__(self, "node_labels", tuple(int(l) for l in self.node_labels))
         if len(self.node_labels) != self.num_nodes:
             raise ValueError("node_labels length must equal num_nodes")
+        self._set_edge_array()
+
+    def _set_edge_array(self) -> None:
+        pairs = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=2 * len(self.edges)
+        ).reshape(-1, 2)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "edge_array", pairs)
+
+    # A pickle holds the edge set only; loading rebuilds the array from the
+    # loaded set, in its own iteration order and read-only.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["edge_array"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._set_edge_array()
 
     @property
     def num_edges(self) -> int:
@@ -54,11 +79,7 @@ class Graph:
         return sorted(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.num_nodes)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.uint8)
@@ -84,8 +105,7 @@ def union_edges(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray, np.nda
     edge-set order."""
     n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     m = np.array([g.num_edges for g in graphs], dtype=np.int64)
-    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    pairs = np.concatenate([g.edge_array for g in graphs] or [np.zeros((0, 2), np.int64)])
     pairs += np.repeat(np.cumsum(n) - n, m)[:, None]
     return n, m, pairs
 

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
-round-trip oracle for ordered graphs, the two-branch sigmoid and composed
-log-sigmoid that the fused ops are held to, the op-by-op reference for one
+round-trip oracle for ordered graphs, the two-branch sigmoid, softplus and
+the composed log-sigmoid that the fused ops are held to, the op-by-op reference for one
 message-passing round, the per-step reference oracle for the generator
 and the graph classifier, and the per-graph reference for the evaluation
 statistics.
@@ -40,7 +40,6 @@ from condgraphgen.autodiff import (
     segment_sum,
     sigmoid,
     softmax,
-    softplus,
     straight_through,
 )
 from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
@@ -214,6 +213,18 @@ def masked_sigmoid(v: np.ndarray) -> np.ndarray:
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
+
+
+def softplus(x) -> Tensor:
+    """log(1 + e^x), computed without overflow."""
+    x = as_tensor(x)
+    v = x.value
+    out_val = np.log1p(np.exp(-np.abs(v))) + np.maximum(v, 0.0)
+
+    def backward(g):
+        x._accumulate(g * autodiff._sigmoid_val(v))
+
+    return autodiff._make(out_val, (x,), backward)
 
 
 def reference_log_sigmoid(x) -> Tensor:

@@ -11,6 +11,7 @@ from helpers import (
     reference_log_sigmoid,
     reference_mlp,
     rel_error,
+    softplus,
     symmetric_scatter,
     tanh,
     tmean,
@@ -132,7 +133,7 @@ def test_elementwise_grads():
     check_grad(lambda t: tanh(t).sum(), [x])
     check_grad(lambda t: ad.exp(t).sum(), [x])
     check_grad(lambda t: ad.log(t).sum(), [np.abs(x) + 0.5])
-    check_grad(lambda t: ad.softplus(t).sum(), [x * 3])
+    check_grad(lambda t: softplus(t).sum(), [x * 3])
     check_grad(lambda t: ad.log_sigmoid(t).sum(), [x * 3])
 
 
@@ -198,7 +199,7 @@ def test_log_sigmoid_is_one_node_equal_to_the_composition():
 
 def test_softplus_extreme_values_stable():
     x = ad.Tensor(np.array([-800.0, 0.0, 800.0]))
-    y = ad.softplus(x)
+    y = softplus(x)
     assert np.all(np.isfinite(y.value))
     assert y.value[0] == pytest.approx(0.0)
     assert y.value[2] == pytest.approx(800.0)

@@ -40,11 +40,13 @@ def test_union_memory_benchmark_runs_one_small_step():
     assert records[1]["tape_nodes"] > records[0]["tape_nodes"]
 
 
-def test_stats_benchmark_times_both_corpora():
+def test_stats_benchmark_times_both_corpora(tmp_path):
+    path = tmp_path / "stats.json"
     env = _env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_stats.py"),
-         "--graphs", "4", "--repeats", "1"],
+         "--graphs", "4", "--repeats", "1", "--out", str(path)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     records = [json.loads(line) for line in out.stdout.splitlines()]
@@ -57,6 +59,11 @@ def test_stats_benchmark_times_both_corpora():
         assert r["graphs"] == 4 and r["seconds"] > 0 and r["graphs_per_s"] > 0
         assert r["peak_rss_mb"] >= r["rss_before_mb"] > 0
     assert records[1]["nodes"] == 4 * 111
+    saved = json.loads(path.read_text())
+    assert saved["results"] == records
+    assert saved["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert saved["cpu_count"] == os.cpu_count()
+    assert saved["commit"] is None or len(saved["commit"].split("-")[0]) == 40
 
 
 def test_epoch_benchmark_trains_one_small_epoch(tmp_path):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from helpers import classify_graph, finite_diff, rel_error
 
+from condgraphgen import backend, classifiers
 from condgraphgen.autodiff import Tensor, constant, parameter
 from condgraphgen.classifiers import (
     ClassifierTrainConfig,
     class_distributions,
     classify_nodes,
     classifier_accuracy,
+    graph_logits,
     init_graph_classifier,
     init_node_classifier,
     one_hot_features,
@@ -21,7 +23,7 @@ from condgraphgen.classifiers import (
 )
 from condgraphgen.datasets import stratified_split
 from condgraphgen.errors import DataError
-from condgraphgen.graphs import Graph, synthesize_toy_corpus
+from condgraphgen.graphs import Graph, synthesize_toy_corpus, union_edges
 
 
 def small_clf(seed=0, feature_dim=3, num_classes=2):
@@ -73,7 +75,6 @@ def _dense_order_distributions(params, graphs):
     """Reference for ``class_distributions``: each graph's (recv, send) from
     ``np.nonzero`` of its dense adjacency, offset into one union."""
     from condgraphgen.autodiff import log_sigmoid, softmax
-    from condgraphgen.classifiers import graph_logits
 
     feats, recv, send, offset = [], [], [], 0
     for g in graphs:
@@ -99,6 +100,61 @@ def test_class_distributions_match_dense_edge_order_bit_for_bit():
     ]
     got = class_distributions(params, graphs)
     assert np.array_equal(got, _dense_order_distributions(params, graphs))
+
+
+def _all_ones_logits(graphs, params):
+    """``_discrete_logits`` through the weighted convolution, every edge
+    carrying an explicit weight of 1."""
+    n, _, pairs = union_edges(graphs)
+    indptr, send = backend.csr_from_edges(int(n.sum()), pairs)
+    recv = np.repeat(np.arange(int(n.sum())), np.diff(indptr))
+    feats = one_hot_features([l for g in graphs for l in g.node_labels], params.feature_dim)
+    graph_of_node = np.repeat(np.arange(len(graphs)), n)
+    weight = constant(np.ones((recv.size, 1)))
+    return graph_logits(params, feats, recv, send, weight, graph_of_node, len(graphs))
+
+
+def test_unit_weight_logits_and_gradients_equal_all_ones_weights_bit_for_bit():
+    params = small_clf(8)
+    graphs = synthesize_toy_corpus(12, (4, 16), seed=9) + [
+        Graph(1, frozenset(), (2,), 0),
+        Graph(5, frozenset({(1, 3)}), (0, 1, 2, 0, 1), 1),
+        Graph(3, frozenset(), (0, 1, 2), 1),
+    ]
+    w = np.random.default_rng(3).standard_normal((len(graphs), 2))
+    results = []
+    for logits_of in (classifiers._discrete_logits, _all_ones_logits):
+        for t in params.tensors():
+            t.grad = None
+        logits = logits_of(graphs, params)
+        (logits * constant(w)).sum().backward()
+        results.append([logits.value] + [t.grad for t in params.tensors()])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_read_out_unions_keep_predictions(monkeypatch):
+    params = small_clf(10)
+    graphs = synthesize_toy_corpus(40, (4, 16), seed=12) + [Graph(2, frozenset(), (1, 0), 0)]
+    one_union = class_distributions(params, graphs)
+    unions = []
+    logits = classifiers._discrete_logits
+
+    def counted(parts, p):
+        unions.append((len(parts), sum(2 * g.num_edges for g in parts)))
+        return logits(parts, p)
+
+    monkeypatch.setattr(classifiers, "_discrete_logits", counted)
+    monkeypatch.setattr(classifiers, "READOUT_EDGES", 120)
+    chunked = class_distributions(params, graphs)
+    # consecutive graphs fill each union up to the budget; a dense graph
+    # above it is a union of its own
+    assert len(unions) > 5 and sum(k for k, _ in unions) == len(graphs)
+    assert all(e <= 120 or k == 1 for k, e in unions)
+    assert any(e > 120 for _, e in unions) and any(k > 1 for k, _ in unions)
+    assert chunked.shape == one_union.shape
+    assert np.array_equal(np.argmax(chunked, axis=1), np.argmax(one_union, axis=1))
+    assert np.allclose(chunked, one_union, rtol=0, atol=1e-15)
 
 
 def test_classify_graph_permutation_invariant():

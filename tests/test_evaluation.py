@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condgraphgen import evaluation
+from condgraphgen import backend, evaluation
 from condgraphgen.evaluation import (
     EvalReport,
     GraphStats,
@@ -23,8 +23,12 @@ from condgraphgen.evaluation import (
     render_table,
     stats_diff_table,
 )
-from condgraphgen.graphs import Graph, synthesize_toy_corpus
-from helpers import reference_graph_stats
+from condgraphgen.graphs import Graph, synthesize_toy_corpus, union_edges
+from helpers import (
+    reference_components_labels,
+    reference_graph_stats,
+    reference_sp_pair_sum,
+)
 
 
 def make_graph(n, edges, cls=0):
@@ -284,6 +288,62 @@ def test_corpus_stats_equal_the_per_graph_reference():
     # the budget splits a bitset width between chunks of several graphs
     assert any(len(c) > 1 and widths.count(w) > 1 for c, w in zip(chunks, widths))
     assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
+
+
+def isolated_union():
+    """Graphs with isolated nodes at the union's start, inside graphs,
+    between graphs and at its end, up to 70 nodes (two bitset words)."""
+    rng = np.random.default_rng(5)
+    return [
+        make_graph(1, []),
+        make_graph(5, [(1, 2), (2, 4), (1, 4)]),
+        make_graph(3, []),
+        make_graph(6, [(0, 5), (5, 3)]),
+        make_graph(70, [(u, v) for u, v in random_edges(70, 0.04, rng) if u % 7 and v % 7]),
+        make_graph(4, [(0, 1), (2, 3)]),
+        make_graph(2, []),
+    ]
+
+
+@pytest.mark.parametrize("words", [1, 2])
+def test_search_with_isolated_nodes_matches_the_dense_references(words):
+    graphs = isolated_union()
+    if words == 1:
+        graphs = [g for g in graphs if g.num_nodes <= 64]
+    n, _, pairs = union_edges(graphs)
+    total = int(n.sum())
+    indptr, indices = backend.csr_from_edges(total, pairs)
+    assert (np.diff(indptr) == 0).sum() > len(graphs)
+    local = np.concatenate([np.arange(k) for k in n])
+    dist_sum, reach, neighbours = backend.sp_pair_sum(indptr, indices, local, words)
+    assert reach.shape == neighbours.shape == (total, words)
+
+    def bits(ids):
+        out = np.zeros(words, dtype=np.uint64)
+        for i in ids:
+            out[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+        return out
+
+    labels = reference_components_labels(indptr, indices, total)
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        assert dist_sum[members].sum() // 2 == reference_sp_pair_sum(indptr, indices, members)
+        assert (reach[members] == bits(local[members])).all()
+    for u in range(total):
+        assert (neighbours[u] == bits(local[indices[indptr[u]:indptr[u + 1]]])).all()
+    assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
+
+
+def test_search_over_edgeless_graphs_and_an_empty_union():
+    local = np.array([0, 0, 1, 2], dtype=np.int64)
+    indptr = np.zeros(5, dtype=np.int64)
+    dist_sum, reach, neighbours = backend.sp_pair_sum(
+        indptr, np.zeros(0, dtype=np.int64), local, 1
+    )
+    assert dist_sum.tolist() == [0, 0, 0, 0]
+    assert reach[:, 0].tolist() == [1, 1, 2, 4] and not neighbours.any()
+    empty = backend.sp_pair_sum(indptr[:1], indptr[:0], local[:0], 2)
+    assert [a.shape for a in empty] == [(0,), (0, 2), (0, 2)]
 
 
 def test_corpus_stats_peak_memory_follows_the_chunk_budget():

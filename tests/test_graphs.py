@@ -1,3 +1,7 @@
+import dataclasses
+import pickle
+from itertools import chain
+
 import numpy as np
 import pytest
 from helpers import reconstructed_edges
@@ -128,6 +132,70 @@ def test_union_edges_offset_each_graph_by_the_nodes_before_it():
     assert n.tolist() == [3, 1, 2] and m.tolist() == [2, 0, 1]
     assert sorted(map(tuple, pairs[:2].tolist())) == [(0, 1), (1, 2)]
     assert pairs[2:].tolist() == [[4, 5]] and pairs.dtype == np.int64
+
+
+def _tuple_union_edges(graphs):
+    """``union_edges`` as it was built from each edge set's tuples."""
+    n = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    m = np.array([g.num_edges for g in graphs], dtype=np.int64)
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    pairs += np.repeat(np.cumsum(n) - n, m)[:, None]
+    return n, m, pairs
+
+
+@pytest.mark.parametrize("graphs", [
+    [],
+    [make_graph(1, [])],
+    [make_graph(2, []), make_graph(3, [])],
+    [make_graph(1, []), make_graph(3, [(0, 1), (1, 2)]), make_graph(4, []),
+     make_graph(2, [(0, 1)]), make_graph(1, [])],
+    synthesize_toy_corpus(40, (4, 16), seed=3),
+])
+def test_union_edges_equal_the_tuple_iteration(graphs):
+    got, want = union_edges(graphs), _tuple_union_edges(graphs)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert got[2].shape == (sum(g.num_edges for g in graphs), 2)
+    assert got[2].flags.writeable
+
+
+class TestEdgeArray:
+    def test_holds_the_normalized_pairs_read_only(self):
+        g = make_graph(5, [(1, 0), (3, 2), (4, 1)])
+        assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (3, 2)
+        # the edge set's own iteration order, each pair (low, high)
+        assert [tuple(p) for p in g.edge_array.tolist()] == list(g.edges)
+        assert not g.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 4
+        assert make_graph(3, []).edge_array.shape == (0, 2)
+
+    def test_stays_out_of_equality_hash_and_repr(self):
+        g, h = make_graph(3, [(0, 1), (1, 2)]), make_graph(3, [(2, 1), (1, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert "edge_array" not in repr(g)
+        assert [f.name for f in dataclasses.fields(g) if f.compare] == [
+            "num_nodes", "edges", "node_labels", "class_label", "dataset_id",
+        ]
+
+    def test_replace_rebuilds_it(self):
+        g = make_graph(4, [(0, 1)])
+        same = dataclasses.replace(g, class_label=1)
+        assert np.array_equal(same.edge_array, g.edge_array)
+        assert not same.edge_array.flags.writeable
+        other = dataclasses.replace(g, edges=frozenset({(3, 2), (0, 2)}))
+        assert [tuple(p) for p in other.edge_array.tolist()] == list(other.edges)
+
+    def test_pickle_carries_it(self):
+        graphs = synthesize_toy_corpus(6, (4, 16), seed=2) + [make_graph(2, [])]
+        for g in graphs:
+            loaded = pickle.loads(pickle.dumps(g))
+            assert loaded == g and loaded.edges == g.edges
+            assert [tuple(p) for p in loaded.edge_array.tolist()] == list(loaded.edges)
+            assert loaded.edge_array.dtype == np.int64
+            assert not loaded.edge_array.flags.writeable
+            assert "edge_array" not in g.__getstate__()
 
 
 class TestToyCorpus:
