@@ -75,25 +75,25 @@ def sp_pair_sum(
       - the level-one bitsets: the local ids of u's neighbours.
     """
     n = local.shape[0]
-    reach = np.zeros((n, words), dtype=np.uint64)
-    bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
-    reach[np.arange(n), local >> 6] = bit
-    dist_sum = np.zeros(n, dtype=np.int64)
     # Rows 0..n-1 of ``frontier`` hold the bits each node reached last
-    # level; row n stays zero.  An isolated node reads that row, so every
-    # node owns a non-empty segment of ``sources`` and one reduceat over
-    # them all gives every node's next frontier.
+    # level, at first its own; row n stays zero.  An isolated node reads
+    # that row, so every node owns a non-empty segment of ``sources`` and
+    # one reduceat over them all gives every node's next frontier.
     frontier = np.zeros((n + 1, words), dtype=np.uint64)
-    frontier[:n] = reach
     reached = frontier[:n]
+    bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+    reached[np.arange(n), local >> 6] = bit
+    unreached = ~reached
     isolated = indptr[1:] == indptr[:-1]
     sources = np.insert(indices, indptr[:-1][isolated], n)
     starts = indptr[:-1] + np.cumsum(isolated) - isolated
     gathered = np.empty((sources.shape[0], words), dtype=np.uint64)
-    unreached = ~reach
-    neighbours = np.zeros_like(reach)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    neighbours = np.zeros((n, words), dtype=np.uint64)
     level = 0
     while True:
+        # every index is in range; "clip" lets take write into ``gathered``
+        # directly, where the default mode would go through a temporary
         np.take(frontier, sources, axis=0, out=gathered, mode="clip")
         np.bitwise_or.reduceat(gathered, starts, axis=0, out=reached)
         reached &= unreached
