@@ -19,12 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 def commit() -> str | None:
     """The checked-out commit, with ``-dirty`` when tracked files differ
     from it; None outside a git checkout."""
+    # the ceiling keeps git from reporting an enclosing repository's commit
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)}
     try:
         head = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, env=env, capture_output=True, text=True,
+            check=True,
         ).stdout.strip()
         dirty = subprocess.run(
-            ["git", "diff", "--quiet", "HEAD"], cwd=ROOT, capture_output=True
+            ["git", "diff", "--quiet", "HEAD"], cwd=ROOT, env=env, capture_output=True
         ).returncode != 0
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -27,7 +27,17 @@ from .generator import GeneratorConfig, GeneratorParams, init_generator
 from .tu_io import atomic_open
 
 _HEADER_KEY = "__config__"
-_GEN_HEADER_FIELDS = ("B", "N", "K", "R", "hidden_dim_h", "cond_dim", "m")
+# each generator header key and the GeneratorConfig field it stores; the
+# header leaves out tied_rounds, which the stored round arrays show
+_GEN_HEADER = (
+    ("B", "block_size"),
+    ("N", "max_nodes"),
+    ("K", "mixture_k"),
+    ("R", "rounds"),
+    ("hidden_dim_h", "hidden_dim_h"),
+    ("cond_dim", "cond_dim"),
+    ("m", "num_classes"),
+)
 
 
 @dataclass
@@ -38,18 +48,6 @@ class Checkpoint:
     graph_classifier: Optional[GraphClassifierParams]
     node_classifier: Optional[NodeClassifierParams]
     header: dict
-
-
-def _generator_header(config: GeneratorConfig) -> dict:
-    return {
-        "B": config.block_size,
-        "N": config.max_nodes,
-        "K": config.mixture_k,
-        "R": config.rounds,
-        "hidden_dim_h": config.hidden_dim_h,
-        "cond_dim": config.cond_dim,
-        "m": config.num_classes,
-    }
 
 
 def save_checkpoint(
@@ -68,7 +66,7 @@ def save_checkpoint(
     header: dict = {}
     arrays: dict[str, np.ndarray] = {}
     if generator is not None:
-        header.update(_generator_header(generator.config))
+        header.update({key: getattr(generator.config, name) for key, name in _GEN_HEADER})
         arrays.update(generator.named_tensors())
     if graph_classifier is not None:
         arrays.update(graph_classifier.named_tensors())
@@ -124,20 +122,13 @@ def _assign(template: dict, arrays: dict[str, np.ndarray], section: str) -> None
 
 
 def _rebuild_generator(header: dict, arrays: dict[str, np.ndarray]) -> GeneratorParams:
-    missing = [k for k in _GEN_HEADER_FIELDS if k not in header]
+    missing = [key for key, _ in _GEN_HEADER if key not in header]
     if missing:
         raise DataError(f"checkpoint header is missing generator fields {missing}")
     tied = not any(name.startswith("gen/round/1/") for name in arrays)
     try:
         config = GeneratorConfig(
-            max_nodes=int(header["N"]),
-            block_size=int(header["B"]),
-            num_classes=int(header["m"]),
-            hidden_dim_h=int(header["hidden_dim_h"]),
-            cond_dim=int(header["cond_dim"]),
-            mixture_k=int(header["K"]),
-            rounds=int(header["R"]),
-            tied_rounds=tied,
+            **{name: int(header[key]) for key, name in _GEN_HEADER}, tied_rounds=tied
         )
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint header is not a valid configuration: {exc}") from exc

@@ -215,15 +215,23 @@ def _readout_unions(graphs) -> Iterator[list]:
         yield union
 
 
+def class_log_probs(logits) -> Tensor:
+    """Log class distribution, one row per graph: the sigmoid class scores
+    of ``logits`` renormalized to sum to 1.  Both classifier training and
+    the generator's condition loss read it, and ``class_distributions`` is
+    its exponential."""
+    return log_softmax(log_sigmoid(logits), axis=1)
+
+
 @no_grad()
 def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
-    """Class distribution of each discrete graph, one row per graph:
-    sigmoid class scores renormalized to sum to 1.  Consecutive graphs are
-    classified together as one union under ``READOUT_EDGES``.  A row can
-    differ in its last bit with the union it falls in, since the head's
-    narrow product rounds a row according to its place in the union."""
+    """Class distribution of each discrete graph, one row per graph (see
+    ``class_log_probs``).  Consecutive graphs are classified together as
+    one union under ``READOUT_EDGES``.  A row can differ in its last bit
+    with the union it falls in, since the head's narrow product rounds a
+    row according to its place in the union."""
     rows = [
-        softmax(log_sigmoid(_discrete_logits(union, params)), axis=1).value
+        np.exp(class_log_probs(_discrete_logits(union, params)).value)
         for union in _readout_unions(graphs)
     ]
     return np.concatenate(rows) if rows else np.zeros((0, params.num_classes))
@@ -293,8 +301,7 @@ def train_graph_classifier(
 
     def batch_loss(idx) -> Tensor:
         """Mean cross-entropy over one minibatch, run as one union."""
-        logits = _discrete_logits([train[i] for i in idx], params)
-        log_dist = log_softmax(log_sigmoid(logits), axis=1)
+        log_dist = class_log_probs(_discrete_logits([train[i] for i in idx], params))
         return -log_dist[np.arange(len(idx)), labels[idx]].sum() * (1.0 / len(idx))
 
     history = []

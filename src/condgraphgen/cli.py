@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
-from .classifiers import ClassifierTrainConfig, class_distributions, train_graph_classifier
+from .classifiers import ClassifierTrainConfig, train_graph_classifier
 from .datasets import (
     SPLIT_NAMES,
     build_manifest,
@@ -255,17 +255,7 @@ def cmd_evaluate(args) -> int:
         if clf_params is None:
             raise DependencyError(f"{clf_path} holds no graph-classifier parameters")
 
-    predicted = scores = labels = None
-    if clf_params is not None:
-        # one classifier read-out gives both the accuracy and the AUC scores
-        distributions = class_distributions(clf_params, generated)
-        predicted = distributions.argmax(axis=1)
-        if clf_params.num_classes == 2:
-            scores = distributions[:, 1].tolist()
-            labels = [g.class_label for g in generated]
-    report = build_report(
-        reference, generated, clf=predicted, scores=scores, score_labels=labels
-    )
+    report = build_report(reference, generated, clf_params)
     with atomic_open(out / "report.json") as fh:
         fh.write(report.to_json() + "\n")
     print(render_table(report))

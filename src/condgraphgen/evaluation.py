@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import backend
-from .classifiers import GraphClassifierParams, predict_graph_classes
+from .classifiers import GraphClassifierParams, class_distributions
 from .graphs import Graph, union_edges
 
 STAT_FIELDS = ("lcc", "tc", "cpl", "mean_d", "gini")
@@ -35,10 +35,6 @@ class GraphStats:
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in STAT_FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphStats":
-        return cls(**{f: float(d[f]) for f in STAT_FIELDS})
 
 
 # A chunk's union holds (directed edges + nodes) x bitset words below this
@@ -185,17 +181,14 @@ def stats_diff_table(
 
 
 def accuracy_per_class(
-    generated: Sequence[Graph], clf
+    generated: Sequence[Graph], predicted: Sequence[int]
 ) -> dict[int, Optional[float]]:
     """Fraction of graphs stamped with each class that the classifier assigns
-    back to that class.  ``clf`` is trained graph-classifier parameters or
-    the predicted class of each graph, in order.
+    back to that class; ``predicted`` holds each graph's predicted class, in
+    order.
     """
-    if isinstance(clf, GraphClassifierParams):
-        clf = predict_graph_classes(clf, generated)
-
     hits: dict[int, list[bool]] = {}
-    for g, p in zip(generated, clf):
+    for g, p in zip(generated, predicted):
         hits.setdefault(g.class_label, []).append(bool(p == g.class_label))
     return {c: sum(hits[c]) / len(hits[c]) for c in sorted(hits)}
 
@@ -243,39 +236,27 @@ class EvalReport:
             out["classes"][str(c)] = entry
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        classes: dict[int, ClassComparison] = {}
-        accuracy: dict[int, Optional[float]] = {}
-        for key, entry in d["classes"].items():
-            c = int(key)
-            classes[c] = ClassComparison(
-                *(
-                    GraphStats.from_dict(entry[side]) if entry[side] else None
-                    for side in ("reference", "generated", "diff")
-                )
-            )
-            accuracy[c] = entry.get("accuracy")
-        return cls(classes, accuracy, d.get("auc"))
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
 
 
 def build_report(
     reference: Sequence[Graph],
     generated: Sequence[Graph],
-    clf=None,
-    scores: Optional[Sequence[float]] = None,
-    score_labels: Optional[Sequence[int]] = None,
+    clf: Optional[GraphClassifierParams] = None,
 ) -> EvalReport:
+    """The statistics table of both sets and, given graph-classifier
+    parameters ``clf``, the classifier metrics of the generated set from
+    one ``class_distributions`` read-out: per-class accuracy of its argmax
+    and, for two classes, the AUC of its class-1 column."""
     table = stats_diff_table(reference, generated)
-    accuracy = accuracy_per_class(generated, clf) if clf is not None else {}
-    auc_value = auc(scores, score_labels) if scores is not None else None
+    if clf is None:
+        return EvalReport(table, {}, None)
+    distributions = class_distributions(clf, generated)
+    accuracy = accuracy_per_class(generated, distributions.argmax(axis=1))
+    auc_value = None
+    if clf.num_classes == 2:
+        auc_value = auc(distributions[:, 1], [g.class_label for g in generated])
     return EvalReport(table, accuracy, auc_value)
 
 

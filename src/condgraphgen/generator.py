@@ -39,11 +39,14 @@ from .autodiff import (
     parameter,
     segment_sum,
 )
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Structural hyperparameters; hidden width = hidden_dim_h + cond_dim."""
+    """Structural hyperparameters; hidden width = hidden_dim_h + cond_dim.
+    The one check of these fields: ``TrainConfig`` and checkpoint loading
+    validate theirs by building one."""
 
     max_nodes: int
     block_size: int
@@ -58,9 +61,9 @@ class GeneratorConfig:
         for name in ("max_nodes", "block_size", "num_classes", "hidden_dim_h",
                      "cond_dim", "mixture_k", "rounds"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         if self.block_size > self.max_nodes:
-            raise ValueError("block_size cannot exceed max_nodes")
+            raise ConfigError("block_size cannot exceed max_nodes")
 
     @property
     def hidden_dim(self) -> int:
@@ -422,6 +425,16 @@ def mixture_heads(
     diff = gather_rows(h, rows) - gather_rows(h, cols)
     alpha_logits = segment_sum(params.head_alpha(diff), plan.pair_seg, plan.num_steps)
     return log_softmax(alpha_logits, axis=1), params.head_theta(diff)
+
+
+def check_mixture_weights(alpha: np.ndarray) -> None:
+    """Raise NumericError unless every row of ``alpha`` (steps x K, the
+    exponentiated ``mixture_heads`` weights) is finite, nonnegative and
+    sums to 1 within 1e-6, as the component draws need."""
+    if not np.isfinite(alpha).all():
+        raise NumericError("non-finite mixture weights")
+    if (alpha < 0).any() or (np.abs(alpha.sum(axis=1) - 1.0) > 1e-6).any():
+        raise NumericError("mixture weights are not a probability simplex")
 
 
 def step_forward(

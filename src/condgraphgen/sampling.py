@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import gather_rows, no_grad, sigmoid
 from .classifiers import NodeClassifierParams, classify_nodes
 from .errors import CapacityError, NumericError
-from .generator import GeneratorParams, UnionPlan, step_forward
+from .generator import GeneratorParams, UnionPlan, check_mixture_weights, step_forward
 from .graphs import Graph, block_partition, decompose
 
 Histogram = Mapping[int, Mapping[int, int]]
@@ -36,15 +36,6 @@ def sample_num_nodes(
     if (weights < 0).any() or weights.sum() <= 0:
         raise ValueError("histogram counts must be nonnegative with positive total")
     return int(rng.choice(sizes, p=weights / weights.sum()))
-
-
-def _check_mixture(alpha: np.ndarray, theta: np.ndarray) -> None:
-    if not np.isfinite(alpha).all():
-        raise NumericError("non-finite mixture weights during sampling")
-    if abs(float(alpha.sum()) - 1.0) > 1e-6 or (alpha < 0).any():
-        raise NumericError("mixture weights are not a probability simplex")
-    if not ((theta > 0) & (theta < 1)).all():
-        raise NumericError("edge probabilities must lie strictly inside (0, 1)")
 
 
 @no_grad()
@@ -105,11 +96,13 @@ def generate(
             continue
         plan = UnionPlan([(lower[: block[0]], [block])])
         log_alpha, theta_logits, h = step_forward(plan, [class_label], gen_params)
-        alpha = np.exp(log_alpha.value[0])
+        alpha = np.exp(log_alpha.value)
+        check_mixture_weights(alpha)
         theta = np.clip(sigmoid(theta_logits).value, 1e-12, 1.0 - 1e-12)
-        _check_mixture(alpha, theta)
+        if not ((theta > 0) & (theta < 1)).all():
+            raise NumericError("edge probabilities must lie strictly inside (0, 1)")
         if plan.num_pairs:
-            k = int(rng.choice(alpha.shape[0], p=alpha))
+            k = int(rng.choice(alpha.shape[1], p=alpha[0]))
             bits = rng.random(plan.num_pairs) < theta[:, k]
             rows, cols = plan.pairs
             keep = rows >= n_fixed

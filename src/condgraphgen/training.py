@@ -46,7 +46,6 @@ from .autodiff import (
     gather_rows,
     log,
     log_sigmoid,
-    log_softmax,
     logsumexp,
     segment_sum,
     sigmoid,
@@ -55,6 +54,7 @@ from .autodiff import (
 from .classifiers import (
     GraphClassifierParams,
     NodeClassifierParams,
+    class_log_probs,
     classify_nodes,
     graph_logits,
     init_node_classifier,
@@ -65,6 +65,7 @@ from .generator import (
     GeneratorConfig,
     GeneratorParams,
     UnionPlan,
+    check_mixture_weights,
     init_generator,
     initial_states,
     mixture_heads,
@@ -72,6 +73,12 @@ from .generator import (
     step_edges,
 )
 from .graphs import Graph, OrderedGraph, block_partition, decompose
+
+
+# the generator's fields that a training config sets, under the same names
+_MODEL_FIELDS = tuple(
+    f.name for f in dataclasses.fields(GeneratorConfig) if f.name != "num_classes"
+)
 
 
 @dataclass(frozen=True)
@@ -108,24 +115,15 @@ class TrainConfig:
             raise ConfigError("clip_norm must be nonnegative (0 disables clipping)")
         if self.lr <= 0.0:
             raise ConfigError("learning rate must be positive")
-        for name in ("block_size", "max_nodes", "mixture_k", "rounds",
-                     "hidden_dim_h", "cond_dim", "epochs", "batch_size"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.block_size > self.max_nodes:
-            raise ConfigError("block_size cannot exceed max_nodes")
+        self.generator_config(1)  # checks the model fields
 
     def generator_config(self, num_classes: int) -> GeneratorConfig:
-        return GeneratorConfig(
-            max_nodes=self.max_nodes,
-            block_size=self.block_size,
-            num_classes=num_classes,
-            hidden_dim_h=self.hidden_dim_h,
-            cond_dim=self.cond_dim,
-            mixture_k=self.mixture_k,
-            rounds=self.rounds,
-            tied_rounds=self.tied_rounds,
-        )
+        return GeneratorConfig(num_classes=num_classes, **{
+            name: getattr(self, name) for name in _MODEL_FIELDS
+        })
 
     def tau_at(self, epoch: int) -> float:
         """Exponential decay from tau to tau_end across the epoch range."""
@@ -206,9 +204,6 @@ class LossBreakdown:
     chunks: int
     max_chunk_edges: int
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _check_finite(value: float, term: str) -> float:
     if not np.isfinite(value):
@@ -277,10 +272,7 @@ def _draw_components_and_noise(
     side="right")`` as ``rng.choice(K, p=α_s)`` does, then two uniforms per
     pair: the stream and order of a step-by-step ``rng.choice`` and
     ``rng.random((pairs_s, 2))``."""
-    if not np.isfinite(alpha).all():
-        raise NumericError("non-finite mixture weights during edge sampling")
-    if (alpha < 0).any() or (np.abs(alpha.sum(axis=1) - 1.0) > 1e-6).any():
-        raise NumericError("mixture weights are not a probability simplex")
+    check_mixture_weights(alpha)
     cdf = np.cumsum(alpha, axis=1)
     cdf /= cdf[:, -1:]
     per_step = 1 + 2 * np.diff(u.pair_bounds())
@@ -333,9 +325,8 @@ def _batch_losses(
         # weighs 1, a candidate edge its pair's straight-through bit
         weight_table = constant(np.ones((1, 1)))
         if u.num_pairs:
-            theta = clip(sigmoid(theta_logits), 1e-12, 1.0 - 1e-12)
-            theta_sel = theta[np.arange(u.num_pairs)[:, None], k_per_pair[:, None]]
-            soft = _gumbel_soft(theta_sel, tau, noise[:, None])
+            chosen = theta_logits[np.arange(u.num_pairs)[:, None], k_per_pair[:, None]]
+            soft = _gumbel_soft(sigmoid(chosen), tau, noise[:, None])
             st_bits = straight_through(soft, (soft.value > 0.5).astype(np.float64))
             weight_table = concat([weight_table, st_bits], axis=0)
         features = uniform_features(u.num_nodes, clf_params.feature_dim)
@@ -343,7 +334,7 @@ def _batch_losses(
             clf_params.frozen(), features, *u.edges,
             gather_rows(weight_table, u.edge_pair + 1), u.node_step, u.num_steps,
         )
-        log_dist = log_softmax(log_sigmoid(logits), axis=1)
+        log_dist = class_log_probs(logits)
         step_labels = np.repeat(labels, np.diff(u.step_off, append=u.num_steps))
         picked = log_dist[np.arange(u.num_steps), step_labels]
         l_cond = -(constant(w_steps) * picked).sum()

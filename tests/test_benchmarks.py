@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,3 +92,21 @@ def test_epoch_benchmark_trains_one_small_epoch(tmp_path):
     assert saved["cpu_count"] == os.cpu_count()
     # a git checkout records its commit, a copy without .git records None
     assert saved["commit"] is None or len(saved["commit"].split("-")[0]) == 40
+
+
+def test_record_names_no_enclosing_repository_commit(tmp_path):
+    # a copy of the tree without .git, as ``git archive`` makes, inside
+    # another repository that has a commit
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    outer = tmp_path / "outer"
+    (outer / "checkout" / "benchmarks").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], cwd=outer, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "outer"], cwd=outer, check=True)
+    copy = outer / "checkout" / "benchmarks" / "record.py"
+    shutil.copy(ROOT / "benchmarks" / "record.py", copy)
+    spec = importlib.util.spec_from_file_location("record_copy", copy)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    assert record.commit() is None

@@ -7,10 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
+from condgraphgen.checkpoint import load_checkpoint
 from condgraphgen.classifiers import ClassifierTrainConfig
 from condgraphgen.cli import main
 from condgraphgen.datasets import load_run_dataset
-from condgraphgen.evaluation import corpus_stats, mean_stats
+from condgraphgen.evaluation import build_report, corpus_stats, mean_stats
 from condgraphgen.tu_io import load_graph_json, save_graph_list
 from condgraphgen.training import UNION_EDGE_BUDGET, load_train_config
 
@@ -286,6 +287,25 @@ def test_evaluate_reads_the_classifier_out_once(pipeline_run, monkeypatch):
     report = json.loads((pipeline_run / "report.json").read_text())
     assert report["auc"] is not None
     assert all(entry["accuracy"] is not None for entry in report["classes"].values())
+
+
+def test_evaluate_report_equals_the_library_report(pipeline_run):
+    for label, seed in (("1", "5"), ("0", "6")):
+        assert main([
+            "generate", "--out", str(pipeline_run), "--class", label, "--count", "4",
+            "--seed", seed,
+        ]) == 0
+    assert main(["evaluate", "--out", str(pipeline_run)]) == 0
+    split, _ = load_run_dataset(pipeline_run)
+    generated = [
+        load_graph_json(pipeline_run / rel)
+        for path in sorted((pipeline_run / "samples").glob("class*/manifest.json"))
+        for rel in json.loads(path.read_text())["files"]
+    ]
+    clf = load_checkpoint(pipeline_run / "checkpoints" / "classifier.npz").graph_classifier
+    text = (pipeline_run / "report.json").read_text()
+    assert text == build_report(split.test, generated, clf).to_json() + "\n"
+    assert json.loads(text)["auc"] is not None
 
 
 def test_evaluate_reads_only_the_latest_samples(tmp_path, pipeline_run):

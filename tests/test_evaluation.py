@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condgraphgen import backend, evaluation
+from condgraphgen.classifiers import (
+    ClassifierTrainConfig,
+    class_distributions,
+    train_graph_classifier,
+)
+from condgraphgen.datasets import stratified_split
 from condgraphgen.evaluation import (
-    EvalReport,
     GraphStats,
     accuracy_per_class,
     auc,
@@ -33,49 +38,6 @@ from helpers import (
 
 def make_graph(n, edges, cls=0):
     return Graph(n, frozenset(edges), tuple([0] * n), cls)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle: dense adjacency, trace-based triangles,
-# Floyd-Warshall path lengths, pairwise-difference Gini
-
-
-def oracle_stats(g):
-    n = g.num_nodes
-    A = g.adjacency().astype(np.float64)
-
-    tc = np.trace(np.linalg.matrix_power(A, 3)) / 6.0
-
-    D = np.full((n, n), np.inf)
-    np.fill_diagonal(D, 0.0)
-    D[A > 0] = 1.0
-    for k in range(n):
-        D = np.minimum(D, D[:, k : k + 1] + D[k : k + 1, :])
-
-    comps = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = [j for j in range(n) if np.isfinite(D[i, j])]
-        seen.update(comp)
-        comps.append(comp)
-    members = max(comps, key=len)
-    lcc = len(members)
-    if lcc < 2:
-        cpl = 0.0
-    else:
-        dsum = sum(D[i, j] for i in members for j in members if i < j)
-        cpl = dsum / (lcc * (lcc - 1) / 2)
-
-    deg = A.sum(axis=1)
-    total = deg.sum()
-    if total == 0:
-        gini = 0.0
-    else:
-        gini = sum(abs(a - b) for a in deg for b in deg) / (2 * n * total)
-
-    return GraphStats(float(lcc), float(tc), float(cpl), float(2 * g.num_edges / n), float(gini))
 
 
 def assert_stats_close(got, want, tol=1e-9):
@@ -135,7 +97,7 @@ def test_stats_match_oracle_on_200_random_graphs():
     rng = np.random.default_rng(123)
     for _ in range(200):
         g = random_graph(rng)
-        assert_stats_close(graph_stats(g), oracle_stats(g))
+        assert_stats_close(graph_stats(g), reference_graph_stats(g))
 
 
 def test_stats_permutation_invariant():
@@ -172,7 +134,7 @@ def test_stats_match_oracle_on_molecule_like_graphs():
     rng = np.random.default_rng(2024)
     for n in (60, 90, 120, 180, 240, 300):
         g = molecule_like_graph(n, rng, rings=int(rng.integers(2, 8)))
-        assert_stats_close(graph_stats(g), oracle_stats(g))
+        assert_stats_close(graph_stats(g), reference_graph_stats(g))
 
 
 @pytest.mark.parametrize(
@@ -190,7 +152,7 @@ def test_tied_largest_components_use_lowest_node_id(triangle, path, want_cpl):
     s = graph_stats(g)
     assert s.lcc == 3
     assert s.cpl == pytest.approx(want_cpl)
-    assert_stats_close(s, oracle_stats(g))
+    assert_stats_close(s, reference_graph_stats(g))
 
 
 def test_complete_graph_300():
@@ -445,27 +407,32 @@ def test_import_leaves_scipy_unloaded():
 # report serialization and rendering
 
 
-def test_report_round_trip():
+@pytest.fixture(scope="module")
+def toy_clf():
+    split = stratified_split(synthesize_toy_corpus(40, (6, 10), seed=3), seed=0)
+    params, _ = train_graph_classifier(split, ClassifierTrainConfig(epochs=5, seed=0))
+    return params
+
+
+def test_report_json_holds_classes_accuracy_and_auc(toy_clf):
     graphs = synthesize_toy_corpus(30, (6, 10), seed=4)
     gen = synthesize_toy_corpus(30, (6, 10), seed=5)
-    report = build_report(
-        graphs,
-        gen,
-        clf=[g.class_label for g in gen],
-        scores=[0.2, 0.8, 0.3, 0.9],
-        score_labels=[0, 1, 0, 1],
-    )
-    text = report.to_json()
-    again = EvalReport.from_json(text)
-    assert again == report
-    payload = json.loads(text)
+    report = build_report(graphs, gen, toy_clf)
+    payload = json.loads(report.to_json())
     assert set(payload["classes"]) == {"0", "1"}
-    assert payload["auc"] == 1.0
+    assert payload == report.to_dict()
+    # accuracy and AUC come from one class-distribution read-out
+    dist = class_distributions(toy_clf, gen)
+    labels = [g.class_label for g in gen]
+    want_auc = auc(dist[:, 1], labels)
+    assert want_auc is not None and payload["auc"] == want_auc
+    want = accuracy_per_class(gen, dist.argmax(axis=1))
+    assert {int(c): e["accuracy"] for c, e in payload["classes"].items()} == want
 
 
-def test_render_table_layout():
+def test_render_table_layout(toy_clf):
     graphs = synthesize_toy_corpus(20, (6, 10), seed=4)
-    report = build_report(graphs, list(graphs), clf=[g.class_label for g in graphs])
+    report = build_report(graphs, list(graphs), toy_clf)
     text = render_table(report)
     lines = text.splitlines()
     assert "LCC" in lines[0] and "GINI" in lines[0]

@@ -104,6 +104,26 @@ def test_config_rejects_bad_values(patch):
         train_config_from_dict(patch)
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"block_size": 0},
+        {"max_nodes": 0},
+        {"mixture_k": 0},
+        {"rounds": 0},
+        {"hidden_dim_h": 0},
+        {"cond_dim": 0},
+        {"block_size": 20, "max_nodes": 16},
+    ],
+)
+def test_train_and_generator_configs_reject_the_same_model_fields(patch):
+    with pytest.raises(ConfigError) as from_train:
+        TrainConfig(**patch)
+    with pytest.raises(ConfigError) as from_generator:
+        dataclasses.replace(TrainConfig().generator_config(2), **patch)
+    assert str(from_train.value) == str(from_generator.value)
+
+
 def test_config_type_checks():
     with pytest.raises(ConfigError):
         train_config_from_dict({"epochs": 2.5})
