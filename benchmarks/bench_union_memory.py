@@ -11,7 +11,8 @@ freshly initialized.  Only the public ``train_step`` is called.
 runs 16, 32, 64, 96, 111 (NCI1's largest graph), 160 and 320 nodes unless
 ``--nodes`` says otherwise.  It prints one JSON line per node count
 (``union_nodes``; ``union_edges``, the step's union edges; ``chunks``, the
-forward/backward passes ``train_step`` split them into; ``tape_nodes``, the
+forward/backward passes ``train_step`` split them into; ``max_chunk_edges``,
+the union edges of the largest of them; ``tape_nodes``, the
 autodiff tape nodes the step records, counted by wrapping
 ``autodiff._make``; ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
 ``minor_faults``, the minor page faults taken during the step) and, with
@@ -83,6 +84,7 @@ def one_step(n: int, seed: int) -> dict:
         "union_nodes": n * (n + 1) // 2,  # block size 1: step t holds t nodes
         "union_edges": int(edges.sum()),
         "chunks": loss.chunks,
+        "max_chunk_edges": loss.max_chunk_edges,
         "tape_nodes": tape_nodes[0],
         "step_s": round(step_s, 4),
         "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),

@@ -160,8 +160,13 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` is recorded on the tape."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _make(value: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _recording and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(value, requires_grad=True, parents=parents, backward=backward)
     return Tensor(value)
 
@@ -303,6 +308,30 @@ def log_sigmoid(x) -> Tensor:
 
     def backward(g):
         x._accumulate(g * _sigmoid_val(v))
+
+    return _make(out_val, (x,), backward)
+
+
+def bernoulli_log_likelihood(logits, bits: Array) -> Tensor:
+    """b·log σ(θ) + (1 - b)·log σ(-θ) for logits θ and constant bits b that
+    broadcast against them, as one node that keeps only θ, b and 1 - b.
+    Value and gradient are those of the expression written with
+    ``log_sigmoid``, to the last bit: θ's adjoint is the b path plus the
+    1 - b path, in that order."""
+    x = as_tensor(logits)
+    theta = x.value
+    not_bits = 1.0 - bits
+    softplus = np.log1p(np.exp(-np.abs(theta)))
+    out_val = bits * -(softplus + np.maximum(-theta, 0.0))
+    out_val += not_bits * -(softplus + np.maximum(theta, 0.0))
+
+    def backward(g):
+        g_theta = g * bits
+        g_theta *= _sigmoid_val(-theta)
+        g_neg = g * not_bits
+        g_neg *= _sigmoid_val(theta)
+        g_theta -= g_neg
+        x._accumulate(g_theta)
 
     return _make(out_val, (x,), backward)
 

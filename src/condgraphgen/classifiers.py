@@ -7,7 +7,10 @@ renormalized into a distribution.  The convolutions run on a weighted edge
 list (GraphSAGE's neighbor-list mean aggregation), so one forward serves a
 single discrete graph, a relaxed graph whose edge weights lie in [0, 1] and
 carry gradients, and a union of many graphs pooled per graph with a segment
-sum.  The node classifier is an MLP over final generator states.
+sum.  The whole read-out is one tape node (``graph_logits``) that keeps
+only arrays with one row per node and rebuilds each layer's per-edge
+messages in its backward.  The node classifier is an MLP over final
+generator states.
 """
 
 from __future__ import annotations
@@ -20,25 +23,23 @@ from typing import Iterator
 
 import numpy as np
 
-from . import backend
+from . import autodiff, backend
 from .autodiff import (
     Adam,
     Linear,
     MLP,
     Tensor,
+    _mlp_backward,
+    _mlp_values,
+    _unbroadcast,
     as_tensor,
-    clip,
     constant,
-    gather_rows,
     he_uniform,
     log_sigmoid,
     log_softmax,
     make_mlp,
-    matmul,
     no_grad,
     parameter,
-    relu,
-    segment_sum,
     softmax,
 )
 from .datasets import DatasetSplit
@@ -59,30 +60,29 @@ class ConvLayer:
 
     def __call__(
         self,
-        h: Tensor,
+        h: np.ndarray,
         recv: np.ndarray,
         send: np.ndarray,
-        weight: Tensor | None,
-        degree: np.ndarray | None = None,
-    ) -> Tensor:
-        """Edge e carries ``weight[e]`` (an (E, 1) column) from node
-        ``send[e]`` into node ``recv[e]``.  With ``weight`` None every edge
-        weighs 1, and ``degree`` holds each node's edge count clipped below
-        at 1, an (n, 1) float column."""
-        n = h.shape[0]
-        if weight is None:
-            # the weighted form's values with weight 1: its product by ones
-            # and its clipped weight sum change no bit
-            neigh_mean = segment_sum(gather_rows(h, send), recv, n) / degree
-        else:
-            neigh_sum = segment_sum(gather_rows(h, send) * weight, recv, n)
-            # floor of 1.0: identical to true mean for integer degrees >= 1 and
-            # for isolated nodes (0/1 = 0), but keeps the gradient through
-            # low-mass relaxed rows bounded instead of ~1/eps on nearly
-            # isolated nodes
-            denom = clip(segment_sum(weight, recv, n), 1.0, np.inf)
-            neigh_mean = neigh_sum / denom
-        return relu(matmul(h, self.w_self) + matmul(neigh_mean, self.w_neigh) + self.bias)
+        weight: np.ndarray | None,
+        denom: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The layer's forward on arrays, as ``graph_logits`` runs it: edge e
+        carries ``weight[e]`` (an (E, 1) column; None means 1) from node
+        ``send[e]`` into node ``recv[e]``, and ``denom`` is each node's weight
+        sum clipped below at 1, an (n, 1) column.  Returns the layer's output
+        and the weighted neighbor sum."""
+        msg = h[send]
+        if weight is not None:
+            msg *= weight
+        neigh_sum = backend.segment_sum(msg, recv, h.shape[0])
+        out = h @ self.w_self.value
+        out += (neigh_sum / denom) @ self.w_neigh.value
+        out += self.bias.value
+        np.maximum(out, 0.0, out=out)
+        return out, neigh_sum
+
+    def tensors(self) -> list[Tensor]:
+        return [self.w_self, self.w_neigh, self.bias]
 
 
 @dataclass
@@ -162,14 +162,95 @@ def graph_logits(
 ) -> Tensor:
     """Class logits, one row per graph, for a union of graphs given as one
     weighted edge list; node states are mean-pooled per ``graph_of_node``.
-    ``weight`` None means unit weights, with ``degree`` as in
-    ``ConvLayer.__call__``."""
-    h = as_tensor(features)
-    for conv in params.convs:
-        h = conv(h, recv, send, weight, degree)
-    counts = np.bincount(graph_of_node, minlength=num_graphs)
-    pooled = segment_sum(h, graph_of_node, num_graphs) * constant(1.0 / counts[:, None])
-    return params.head(pooled)
+    ``weight`` None means unit weights, with ``degree`` each node's edge
+    count clipped below at 1, an (n, 1) float column.
+
+    The convolutions, the pooling and the head are one tape node.  Per
+    layer it keeps the layer's input, its ReLU mask and its weighted
+    neighbor sum, all one row per node; the backward gathers the senders'
+    rows again rather than keeping an array per edge.  The clipped weight
+    sum, the same in every layer, is computed once.  Gradients go to the
+    edge weights, the features and the classifier's parameters, each only
+    when it requires one, with the bits of the op-by-op read-out.  Under
+    ``no_grad``, or when nothing requires a gradient, it keeps nothing."""
+    x = as_tensor(features)
+    n, convs = x.shape[0], params.convs
+    conv_params = [t for conv in convs for t in conv.tensors()]
+    parents = (x, *(() if weight is None else (weight,)), *conv_params, *params.head.tensors())
+    keep = autodiff._records(parents)
+    if weight is None:
+        w = w_sum = None
+        denom = degree
+    else:
+        w = weight.value
+        w_sum = backend.segment_sum(w, recv, n)
+        # floor of 1.0: identical to the true mean for integer degrees >= 1
+        # and for isolated nodes (0/1 = 0), but keeps the gradient through
+        # low-mass relaxed rows bounded instead of ~1/eps on nearly isolated
+        # nodes
+        denom = np.clip(w_sum, 1.0, np.inf)
+    h, kept = x.value, []
+    for conv in convs:
+        out, neigh_sum = conv(h, recv, send, w, denom)
+        if keep:
+            kept.append((h, out > 0.0, neigh_sum))
+        h = out
+    inv_counts = 1.0 / np.bincount(graph_of_node, minlength=num_graphs)[:, None]
+    pooled = backend.segment_sum(h, graph_of_node, num_graphs) * inv_counts
+    logits, head_inputs = _mlp_values(params.head.layers, pooled)
+
+    weight_grad = weight is not None and weight.requires_grad
+    # whether layer l needs the gradient of its input: something below it
+    # (a lower layer's parameters, the edge weights or the features) needs one
+    input_grad = [x.requires_grad] + [
+        x.requires_grad or weight_grad or any(t.requires_grad for t in conv_params[: 3 * l])
+        for l in range(1, len(convs) + 1)
+    ]
+
+    def backward(g):
+        g = _mlp_backward(params.head, head_inputs, g, input_grad[-1])
+        if g is None:
+            return
+        g = (g * inv_counts)[graph_of_node]
+        # the weights' adjoint sums its terms in the op-by-op tape's order:
+        # the message terms from the last layer down, then the weight-sum
+        # terms from the first layer up
+        w_adj, sum_adjs = None, []
+        for l in reversed(range(len(convs))):
+            conv, (h_in, mask, neigh_sum) = convs[l], kept[l]
+            g *= mask
+            if conv.w_self.requires_grad:
+                conv.w_self._accumulate(h_in.T @ g)
+            if conv.w_neigh.requires_grad:
+                conv.w_neigh._accumulate((neigh_sum / denom).T @ g)
+            if conv.bias.requires_grad:
+                conv.bias._accumulate(_unbroadcast(g, conv.bias.shape))
+            if not (input_grad[l] or weight_grad):
+                return
+            g_neigh = g @ conv.w_neigh.value.T
+            if weight_grad:
+                sum_adjs.append(_unbroadcast(-g_neigh * neigh_sum / (denom * denom), denom.shape))
+            g_neigh /= denom
+            g_msg = g_neigh[recv]
+            if weight_grad:
+                term = _unbroadcast(g_msg * h_in[send], w.shape)
+                w_adj = term if w_adj is None else w_adj + term
+            if not input_grad[l]:
+                break
+            if w is not None:
+                g_msg *= w
+            g_in = g @ conv.w_self.value.T
+            g_in += backend.segment_sum(g_msg, send, n)
+            g = g_in
+        if x.requires_grad:
+            x._accumulate(g)
+        if weight_grad:
+            unclipped = (w_sum > 1.0) & (w_sum < np.inf)
+            for g_denom in reversed(sum_adjs):
+                w_adj += (g_denom * unclipped)[recv]
+            weight._accumulate(w_adj)
+
+    return autodiff._make(logits, parents, backward)
 
 
 def _discrete_logits(graphs, params: GraphClassifierParams) -> Tensor:

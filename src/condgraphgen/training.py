@@ -40,12 +40,12 @@ from .autodiff import (
     Adam,
     Tensor,
     as_tensor,
+    bernoulli_log_likelihood,
     clip,
     concat,
     constant,
     gather_rows,
     log,
-    log_sigmoid,
     logsumexp,
     segment_sum,
     sigmoid,
@@ -313,8 +313,7 @@ def _batch_losses(
     h = run_rounds(h, u, gen_params)
     log_alpha, theta_logits = mixture_heads(h, u, gen_params)
 
-    b = constant(teacher_bits[:, None])
-    pair_ll = b * log_sigmoid(theta_logits) + (1.0 - b) * log_sigmoid(-theta_logits)
+    pair_ll = bernoulli_log_likelihood(theta_logits, teacher_bits[:, None])
     per_component = segment_sum(pair_ll, u.pair_seg, u.num_steps)
     l_adj = -logsumexp(log_alpha + per_component, axis=1).sum()
 

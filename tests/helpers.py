@@ -1,9 +1,9 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
 round-trip oracle for ordered graphs, the two-branch sigmoid, softplus and
 the composed log-sigmoid that the fused ops are held to, the op-by-op reference for one
-message-passing round, the per-step reference oracle for the generator
-and the graph classifier, and the per-graph reference for the evaluation
-statistics.
+message-passing round and for the graph classifier's read-out, the per-step
+reference oracle for the generator and the graph classifier, and the
+per-graph reference for the evaluation statistics.
 
 The package runs one forward, ``generator.step_forward`` over a union plan.
 The oracle below is the independent per-step formulation it replaced: each
@@ -42,7 +42,7 @@ from condgraphgen.autodiff import (
     softmax,
     straight_through,
 )
-from condgraphgen.classifiers import GraphClassifierParams, classify_nodes, graph_logits
+from condgraphgen.classifiers import ConvLayer, GraphClassifierParams, classify_nodes
 from condgraphgen.errors import NumericError
 from condgraphgen.evaluation import GraphStats
 from condgraphgen.generator import GeneratorParams, candidate_pairs, gnn_round
@@ -302,7 +302,37 @@ def per_edge_rounds(h, x, aug_edges, params: GeneratorParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dense graph-classifier forward
+# op-by-op graph-classifier read-out and dense graph-classifier forward
+
+
+def reference_conv(conv: ConvLayer, h, recv, send, weight, degree=None) -> Tensor:
+    """One graph-classifier layer one tape node per op, as
+    ``classifiers.graph_logits`` runs it in its single node: edge e carries
+    ``weight[e]`` (an (E, 1) column) from ``send[e]`` into ``recv[e]``;
+    ``weight`` None means unit weights with ``degree`` each node's edge
+    count clipped below at 1."""
+    n = h.shape[0]
+    if weight is None:
+        neigh_mean = segment_sum(gather_rows(h, send), recv, n) / degree
+    else:
+        neigh_sum = segment_sum(gather_rows(h, send) * weight, recv, n)
+        denom = clip(segment_sum(weight, recv, n), 1.0, np.inf)
+        neigh_mean = neigh_sum / denom
+    return relu(matmul(h, conv.w_self) + matmul(neigh_mean, conv.w_neigh) + conv.bias)
+
+
+def reference_graph_logits(
+    params: GraphClassifierParams, features, recv, send, weight, graph_of_node, num_graphs,
+    degree=None,
+) -> Tensor:
+    """``classifiers.graph_logits`` one tape node per op: three
+    ``reference_conv`` layers, a segment-sum mean pooling and the head."""
+    h = as_tensor(features)
+    for conv in params.convs:
+        h = reference_conv(conv, h, recv, send, weight, degree)
+    counts = np.bincount(graph_of_node, minlength=num_graphs)
+    pooled = segment_sum(h, graph_of_node, num_graphs) * constant(1.0 / counts[:, None])
+    return params.head(pooled)
 
 
 @dataclass
@@ -341,7 +371,9 @@ def classify_graph(features, adjacency, params: GraphClassifierParams) -> ClassP
     recv = np.repeat(np.arange(n), n)
     send = np.tile(np.arange(n), n)
     weight = a[recv[:, None], send[:, None]]
-    logits = graph_logits(params, h, recv, send, weight, np.zeros(n, dtype=np.int64), 1)[0]
+    logits = reference_graph_logits(
+        params, h, recv, send, weight, np.zeros(n, dtype=np.int64), 1
+    )[0]
     log_scores = log_sigmoid(logits)
     return ClassProbabilities(
         scores=sigmoid(logits), dist=softmax(log_scores), log_dist=log_softmax(log_scores)

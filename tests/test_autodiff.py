@@ -197,6 +197,38 @@ def test_log_sigmoid_is_one_node_equal_to_the_composition():
             assert np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
 
 
+def test_bernoulli_log_likelihood_is_one_node_equal_to_the_composition():
+    """b·log σ(θ) + (1 - b)·log σ(-θ) as one node: values and θ's gradient
+    have the bits of the six-node expression (NaN only up to its sign bit),
+    also when θ has a later consumer, as the condition loss's component
+    pick is."""
+    rng = np.random.default_rng(5)
+    thetas = (np.tile(SPECIALS[:, None], (1, 3)), 40.0 * rng.standard_normal((300, 4)),
+              rng.standard_normal((1000, 1)))
+    for v in thetas:
+        bits = (rng.random((v.shape[0], 1)) < 0.5).astype(np.float64)
+        w = rng.standard_normal(v.shape)
+        pick = rng.integers(0, v.shape[1], v.shape[0])
+        results = []
+        for op in (
+            lambda t: ad.bernoulli_log_likelihood(t, bits),
+            lambda t: (ad.constant(bits) * ad.log_sigmoid(t)
+                       + (1.0 - ad.constant(bits)) * ad.log_sigmoid(-t)),
+        ):
+            x = ad.parameter(v)
+            with np.errstate(over="ignore", invalid="ignore"):  # 0·inf at the specials
+                out = op(x)
+                later = x[np.arange(v.shape[0]), pick]
+                ((out * w).sum() + later.sum()).backward()
+            results.append((out, x.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert _tape_nodes(got) == 1 and _tape_nodes(want) == 6
+        for a, b in ((got.value, want.value), (got_grad, want_grad)):
+            nan = np.isnan(b)
+            assert np.array_equal(np.isnan(a), nan)
+            assert np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
+
+
 def test_softplus_extreme_values_stable():
     x = ad.Tensor(np.array([-800.0, 0.0, 800.0]))
     y = softplus(x)

@@ -31,8 +31,8 @@ def test_union_memory_benchmark_runs_one_small_step():
     for record in records:
         n = record["nodes"]
         assert set(record) == {
-            "nodes", "union_nodes", "union_edges", "chunks", "tape_nodes", "step_s",
-            "rss_before_mb", "peak_rss_mb", "minor_faults",
+            "nodes", "union_nodes", "union_edges", "chunks", "max_chunk_edges", "tape_nodes",
+            "step_s", "rss_before_mb", "peak_rss_mb", "minor_faults",
         }
         assert record["tape_nodes"] > 0
         assert record["union_nodes"] == n * (n + 1) // 2
@@ -41,6 +41,8 @@ def test_union_memory_benchmark_runs_one_small_step():
         assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
     # 8 nodes fit the union edge budget in one pass, 48 do not
     assert records[0]["chunks"] == 1 and records[1]["chunks"] > 1
+    assert records[0]["max_chunk_edges"] == records[0]["union_edges"]
+    assert 0 < records[1]["max_chunk_edges"] < records[1]["union_edges"]
     assert records[1]["tape_nodes"] > records[0]["tape_nodes"]
 
 

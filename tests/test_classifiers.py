@@ -3,10 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from helpers import classify_graph, finite_diff, rel_error
+from helpers import classify_graph, finite_diff, reference_graph_logits, rel_error
 
 from condgraphgen import backend, classifiers
-from condgraphgen.autodiff import Tensor, constant, parameter
+from condgraphgen.autodiff import Tensor, constant, no_grad, parameter
 from condgraphgen.classifiers import (
     ClassifierTrainConfig,
     class_distributions,
@@ -131,6 +131,134 @@ def test_unit_weight_logits_and_gradients_equal_all_ones_weights_bit_for_bit():
         results.append([logits.value] + [t.grad for t in params.tensors()])
     for got, want in zip(*results):
         assert np.array_equal(got, want)
+
+
+def _relaxed_union(rng):
+    """A union of three 5-node graphs with edge weights in (0, 1).  Node 0's
+    weights sum to exactly 1 (the clip boundary), node 1's to 0.3, node 2
+    receives no edge (sum 0), and the other nodes' sums are random."""
+    recv, send = [0, 0, 1, 3, 3, 3], [1, 4, 3, 0, 1, 4]
+    weight = [0.25, 0.75, 0.3, 0.9, 0.6, 0.7]
+    for base in (5, 10):
+        for _ in range(9):
+            i, j = rng.choice(5, 2, replace=False) + base
+            recv.append(i)
+            send.append(j)
+            weight.append(rng.uniform(0.05, 0.95))
+    graph_of_node = np.repeat(np.arange(3), 5)
+    return (np.asarray(recv), np.asarray(send), np.asarray(weight)[:, None], graph_of_node,
+            rng.dirichlet(np.ones(3), size=15))
+
+
+def _jittered_clf(seed):
+    params = small_clf(seed)
+    rng = np.random.default_rng(seed + 100)
+    for t in params.tensors():
+        t.value += rng.normal(scale=0.1, size=t.value.shape)
+    return params
+
+
+@pytest.mark.parametrize("with_grad", [
+    ("weight",),  # the condition loss: a frozen classifier
+    ("params",),  # classifier training
+    ("weight", "features", "params"),
+])
+def test_read_out_is_one_tape_node_equal_to_the_op_by_op_reference_bit_for_bit(with_grad):
+    params = _jittered_clf(20)
+    recv, send, weight, graph_of_node, feats = _relaxed_union(np.random.default_rng(21))
+    sums = backend.segment_sum(weight, recv, 15)[:, 0]
+    assert sums[0] == 1.0 and 0.0 < sums[1] < 1.0 and sums[2] == 0.0
+    probe = np.random.default_rng(22).standard_normal((3, 2))
+    results = []
+    for read_out in (graph_logits, reference_graph_logits):
+        x = Tensor(feats.copy(), requires_grad="features" in with_grad)
+        w = Tensor(weight.copy(), requires_grad="weight" in with_grad)
+        for t in params.tensors():
+            t.requires_grad, t.grad = "params" in with_grad, None
+        logits = read_out(params, x, recv, send, w, graph_of_node, 3)
+        (logits * constant(probe)).sum().backward()
+        results.append([logits, x.grad, w.grad] + [t.grad for t in params.tensors()])
+    fused, reference = results
+    # one node, read straight from its inputs
+    assert all(p._backward is None for p in fused[0]._parents)
+    assert np.array_equal(fused[0].value, reference[0].value)
+    for got, want in zip(fused[1:], reference[1:]):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+    # a gradient reaches exactly the inputs that require one
+    wanted = ["features" in with_grad, "weight" in with_grad]
+    wanted += ["params" in with_grad] * len(params.tensors())
+    assert [g is not None for g in fused[1:]] == wanted
+
+
+def test_unit_weight_read_out_equals_the_op_by_op_reference_bit_for_bit():
+    params = _jittered_clf(23)
+    graphs = synthesize_toy_corpus(12, (4, 16), seed=24) + [
+        Graph(1, frozenset(), (2,), 0),
+        Graph(3, frozenset(), (0, 1, 2), 1),
+    ]
+    n, _, pairs = union_edges(graphs)
+    indptr, send = backend.csr_from_edges(int(n.sum()), pairs)
+    recv = np.repeat(np.arange(int(n.sum())), np.diff(indptr))
+    degree = np.maximum(np.diff(indptr), 1.0)[:, None]
+    feats = one_hot_features([l for g in graphs for l in g.node_labels], 3)
+    graph_of_node = np.repeat(np.arange(len(graphs)), n)
+    probe = np.random.default_rng(25).standard_normal((len(graphs), 2))
+    results = []
+    for read_out in (graph_logits, reference_graph_logits):
+        x = parameter(feats)
+        for t in params.tensors():
+            t.grad = None
+        logits = read_out(params, x, recv, send, None, graph_of_node, len(graphs), degree)
+        (logits * constant(probe)).sum().backward()
+        results.append([logits.value, x.grad] + [t.grad for t in params.tensors()])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    with no_grad():
+        discrete = classifiers._discrete_logits(graphs, params)
+    assert np.array_equal(discrete.value, results[0][0])
+
+
+def test_read_out_records_nothing_without_gradients():
+    params = small_clf(26)
+    recv, send, weight, graph_of_node, feats = _relaxed_union(np.random.default_rng(27))
+    with no_grad():
+        out = graph_logits(params, parameter(feats), recv, send, parameter(weight),
+                           graph_of_node, 3)
+    assert not out.requires_grad and out._backward is None and out._parents == ()
+    out = graph_logits(params.frozen(), feats, recv, send, constant(weight), graph_of_node, 3)
+    assert not out.requires_grad and out._backward is None
+
+
+def test_read_out_edge_weight_gradient_matches_fd():
+    params = _jittered_clf(28)
+    recv, send, weight, graph_of_node, feats = _relaxed_union(np.random.default_rng(29))
+    # every weight sum stays clear of the clip's kink at 1
+    weight[0, 0] = 0.35
+    sums = backend.segment_sum(weight, recv, 15)[:, 0]
+    assert np.abs(sums - 1.0).min() > 1e-3
+    probe = np.random.default_rng(30).standard_normal((3, 2))
+    frozen = params.frozen()
+    w = parameter(weight)
+
+    def loss():
+        return (graph_logits(frozen, feats, recv, send, w, graph_of_node, 3)
+                * constant(probe)).sum()
+
+    numeric = finite_diff(lambda: loss().item(), [w.value])[0]
+    loss().backward()
+    assert rel_error(w.grad, numeric) < 1e-4
+
+
+def test_classifier_training_through_the_op_by_op_read_out_is_identical(toy_split, monkeypatch):
+    cfg = ClassifierTrainConfig(epochs=2, seed=3)
+    fused, fused_history = train_graph_classifier(toy_split, cfg)
+    monkeypatch.setattr(classifiers, "graph_logits", reference_graph_logits)
+    reference, reference_history = train_graph_classifier(toy_split, cfg)
+    assert fused_history == reference_history
+    for a, b in zip(fused.tensors(), reference.tensors()):
+        assert np.array_equal(a.value, b.value)
 
 
 def test_read_out_unions_keep_predictions(monkeypatch):

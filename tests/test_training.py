@@ -32,6 +32,7 @@ from helpers import (
     teacher_chunk,
 )
 
+from condgraphgen import autodiff
 from condgraphgen import training as T
 from condgraphgen.autodiff import Adam, Tensor, constant, exp, parameter, sigmoid
 from condgraphgen.classifiers import init_graph_classifier
@@ -721,6 +722,47 @@ def test_non_finite_gradient_in_an_early_chunk_raises(monkeypatch):
     assert len(calls) > 1
     for t, value in zip(gen.tensors() + nodeclf.tensors(), before):
         assert np.array_equal(t.value, value)
+
+
+# The condition loss's tape nodes in one chunk: the component pick, the
+# pick's sigmoid, the Gumbel relaxation (clip, log p, 1 - p, log(1 - p),
+# their difference, the added noise and the temperature scale: 7), its
+# sigmoid, the straight-through add, the weight table's concat, the gather
+# of each edge's weight, the classifier read-out (one node), its log-sigmoid,
+# log-softmax (logsumexp and a subtraction: 2), the label pick, the discount
+# product, the sum, the negation, and in the chunk's total the batch scale
+# and the lambda weight.
+CONDITION_CHAIN_NODES = 23
+
+
+def test_condition_chain_is_its_stated_tape_nodes_in_a_toy_chunk(monkeypatch):
+    """A 16-graph toy chunk records ``CONDITION_CHAIN_NODES`` more tape
+    nodes with the condition loss than without it, and the read-out is one
+    of them."""
+    graphs = synthesize_toy_corpus(16, seed=0)
+    counts = []
+    for lam in (0.5, 0.0):
+        cfg = TrainConfig(lambda_condition=lam)
+        gen = T.init_generator(cfg.generator_config(2), np.random.default_rng(0))
+        nodeclf = T.init_node_classifier(gen.config.hidden_dim, 3, np.random.default_rng(1))
+        opt = Adam(gen.tensors() + nodeclf.tensors(), lr=cfg.lr)
+        batch = [(decompose(g, cfg.max_nodes), g.class_label) for g in graphs]
+        rngs = [np.random.default_rng(i) for i in range(len(batch))]
+        make, made = autodiff._make, []
+
+        def counting(value, parents, backward):
+            out = make(value, parents, backward)
+            if out.requires_grad:
+                made.append(sys._getframe(1).f_code.co_name)
+            return out
+
+        monkeypatch.setattr(autodiff, "_make", counting)
+        bd = train_step(batch, gen, small_clf(), nodeclf, cfg, opt, cfg.tau, rngs)
+        monkeypatch.setattr(autodiff, "_make", make)
+        assert bd.chunks == 1
+        assert made.count("graph_logits") == (1 if lam else 0)
+        counts.append(len(made))
+    assert counts[0] - counts[1] == CONDITION_CHAIN_NODES
 
 
 def test_condition_gradient_reaches_generator():
