@@ -349,9 +349,11 @@ def _batch_losses(
 
 # Union edges per forward/backward pass: a minibatch union of E edges runs
 # as k = ceil(E / budget) passes of about E / k edges, each larger than that
-# by less than one step.  A pass's peak memory is about 11 MB per 1,000
-# union edges and its fixed cost about 9 ms, so this keeps NCI1-sized
-# minibatches (up to about 9k edges) to a few passes.
+# by less than one step.  A step's peak RSS is 12-14 MB per 1,000 edges of
+# its largest pass above the RSS it started from (one NCI1-like graph of
+# 64-620 nodes, ``bench_union_memory.py``), and a pass costs about 2-3 ms
+# beyond its edges (a 16-graph toy batch split into 1 to 12 passes), so this
+# keeps NCI1-sized minibatches (up to about 9k edges) to a few passes.
 UNION_EDGE_BUDGET = 2**12
 
 

@@ -220,17 +220,6 @@ def test_unit_weight_read_out_equals_the_op_by_op_reference_bit_for_bit():
     assert np.array_equal(discrete.value, results[0][0])
 
 
-def test_read_out_records_nothing_without_gradients():
-    params = small_clf(26)
-    recv, send, weight, graph_of_node, feats = _relaxed_union(np.random.default_rng(27))
-    with no_grad():
-        out = graph_logits(params, parameter(feats), recv, send, parameter(weight),
-                           graph_of_node, 3)
-    assert not out.requires_grad and out._backward is None and out._parents == ()
-    out = graph_logits(params.frozen(), feats, recv, send, constant(weight), graph_of_node, 3)
-    assert not out.requires_grad and out._backward is None
-
-
 def test_read_out_edge_weight_gradient_matches_fd():
     params = _jittered_clf(28)
     recv, send, weight, graph_of_node, feats = _relaxed_union(np.random.default_rng(29))
