@@ -1,7 +1,9 @@
 """Peak memory and time of one generator training step on one graph.
 
 Each node count runs in its own child process, so ``ru_maxrss`` is that
-step's peak.  The graph is a random tree plus a few ring closures (mean
+step's peak.  The child runs the step twice and times the second, since
+the first step of a process pays one-off costs several times the step's
+own time.  The graph is a random tree plus a few ring closures (mean
 degree about 2.2, NCI1-like), trained with the default ``TrainConfig``
 except ``max_nodes = n`` and a batch of one; the frozen graph classifier is
 freshly initialized.  Only the public ``train_step`` is called.
@@ -12,11 +14,12 @@ runs 16, 32, 64, 96, 111 (NCI1's largest graph), 160 and 320 nodes unless
 ``--nodes`` says otherwise.  It prints one JSON line per node count
 (``union_nodes``; ``union_edges``, the step's union edges; ``chunks``, the
 forward/backward passes ``train_step`` split them into; ``max_chunk_edges``,
-the union edges of the largest of them; ``tape_nodes``, the
-autodiff tape nodes the step records, counted by wrapping
-``autodiff._make``; ``step_s``, ``rss_before_mb``, ``peak_rss_mb`` and
-``minor_faults``, the minor page faults taken during the step) and, with
-``--out``, writes them to a JSON file with the git commit and the
+the union edges of the largest of them; ``tape_nodes``, the autodiff tape
+nodes the timed step records, counted by wrapping ``autodiff._make``;
+``step_s``, the timed step's time; ``rss_before_mb`` and ``peak_rss_mb``,
+the peak RSS before the first step and after the second; and
+``minor_faults``, the minor page faults taken during the timed step) and,
+with ``--out``, writes them to a JSON file with the git commit and the
 ``*_NUM_THREADS`` variables (see ``record.py``).
 """
 
@@ -73,6 +76,9 @@ def one_step(n: int, seed: int) -> dict:
     clf = init_graph_classifier(3, 2, rng)
     opt = Adam(gen.tensors() + nodeclf.tensors(), lr=config.lr)
     tape_nodes = count_tape_nodes(autodiff)
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
+    tape_nodes[0] = 0
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     loss = train_step([(og, 1)], gen, clf, nodeclf, config, opt, config.tau, [rng])
@@ -87,7 +93,7 @@ def one_step(n: int, seed: int) -> dict:
         "max_chunk_edges": loss.max_chunk_edges,
         "tape_nodes": tape_nodes[0],
         "step_s": round(step_s, 4),
-        "rss_before_mb": round(before.ru_maxrss / 1024.0, 1),
+        "rss_before_mb": round(rss_before / 1024.0, 1),
         "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
         "minor_faults": after.ru_minflt - before.ru_minflt,
     }

@@ -175,6 +175,32 @@ def _make(value: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
 # arithmetic
 
 
+def _product(x: Array, w: Array) -> Array:
+    """x @ w for 2-d x, each row's value independent of the other rows of
+    x: every forward product of the package goes through here, so a row's
+    result does not depend on what it is batched with or where it sits.
+
+    OpenBLAS sums the rows of a product with fewer than 5 columns in an
+    order that depends on the row's place (the last rows of each thread's
+    share take another kernel), and a one-row product takes the
+    matrix-vector path, which differs from a row of the full product.  With
+    2 or more rows and 8 or more columns no row offset and no thread count
+    gave other bits (NumPy 2.4, OpenBLAS, 16-64 inner columns).  So a
+    narrower weight gets zero columns up to 8 and a one-row input a second
+    row, and the result is the view without the padding.  Backward products
+    are not padded."""
+    rows, cols = x.shape[0], w.shape[1]
+    if cols >= 8 and rows != 1:
+        return x @ w
+    if cols < 8:
+        padded = np.zeros((w.shape[0], 8))
+        padded[:, :cols] = w
+        w = padded
+    if rows == 1:
+        x = np.concatenate([x, x])
+    return (x @ w)[:rows, :cols]
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_val = a.value + b.value
@@ -232,7 +258,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul() takes 2-d operands")
-    out_val = a.value @ b.value
+    out_val = _product(a.value, b.value)
 
     def backward(g):
         if a.requires_grad:
@@ -483,39 +509,29 @@ def gated_messages(
     freed on return.
 
     ``distinct = (first, index)`` says that edge e has the d and flag of edge
-    ``first[index[e]]``, as when h holds equal rows for nodes that read one
-    state.  The MLPs then run on the ``first`` edges only, and the backward
-    sums the edges' adjoints onto the ``first`` edges before the MLP
-    backward.  The gradient of h is then exact summed over the nodes that
-    share a state, which is all a gather of those states (``initial_states``)
-    passes on.  The gate's output layer still runs per edge: BLAS sums a row
-    of a matrix-vector product in an order that depends on the row's place
-    in the matrix (the last rows of each thread's share take another path),
-    so only then does every edge get the bits of the per-edge round."""
+    ``first[index[e]]``, as when h holds equal rows for nodes of one class.
+    Both MLPs then run on the ``first`` edges only, whose products give each
+    row the bits it has in the per-edge round (see ``_product``); the forward
+    gathers their messages onto the edges for the sum, and the backward sums
+    the edges' adjoints onto the ``first`` edges before the MLP backward, so
+    the backward keeps only arrays of the ``first`` edges.  The gradient of h
+    is then exact summed over the nodes that share a state, which is all a
+    gather of those states passes on."""
     hv = h.value
     num, dim = hv.shape
-    first = slice(None) if distinct is None else distinct[0]
+    first, index = (slice(None), None) if distinct is None else distinct
     ends = (recv[first], send[first])
     d_flag = np.empty((ends[0].shape[0], dim + 1))
     np.subtract(hv[ends[0]], hv[ends[1]], out=d_flag[:, :dim])
     d_flag[:, dim] = flag[first]
     m, m_inputs = _mlp_values(msg.layers, d_flag[:, :dim])
-    if distinct is None:
-        s, s_inputs = _mlp_values(gate.layers, d_flag)
-        s = _sigmoid_val(s)
-        agg = backend.segment_sum(s * m, recv, num)
-    else:
-        index = distinct[1]
-        hidden, s_inputs = _mlp_values(gate.layers[:-1], d_flag)
-        np.maximum(hidden, 0.0, out=hidden)
-        s_inputs.append(hidden)
-        s = _sigmoid_val(_mlp_values(gate.layers[-1:], hidden[index])[0])
-        agg = backend.segment_sum(s * m[index], recv, num)
-        # the backward differentiates at the first edges' gates
-        s = s[first]
+    s, s_inputs = _mlp_values(gate.layers, d_flag)
+    s = _sigmoid_val(s)
+    sm = s * m
+    agg = backend.segment_sum(sm if index is None else sm[index], recv, num)
 
     def backward(g):
-        if distinct is None:
+        if index is None:
             # g[recv] is the adjoint of the segment sum; it is gathered twice
             # so that no (E, dim) array outlives the product it feeds
             rows = recv
@@ -543,7 +559,7 @@ def _mlp_values(layers: list[Linear], x: Array) -> tuple[Array, list[Array]]:
         if i:
             np.maximum(x, 0.0, out=x)
         inputs.append(x)
-        out = x @ layer.W.value
+        out = _product(x, layer.W.value)
         out += layer.b.value
         x = out
     return x, inputs
@@ -672,6 +688,9 @@ class GruCell:
                 gm = gn @ self.wn.value.T
                 gm += gr @ self.wr.value.T
                 gm += gz @ self.wz.value.T
+                # m's backward holds per-edge arrays: release what it does
+                # not read
+                del gn, gr
                 if pending:
                     m.backward(gm)
                 else:
@@ -691,8 +710,8 @@ class GruCell:
 
 
 def _affine(m: Array, w: Tensor, h: Array, u: Tensor, b: Tensor) -> Array:
-    out = m @ w.value
-    out += h @ u.value
+    out = _product(m, w.value)
+    out += _product(h, u.value)
     out += b.value
     return out
 

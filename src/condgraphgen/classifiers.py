@@ -31,6 +31,7 @@ from .autodiff import (
     Tensor,
     _mlp_backward,
     _mlp_values,
+    _product,
     _unbroadcast,
     as_tensor,
     constant,
@@ -75,8 +76,8 @@ class ConvLayer:
         if weight is not None:
             msg *= weight
         neigh_sum = backend.segment_sum(msg, recv, h.shape[0])
-        out = h @ self.w_self.value
-        out += (neigh_sum / denom) @ self.w_neigh.value
+        out = _product(h, self.w_self.value)
+        out += _product(neigh_sum / denom, self.w_neigh.value)
         out += self.bias.value
         np.maximum(out, 0.0, out=out)
         return out, neigh_sum
@@ -308,9 +309,8 @@ def class_log_probs(logits) -> Tensor:
 def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
     """Class distribution of each discrete graph, one row per graph (see
     ``class_log_probs``).  Consecutive graphs are classified together as
-    one union under ``READOUT_EDGES``.  A row can differ in its last bit
-    with the union it falls in, since the head's narrow product rounds a
-    row according to its place in the union."""
+    one union under ``READOUT_EDGES``; a row's bits do not depend on the
+    union it falls in (see ``autodiff._product``)."""
     rows = [
         np.exp(class_log_probs(_discrete_logits(union, params)).value)
         for union in _readout_unions(graphs)

@@ -10,11 +10,11 @@ teacher-forced sum of per-block log-likelihoods.
 There is one forward, ``step_forward`` over a ``UnionPlan``, and one way to
 build that plan: from runs of consecutive steps, one run per graph.
 Training runs the steps of a chunk of a minibatch as one union, each graph
-a run; sampling runs one step of one sample, a one-step run.  The first
-round's input states depend only on each node's graph and embedded row, so
-``run_rounds`` computes its messages once per distinct (run, receiver row,
-sender row) edge, from the plan's round-one table, and gathers them back
-onto the union's edges; later rounds run per edge.
+a run; sampling runs one step of one sample, a one-step run.  Teacher
+forcing repeats each graph's prefix in every step, so ``run_rounds`` runs
+round one once per round-one class of nodes and round two's messages once
+per distinct (receiver class, sender class) edge, from the plan's class
+tables; later rounds run per edge.
 """
 
 from __future__ import annotations
@@ -199,6 +199,15 @@ def _round_one(
     return first, index
 
 
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One entry per distinct key, in key order, the last of each key
+    standing for it, and each entry's index into that list."""
+    keys, index = np.unique(key, return_inverse=True)
+    first = np.empty(keys.shape[0], dtype=np.int64)
+    first[index] = np.arange(key.shape[0])
+    return first, index
+
+
 class UnionPlan:
     """Index bookkeeping that lays generation steps side by side in one
     block-diagonal 'union' graph, so a single forward pass runs them all.
@@ -220,9 +229,9 @@ class UnionPlan:
     and ``edge_pair``, the candidate pair each edge carries (-1 for an
     observed prefix edge); candidate ``pairs`` (new node, partner) in
     canonical order; ``node_step`` and ``node_graph``, each node's step and
-    run; each run's first step ``step_off``; and the round-one table.  Two
-    fields are derived from these: the new-node flags ``x`` and each pair's
-    step ``pair_seg``.
+    run; each run's first step ``step_off``; the round-one table; and the
+    class tables.  Two fields are derived from these: the new-node flags
+    ``x`` and each pair's step ``pair_seg``.
 
     The round-one table lists the distinct first-round edges.  Two edges of
     one run whose receivers read the same row and whose senders read the
@@ -230,6 +239,20 @@ class UnionPlan:
     their steps.  ``round_one_edges`` holds one edge per such
     (run, receiver row, sender row) key, and ``round_one_index`` gives each
     edge's position in it.  A one-step run lists every edge.
+
+    The class tables (None when every run is one step).  A prefix node
+    receives from its row's earlier neighbours, from those of its later
+    neighbours already in the step's prefix, and from each of the block's
+    new nodes, in that order, so two nodes of one run with the same row,
+    the same count of later neighbours in the prefix and the same block
+    size hold one state after round one.  ``node_class`` numbers these
+    round-one classes in key order, a new node being a class of its own
+    after all others, and ``class_rep`` holds each class's first node;
+    ``class_edges`` gives the (receiver class, sender class) of each edge
+    into a representative, in edge order, and ``class_round_one`` the
+    round-one table on those edges as (first, index).  ``round_two`` is
+    the table of all edges keyed by (receiver class, sender class), laid
+    out as the round-one table.
     """
 
     def __init__(self, runs: Sequence[tuple[np.ndarray, Sequence[Sequence[int]]]]):
@@ -304,6 +327,36 @@ class UnionPlan:
         self.x = is_new.astype(np.float64)
         # a pair belongs to the step of its new node
         self.pair_seg = hstep[cand]
+        if run_steps.max() == 1:
+            self._no_classes()
+            return
+        # a prefix node's round-one class key: (row, later neighbours of
+        # the row below the step's first new node, block size), the counts
+        # read from one cumulative sum down the rows; a new node's key is
+        # its own, above every row's
+        old = np.flatnonzero(~is_new)
+        col, step_of = local[old], node_step[old]
+        row = col + row_off[step_of]
+        later = np.cumsum(self.rows, axis=0)
+        later = later[row_off[step_of] + start[step_of] - 1, col] - later[row, col]
+        width, sizes = self.rows.shape[1] + 1, size.max() + 1
+        key = zero_row * width * sizes + np.arange(is_new.shape[0])
+        key[old] = (row * width + later.astype(np.int64)) * sizes + size[step_of]
+        _, self.class_rep, self.node_class = np.unique(key, return_index=True,
+                                                       return_inverse=True)
+        # every round-one key of the plan has an edge into a representative
+        into_rep = np.flatnonzero(self.class_rep[self.node_class[recv]] == recv)
+        self.class_edges = (self.node_class[recv[into_rep]], self.node_class[send[into_rep]])
+        self.class_round_one = _distinct(self.round_one_index[into_rep])
+        self.round_two = _distinct(
+            self.node_class[recv] * self.class_rep.shape[0] + self.node_class[send]
+        )
+
+    def _no_classes(self) -> None:
+        """A plan whose runs are one step each gets no class tables: its
+        nodes are all of their own class."""
+        self.node_class = self.class_rep = self.class_edges = None
+        self.class_round_one = self.round_two = None
 
     def _one_step(self, block: Sequence[int]) -> None:
         """The fields of a plan of one step of one graph, the plan sampling
@@ -332,6 +385,7 @@ class UnionPlan:
         self.step_off = np.zeros(1, dtype=np.int64)
         self.x = (self.src_idx == zero_row).astype(np.float64)
         self.pair_seg = np.zeros(cand_i.shape[0], dtype=np.int64)
+        self._no_classes()
 
     @property
     def num_nodes(self) -> int:
@@ -344,8 +398,7 @@ class UnionPlan:
     @property
     def round_one(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The round-one table as ``gated_messages`` takes it, or None when
-        it lists every edge (as for a one-step plan), so that round one
-        runs per edge."""
+        it lists every edge (as for a one-step plan)."""
         if self.round_one_edges.shape[0] == self.edges[0].shape[0]:
             return None
         return self.round_one_edges, self.round_one_index
@@ -388,12 +441,23 @@ def gnn_round(
 
 
 def run_rounds(h: Tensor, plan: UnionPlan, params: GeneratorParams) -> Tensor:
-    """Every round over the plan's initial states ``h``.  Round one computes
-    its messages once per distinct edge (``plan.round_one``, see
-    ``gated_messages``): its states are ``initial_states``, equal across the
-    nodes of a graph that read one row.  Later rounds run per edge."""
+    """Every round over the plan's initial states ``h``.  Nodes of one
+    round-one class (``plan.node_class``) hold one initial state and receive
+    the same messages in the same order, so round one runs on the classes'
+    representatives, the incoming edges of each as its own, with messages
+    once per distinct edge (``plan.class_round_one``), and gathers its
+    states back onto the union.  Round two computes its messages once per
+    distinct (receiver class, sender class) edge (``plan.round_two``).
+    Later rounds, and every round of a plan without class tables, run per
+    edge."""
     for r in range(params.config.rounds):
-        h = gnn_round(h, plan.x, plan.edges, params, r, plan.round_one if r == 0 else None)
+        if r == 0 and plan.node_class is not None:
+            rep = plan.class_rep
+            h_class = gnn_round(gather_rows(h, rep), plan.x[rep], plan.class_edges, params, 0,
+                                plan.class_round_one)
+            h = gather_rows(h_class, plan.node_class)
+        else:
+            h = gnn_round(h, plan.x, plan.edges, params, r, plan.round_two if r == 1 else None)
     return h
 
 

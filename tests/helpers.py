@@ -147,11 +147,13 @@ def reference_plan(runs) -> dict:
     by step and run by run, and new nodes read the zero row after all rows.
     A run of several steps lists one edge per distinct (receiver row,
     sender row) key in key order, the last edge of each key standing for
-    it; a one-step run lists every edge."""
+    it; a one-step run lists every edge.  The class tables come from
+    ``reference_classes``."""
     zero_row = sum(rows.shape[0] for rows, _ in runs)
     f = {k: [] for k in ("src_idx", "recv", "send", "edge_pair", "pair_rows", "pair_cols",
                          "node_step", "node_graph", "step_off", "first", "index")}
     nodes = pairs = steps = row_off = 0
+    class_keys = []
     for r, (rows, blocks) in enumerate(runs):
         f["step_off"].append(steps)
         keys = []
@@ -168,6 +170,10 @@ def reference_plan(runs) -> dict:
             f["pair_rows"] += [nodes + i for i, _ in cand]
             f["pair_cols"] += [nodes + j for _, j in cand]
             f["src_idx"] += src
+            class_keys += [
+                (0, r, i, int(sum(rows[k, i] for k in range(i + 1, n_prev))), len(block))
+                for i in range(n_prev)
+            ] + [(1, nodes + i) for i in block]
             f["node_step"] += [steps] * n_cur
             f["node_graph"] += [r] * n_cur
             nodes, pairs, steps = nodes + n_cur, pairs + len(cand), steps + 1
@@ -182,7 +188,10 @@ def reference_plan(runs) -> dict:
         f["first"] += [edges_before + e for e in first]
         row_off += rows.shape[0]
     out = {k: np.asarray(v, dtype=np.int64) for k, v in f.items()}
+    several_steps = any(len(blocks) > 1 for _, blocks in runs)
+    classes = reference_classes(class_keys, (out["recv"], out["send"]), out["index"])
     return {
+        **{k: v if several_steps else None for k, v in classes.items()},
         "rows": np.concatenate([rows for rows, _ in runs]),
         "src_idx": out["src_idx"],
         "edges": (out["recv"], out["send"]),
@@ -196,6 +205,41 @@ def reference_plan(runs) -> dict:
         "step_off": out["step_off"],
         "x": (out["src_idx"] == zero_row).astype(np.float64),
         "pair_seg": out["node_step"][out["pair_rows"]],
+    }
+
+
+def reference_classes(class_keys, edges, round_one_index) -> dict:
+    """The class tables of ``generator.UnionPlan`` from each union node's
+    round-one class key, one node at a time: a prefix node's (run, row,
+    later neighbours of the row in the step's prefix, block size), a new
+    node's own key after every prefix node's.  Classes are numbered in key
+    order, and a class's first node represents it; ``class_edges`` lists the edges into a
+    representative, in edge order, as class pairs; ``class_round_one`` keys
+    those edges by their round-one key, and ``round_two`` keys every edge by
+    its (receiver class, sender class), each table in key order with the
+    last edge of a key standing for it."""
+    order = sorted(set(class_keys))
+    node_class = [order.index(key) for key in class_keys]
+    class_rep = [class_keys.index(key) for key in order]
+    recv, send = edges
+    into_rep = [e for e in range(len(recv)) if recv[e] in class_rep]
+
+    def table(keys):
+        last = {key: e for e, key in enumerate(keys)}
+        order = sorted(last)
+        return (np.asarray([last[key] for key in order], dtype=np.int64),
+                np.asarray([order.index(key) for key in keys], dtype=np.int64))
+
+    def ints(values):
+        return np.asarray(values, dtype=np.int64)
+
+    return {
+        "node_class": ints(node_class),
+        "class_rep": ints(class_rep),
+        "class_edges": (ints([node_class[recv[e]] for e in into_rep]),
+                        ints([node_class[send[e]] for e in into_rep])),
+        "class_round_one": table([round_one_index[e] for e in into_rep]),
+        "round_two": table([(node_class[r], node_class[s]) for r, s in zip(recv, send)]),
     }
 
 

@@ -270,8 +270,9 @@ def test_read_out_unions_keep_predictions(monkeypatch):
     assert all(e <= 120 or k == 1 for k, e in unions)
     assert any(e > 120 for _, e in unions) and any(k > 1 for k, _ in unions)
     assert chunked.shape == one_union.shape
-    assert np.array_equal(np.argmax(chunked, axis=1), np.argmax(one_union, axis=1))
-    assert np.allclose(chunked, one_union, rtol=0, atol=1e-15)
+    # every product of the read-out is padded, so a row's bits do not
+    # depend on the union it falls in
+    assert np.array_equal(chunked, one_union)
 
 
 def test_classify_graph_permutation_invariant():

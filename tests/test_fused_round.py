@@ -19,7 +19,7 @@ from helpers import (
     rel_error,
 )
 
-from condgraphgen import backend
+from condgraphgen import backend, generator
 from condgraphgen.autodiff import GruCell, Tensor, gated_messages, gather_rows, make_mlp, no_grad
 from condgraphgen.generator import (
     GeneratorConfig,
@@ -350,5 +350,111 @@ def test_distinct_round_one_matches_finite_differences():
 
     def build():
         return (run_rounds(gather_rows(states, keys), u, params) * weights).sum()
+
+    _check_finite_differences(build, [states, *w.msg.tensors(), *w.gate.tensors()])
+
+
+# ---------------------------------------------------------------------------
+# round one once per class, round two once per distinct class pair
+# (``UnionPlan.node_class``, ``UnionPlan.round_two``)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_nodes_of_one_class_hold_equal_round_one_states(block_size):
+    """The per-edge round one gives every node of a class the bits of its
+    representative."""
+    params = _params(block_size, False, seed=50 + block_size)
+    u, labels = _mixed_union(params, 50 + block_size, sizes=(10, 1, 9, 10, 5, 8))
+    with no_grad():
+        h1 = gnn_round(initial_states(u, labels, params), u.x, u.edges, params).value
+    assert u.class_rep.shape[0] < u.num_nodes
+    assert np.array_equal(u.node_class[u.class_rep], np.arange(u.class_rep.shape[0]))
+    assert np.array_equal(h1, h1[u.class_rep][u.node_class])
+    # classes of different keys can hold equal states, but every new node
+    # is a class of its own
+    assert np.unique(u.node_class[u.new_nodes]).shape[0] == u.new_nodes.shape[0]
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_class_tables_list_each_key_once(block_size):
+    params = _params(block_size, True)
+    u, _ = _mixed_union(params, 60 + block_size, sizes=(10, 1, 9, 10, 5, 8))
+    recv, send = u.edges
+    # round two: one edge per (receiver class, sender class), in key order
+    first, index = u.round_two
+    keys = u.node_class[recv] * u.class_rep.shape[0] + u.node_class[send]
+    assert np.array_equal(keys, keys[first][index])
+    assert np.all(np.diff(keys[first]) > 0)
+    # round one: the edges into representatives, as class pairs, keyed by
+    # their round-one key, each round-one key once
+    into_rep = np.isin(recv, u.class_rep)
+    assert np.array_equal(u.class_edges[0], u.node_class[recv[into_rep]])
+    assert np.array_equal(u.class_edges[1], u.node_class[send[into_rep]])
+    first, index = u.class_round_one
+    state_keys = _state_keys(u)[u.class_rep]
+    keys = np.stack([state_keys[u.class_edges[0]], state_keys[u.class_edges[1]]], axis=1)
+    assert np.array_equal(keys, keys[first][index])
+    assert first.shape[0] == u.round_one[0].shape[0]
+
+
+def test_one_step_and_edgeless_plans_get_no_class_tables(monkeypatch):
+    """Sampling's one-step plans, stacked or alone, and edgeless plans build
+    no tables, and their rounds run per edge."""
+    params = _params(1, True)
+
+    def refused(*args):
+        raise AssertionError("class tables built")
+
+    monkeypatch.setattr(generator, "_distinct", refused)
+    og = decompose(Graph(6, frozenset({(0, 1), (1, 2), (2, 5)}), (0,) * 6, 0), 10)
+    one_step = [UnionPlan([(og.lower_rows[:block[0]], [block])]) for block in [(4,), (3, 4, 5)]]
+    stacked = UnionPlan([(og.lower_rows[:4], [(4,)]), (og.lower_rows[:3], [(3, 4, 5)])])
+    no_edges = UnionPlan([(np.zeros((1, 10)), [(0,)])] * 3)
+    for u in one_step + [stacked, no_edges]:
+        assert u.node_class is None and u.class_rep is None and u.class_edges is None
+        assert u.class_round_one is None and u.round_two is None
+        h0 = initial_states(u, [i % 2 for i in range(len(u.step_off))], params)
+        assert np.array_equal(run_rounds(h0, u, params).value,
+                              per_edge_rounds(h0, u.x, u.edges, params).value)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_distinct_round_two_matches_the_per_edge_round(block_size, tied):
+    """Round two on states gathered from the classes: the values to the
+    bit, and the gradients of the class states and of the round's weights
+    to 1e-12."""
+    params = _params(block_size, tied, seed=70 + block_size)
+    u, labels = _mixed_union(params, 70 + block_size)
+    with no_grad():
+        h0 = initial_states(u, labels, params)
+        classes = gnn_round(h0, u.x, u.edges, params).value[u.class_rep]
+    weights = np.random.default_rng(block_size).standard_normal((u.num_nodes, classes.shape[1]))
+    tensors = _round_tensors(params, 1)
+
+    def run(distinct):
+        return _grads(lambda c: gnn_round(gather_rows(c, u.node_class), u.x, u.edges, params,
+                                          1, distinct), classes, tensors, weights)
+
+    got, want = run(u.round_two), run(None)
+    assert np.array_equal(got[0], want[0])
+    _assert_close(got[1:], want[1:])
+
+
+def test_distinct_round_two_matches_finite_differences():
+    """Perturbing one class state moves every node of the class."""
+    params = _params(2, False, seed=80)
+    for layer in [lay for w in params.round_weights for lay in w.msg.layers + w.gate.layers]:
+        layer.b.value[...] = 0.05 + 0.1 * np.random.default_rng(81).random(layer.b.value.shape)
+    u, labels = _mixed_union(params, 82, sizes=(4, 1, 3))
+    with no_grad():
+        h1 = gnn_round(initial_states(u, labels, params), u.x, u.edges, params).value
+    states = Tensor(h1[u.class_rep], requires_grad=True)
+    weights = np.random.default_rng(83).standard_normal(h1.shape)
+    w = params.round_for(1)
+
+    def build():
+        h = gather_rows(states, u.node_class)
+        return (gnn_round(h, u.x, u.edges, params, 1, u.round_two) * weights).sum()
 
     _check_finite_differences(build, [states, *w.msg.tensors(), *w.gate.tensors()])

@@ -16,8 +16,14 @@ from helpers import (
 )
 
 from condgraphgen import generator as G
-from condgraphgen.autodiff import constant, gather_rows, sigmoid
-from condgraphgen.classifiers import graph_logits, init_graph_classifier, uniform_features
+from condgraphgen.autodiff import constant, gather_rows, no_grad, sigmoid
+from condgraphgen.classifiers import (
+    classify_nodes,
+    graph_logits,
+    init_graph_classifier,
+    init_node_classifier,
+    uniform_features,
+)
 from condgraphgen.graphs import Graph, block_partition, decompose
 from condgraphgen.generator import (
     GeneratorConfig,
@@ -389,10 +395,42 @@ def test_stacked_plan_matches_each_graph_alone():
     for i, (plan, label, s0) in enumerate(zip(plans, labels, u.step_off)):
         la, tl, hi = G.step_forward(plan, [label], params)
         steps = slice(s0, s0 + plan.num_steps)
-        assert np.allclose(log_alpha.value[steps], la.value, rtol=0, atol=1e-12)
+        assert np.array_equal(log_alpha.value[steps], la.value)
         pairs = slice(bounds[s0], bounds[s0 + plan.num_steps])
-        assert np.allclose(theta_logits.value[pairs], tl.value, rtol=0, atol=1e-12)
-        assert np.allclose(h.value[u.node_graph == i], hi.value, rtol=0, atol=1e-12)
+        assert np.array_equal(theta_logits.value[pairs], tl.value)
+        assert np.array_equal(h.value[u.node_graph == i], hi.value)
+
+
+@pytest.mark.parametrize("mixture_k", [1, 2, 7])
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_stacked_one_step_plans_match_each_plan_alone_bit_for_bit(block_size, mixture_k):
+    """One-step plans of several samples side by side: every output row has
+    the bits of its plan run alone, whatever else the union holds, since
+    every forward product pads narrow weights and one-row inputs."""
+    rng = np.random.default_rng(60 + 10 * mixture_k + block_size)
+    params = small_params(61, block_size=block_size, mixture_k=mixture_k, max_nodes=40)
+    nodeclf = init_node_classifier(HID, 4, np.random.default_rng(62))
+    runs, labels = [], []
+    for n in (40, 3, 17, 1, 26, 2, 9):
+        og = random_ordered(rng, n, params, p=0.3)
+        blocks = block_partition(n, block_size)
+        block = blocks[int(rng.integers(len(blocks)))]
+        runs.append((og.lower_rows[: block[0]], [block]))
+        labels.append(int(rng.integers(2)))
+    u = UnionPlan(runs)
+    with no_grad():
+        log_alpha, theta_logits, h = G.step_forward(u, labels, params)
+        node_dists = classify_nodes(gather_rows(h, u.new_nodes), nodeclf).value
+    bounds = u.pair_bounds()
+    for s, (run, label) in enumerate(zip(runs, labels)):
+        plan = UnionPlan([run])
+        with no_grad():
+            la, tl, hi = G.step_forward(plan, [label], params)
+            dists = classify_nodes(gather_rows(hi, plan.new_nodes), nodeclf).value
+        assert np.array_equal(log_alpha.value[s], la.value[0])
+        assert np.array_equal(theta_logits.value[bounds[s]:bounds[s + 1]], tl.value)
+        assert np.array_equal(h.value[u.node_step == s], hi.value)
+        assert np.array_equal(node_dists[u.node_step[u.new_nodes] == s], dists)
 
 
 def test_stack_offsets_and_shared_zero_row():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import oracle_generate_batch
@@ -244,3 +249,51 @@ def test_class_label_out_of_range(model):
     gen, nodeclf = model
     with pytest.raises(ValueError, match="class 2"):
         generate(2, gen, nodeclf, None, np.random.default_rng(0), num_nodes=3)
+
+
+# ---------------------------------------------------------------------------
+# bits independent of the BLAS thread count
+
+_SAMPLING_DIGEST = """
+import hashlib
+import numpy as np
+from condgraphgen.autodiff import no_grad
+from condgraphgen.classifiers import init_node_classifier
+from condgraphgen.generator import GeneratorConfig, UnionPlan, init_generator, step_forward
+from condgraphgen.graphs import Graph, decompose
+from condgraphgen.sampling import generate_batch
+
+digest = hashlib.sha256()
+for block_size, mixture_k in ((1, 1), (2, 2), (3, 7)):
+    config = GeneratorConfig(max_nodes=160, block_size=block_size, num_classes=2,
+                             hidden_dim_h=12, cond_dim=4, mixture_k=mixture_k, rounds=3)
+    gen = init_generator(config, np.random.default_rng(block_size))
+    nodeclf = init_node_classifier(config.hidden_dim, 3, np.random.default_rng(9))
+    for label in (0, 1):
+        for g in generate_batch(label, 2, gen, nodeclf, None, seed=5, num_nodes=24):
+            digest.update(repr((sorted(g.edges), g.node_labels)).encode())
+    # one block over a dense 150-node prefix: products of about 12,000 rows
+    rng = np.random.default_rng(block_size)
+    edges = frozenset((j, i) for i in range(150) for j in range(i) if rng.random() < 0.5)
+    og = decompose(Graph(150, edges, (0,) * 150, 0), config.max_nodes)
+    plan = UnionPlan([(og.lower_rows, [list(range(150, 150 + block_size))])])
+    with no_grad():
+        for out in step_forward(plan, [1], gen):
+            digest.update(out.value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_sampling_bits_do_not_depend_on_the_blas_thread_count():
+    """Samples and the raw forward outputs of a large one-step plan come out
+    bit for bit the same with one and with two OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", _SAMPLING_DIGEST], capture_output=True,
+                             text=True, env=env, timeout=300, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
