@@ -337,11 +337,11 @@ class UnionPlan:
         old = np.flatnonzero(~is_new)
         col, step_of = local[old], node_step[old]
         row = col + row_off[step_of]
-        later = np.cumsum(self.rows, axis=0)
+        later = np.cumsum(self.rows, axis=0, dtype=np.int32)
         later = later[row_off[step_of] + start[step_of] - 1, col] - later[row, col]
         width, sizes = self.rows.shape[1] + 1, size.max() + 1
         key = zero_row * width * sizes + np.arange(is_new.shape[0])
-        key[old] = (row * width + later.astype(np.int64)) * sizes + size[step_of]
+        key[old] = (row * width + later) * sizes + size[step_of]
         _, self.class_rep, self.node_class = np.unique(key, return_index=True,
                                                        return_inverse=True)
         # every round-one key of the plan has an edge into a representative

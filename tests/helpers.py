@@ -213,11 +213,11 @@ def reference_classes(class_keys, edges, round_one_index) -> dict:
     round-one class key, one node at a time: a prefix node's (run, row,
     later neighbours of the row in the step's prefix, block size), a new
     node's own key after every prefix node's.  Classes are numbered in key
-    order, and a class's first node represents it; ``class_edges`` lists the edges into a
-    representative, in edge order, as class pairs; ``class_round_one`` keys
-    those edges by their round-one key, and ``round_two`` keys every edge by
-    its (receiver class, sender class), each table in key order with the
-    last edge of a key standing for it."""
+    order, and a class's first node represents it; ``class_edges`` lists
+    the edges into a representative, in edge order, as class pairs;
+    ``class_round_one`` keys those edges by their round-one key, and
+    ``round_two`` keys every edge by its (receiver class, sender class),
+    each table in key order with the last edge of a key standing for it."""
     order = sorted(set(class_keys))
     node_class = [order.index(key) for key in class_keys]
     class_rep = [class_keys.index(key) for key in order]
