@@ -197,7 +197,7 @@ def _product(x: Array, w: Array) -> Array:
         padded[:, :cols] = w
         w = padded
     if rows == 1:
-        x = np.concatenate([x, x])
+        x = x.repeat(2, axis=0)
     return (x @ w)[:rows, :cols]
 
 

@@ -349,7 +349,7 @@ def _batch_losses(
 
 # Union edges per forward/backward pass: a minibatch union of E edges runs
 # as k = ceil(E / budget) passes of about E / k edges, each larger than that
-# by less than one step.  A step's peak RSS is 12-14 MB per 1,000 edges of
+# by less than one step.  A step's peak RSS is 10-13 MB per 1,000 edges of
 # its largest pass above the RSS it started from (one NCI1-like graph of
 # 64-620 nodes, ``bench_union_memory.py``), and a pass costs about 2-3 ms
 # beyond its edges (a 16-graph toy batch split into 1 to 12 passes), so this
