@@ -240,7 +240,7 @@ class UnionPlan:
     (run, receiver row, sender row) key, and ``round_one_index`` gives each
     edge's position in it.  A one-step run lists every edge.
 
-    The class tables (None when every run is one step).  A prefix node
+    The class tables are None when every run is one step.  A prefix node
     receives from its row's earlier neighbours, from those of its later
     neighbours already in the step's prefix, and from each of the block's
     new nodes, in that order, so two nodes of one run with the same row,
