@@ -171,13 +171,13 @@ def _round_one(
     edge_run: np.ndarray,
     run_rows: np.ndarray,
     run_steps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The round-one table of a plan (see UnionPlan) from each node's row
-    within its run, ``run_rows`` for the zero row, and each edge's run: one
-    edge per distinct (run, receiver row, sender row) key, in key order, and
-    each edge's index into that list.  The keys of a run of several steps
-    are counted in a dense table of (rows + 1)² flags, not sorted; a
-    one-step run keys each edge by its place, so it lists every edge."""
+) -> np.ndarray:
+    """Each edge's round-one key index of a plan (see UnionPlan), from each
+    node's row within its run, ``run_rows`` for the zero row, and each
+    edge's run: the distinct (run, receiver row, sender row) keys are
+    numbered in key order.  The keys of a run of several steps are counted
+    in a dense table of (rows + 1)² flags, not sorted; a one-step run keys
+    each edge by its place, so each of its edges is a key of its own."""
     recv, send = edges
     num_edges = recv.shape[0]
     multi = run_steps > 1
@@ -192,11 +192,7 @@ def _round_one(
     key += (np.cumsum(table) - table)[edge_run]
     present = np.zeros(table.sum(), dtype=bool)
     present[key] = True
-    index = (np.cumsum(present) - 1)[key]
-    first = np.empty(np.count_nonzero(present), dtype=np.int64)
-    # any edge of a key stands for it: all carry the same message
-    first[index] = np.arange(num_edges)
-    return first, index
+    return (np.cumsum(present) - 1)[key]
 
 
 def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,18 +225,16 @@ class UnionPlan:
     and ``edge_pair``, the candidate pair each edge carries (-1 for an
     observed prefix edge); candidate ``pairs`` (new node, partner) in
     canonical order; ``node_step`` and ``node_graph``, each node's step and
-    run; each run's first step ``step_off``; the round-one table; and the
-    class tables.  Two fields are derived from these: the new-node flags
-    ``x`` and each pair's step ``pair_seg``.
+    run; each run's first step ``step_off``; and the class tables.  Two
+    fields are derived from these: the new-node flags ``x`` and each pair's
+    step ``pair_seg``.
 
-    The round-one table lists the distinct first-round edges.  Two edges of
-    one run whose receivers read the same row and whose senders read the
-    same row carry the same first-round message, flag included, whatever
-    their steps.  ``round_one_edges`` holds one edge per such
-    (run, receiver row, sender row) key, and ``round_one_index`` gives each
-    edge's position in it.  A one-step run lists every edge.
-
-    The class tables are None when every run is one step.  A prefix node
+    The class tables are None when every run is one step.  Two edges of one
+    run whose receivers read the same row and whose senders read the same
+    row carry the same first-round message, flag included, whatever their
+    steps.  ``round_one_index`` numbers these (run, receiver row, sender
+    row) keys in key order, one entry per edge; each edge of a one-step run
+    is a key of its own.  A prefix node
     receives from its row's earlier neighbours, from those of its later
     neighbours already in the step's prefix, and from each of the block's
     new nodes, in that order, so two nodes of one run with the same row,
@@ -314,10 +308,6 @@ class UnionPlan:
         is_new = local >= start[node_step]
         self.src_idx = np.where(is_new, zero_row, local + row_off[node_step])
         self.edges = (recv, send)
-        self.round_one_edges, self.round_one_index = _round_one(
-            np.where(is_new, run_rows[step_run][node_step], local),
-            self.edges, np.repeat(step_run, 2 * half), run_rows, run_steps,
-        )
         self.edge_pair = edge_pair
         self.pairs = (u[cand], v[cand])
         self.num_steps = steps.shape[0]
@@ -330,6 +320,10 @@ class UnionPlan:
         if run_steps.max() == 1:
             self._no_classes()
             return
+        self.round_one_index = _round_one(
+            np.where(is_new, run_rows[step_run][node_step], local),
+            self.edges, np.repeat(step_run, 2 * half), run_rows, run_steps,
+        )
         # a prefix node's round-one class key: (row, later neighbours of
         # the row below the step's first new node, block size), the counts
         # read from one cumulative sum down the rows; a new node's key is
@@ -356,7 +350,7 @@ class UnionPlan:
         """A plan whose runs are one step each gets no class tables: its
         nodes are all of their own class."""
         self.node_class = self.class_rep = self.class_edges = None
-        self.class_round_one = self.round_two = None
+        self.round_one_index = self.class_round_one = self.round_two = None
 
     def _one_step(self, block: Sequence[int]) -> None:
         """The fields of a plan of one step of one graph, the plan sampling
@@ -372,11 +366,10 @@ class UnionPlan:
         v = np.concatenate([obs_j, cand_j])
         carried = np.arange(-obs_i.shape[0], cand_i.shape[0])
         carried[:obs_i.shape[0]] = -1
-        num_nodes, num_edges = block[-1] + 1, 2 * u.shape[0]
+        num_nodes = block[-1] + 1
         self.src_idx = np.arange(num_nodes)
         self.src_idx[block[0]:] = zero_row
         self.edges = (np.concatenate([u, v]), np.concatenate([v, u]))
-        self.round_one_edges, self.round_one_index = np.arange(num_edges), np.arange(num_edges)
         self.edge_pair = np.concatenate([carried, carried])
         self.pairs = (cand_i, cand_j)
         self.num_steps = 1
@@ -394,14 +387,6 @@ class UnionPlan:
     @property
     def num_pairs(self) -> int:
         return self.pair_seg.shape[0]
-
-    @property
-    def round_one(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The round-one table as ``gated_messages`` takes it, or None when
-        it lists every edge (as for a one-step plan)."""
-        if self.round_one_edges.shape[0] == self.edges[0].shape[0]:
-            return None
-        return self.round_one_edges, self.round_one_index
 
     @property
     def new_nodes(self) -> np.ndarray:
@@ -499,6 +484,18 @@ def check_mixture_weights(alpha: np.ndarray) -> None:
         raise NumericError("non-finite mixture weights")
     if (alpha < 0).any() or (np.abs(alpha.sum(axis=1) - 1.0) > 1e-6).any():
         raise NumericError("mixture weights are not a probability simplex")
+
+
+def draw_components(alpha: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One mixture component per row of ``alpha`` (steps x K, weights that
+    passed ``check_mixture_weights``) from one uniform draw per row: the
+    index ``rng.choice(K, p=alpha[s])`` returns when its one
+    ``rng.random()`` gives ``uniforms[s]``.  That is
+    ``searchsorted(cdf, u, side="right")`` on ``cdf = cumsum(α_s) /
+    cumsum(α_s)[-1]``, the count of the sorted row's entries <= u."""
+    cdf = np.cumsum(alpha, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
 def step_forward(

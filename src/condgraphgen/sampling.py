@@ -2,11 +2,15 @@
 
 Generation runs the training-time forward (``step_forward``) on a union
 plan of one one-step run, the current block over the sampled prefix, and
-draws hard samples: one mixture component per block, then an independent
+draws hard samples: one mixture component per block, from one uniform
+through ``generator.draw_components`` as in training, then an independent
 Bernoulli draw per candidate edge (no relaxation).  Node labels come from
-the node classifier applied to each block's final states.  The target node
-count is drawn from the per-class empirical histogram of the training
-split, since the autoregressive model itself has no stopping rule.
+the node classifier, read once per sample on every block's final states:
+a row's value does not depend on the rows it is batched with
+(``autodiff._product``), so the labels are those of a read-out per block.
+The target node count is drawn from the per-class empirical histogram of
+the training split, since the autoregressive model itself has no stopping
+rule.
 """
 
 from __future__ import annotations
@@ -15,10 +19,16 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import gather_rows, no_grad, sigmoid
+from .autodiff import no_grad, sigmoid
 from .classifiers import NodeClassifierParams, classify_nodes
 from .errors import CapacityError, NumericError
-from .generator import GeneratorParams, UnionPlan, check_mixture_weights, step_forward
+from .generator import (
+    GeneratorParams,
+    UnionPlan,
+    check_mixture_weights,
+    draw_components,
+    step_forward,
+)
 from .graphs import Graph, block_partition, decompose
 
 Histogram = Mapping[int, Mapping[int, int]]
@@ -52,10 +62,13 @@ def generate(
 
     The node count is taken from ``num_nodes`` when given, otherwise drawn
     from ``histogram``.  Blocks are emitted autoregressively: forward pass on
-    the sampled prefix, hard component draw k ~ alpha, edge bits ~
-    Bernoulli(theta_k), block node labels = argmax of the node classifier on
-    the block's final states.  Raises NumericError when the mixture weights
-    or edge probabilities are not finite.  Nothing is recorded on the tape.
+    the sampled prefix, hard component draw k ~ alpha (one ``rng.random()``
+    through ``draw_components``, the index and stream position of
+    ``rng.choice(K, p=alpha)``), edge bits ~ Bernoulli(theta_k).  Each
+    block's final states are kept, and the node labels are the argmax of one
+    node-classifier read-out over all sampled nodes' states.  Raises
+    NumericError when the mixture weights are not finite or the edge logits
+    hold a NaN.  Nothing is recorded on the tape.
 
     When ``start`` is given, its canonically ordered structure and node
     labels become the first nodes of the output and generation continues from
@@ -80,6 +93,7 @@ def generate(
 
     lower = np.zeros((n, config.max_nodes))
     labels = np.zeros(n, dtype=np.int64)
+    states = np.zeros((n, config.hidden_dim))
     n_fixed = 0
     if start is not None:
         n_fixed = start.num_nodes
@@ -98,21 +112,21 @@ def generate(
         log_alpha, theta_logits, h = step_forward(plan, [class_label], gen_params)
         alpha = np.exp(log_alpha.value)
         check_mixture_weights(alpha)
-        theta = np.clip(sigmoid(theta_logits).value, 1e-12, 1.0 - 1e-12)
-        if not ((theta > 0) & (theta < 1)).all():
-            raise NumericError("edge probabilities must lie strictly inside (0, 1)")
+        # the clipped sigmoid lies inside (0, 1) unless a logit is NaN
+        if np.isnan(theta_logits.value).any():
+            raise NumericError("edge logits hold a NaN")
         if plan.num_pairs:
-            k = int(rng.choice(alpha.shape[1], p=alpha[0]))
-            bits = rng.random(plan.num_pairs) < theta[:, k]
+            k = draw_components(alpha, rng.random(1))[0]
+            theta = np.clip(sigmoid(theta_logits.value[:, k]).value, 1e-12, 1.0 - 1e-12)
+            bits = rng.random(plan.num_pairs) < theta
             rows, cols = plan.pairs
             keep = rows >= n_fixed
             lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
-        block_states = gather_rows(h, plan.new_nodes)
-        dists = classify_nodes(block_states, nodeclf_params)
-        predicted = np.argmax(dists.value, axis=1)
-        for pos, i in enumerate(block):
-            if i >= n_fixed:
-                labels[i] = predicted[pos]
+        # a one-step plan lays out the prefix, then the block
+        states[block[0]:block[-1] + 1] = h.value[block[0]:]
+    if n_fixed < n:
+        dists = classify_nodes(states[n_fixed:], nodeclf_params)
+        labels[n_fixed:] = np.argmax(dists.value, axis=1)
 
     src, dst = np.nonzero(lower[:, :n])
     edges = frozenset((int(i), int(j)) for i, j in zip(src, dst))

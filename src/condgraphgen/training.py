@@ -66,6 +66,7 @@ from .generator import (
     GeneratorParams,
     UnionPlan,
     check_mixture_weights,
+    draw_components,
     init_generator,
     initial_states,
     mixture_heads,
@@ -267,14 +268,11 @@ def _draw_components_and_noise(
     alpha: np.ndarray, u: UnionPlan, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's mixture component and Gumbel noise difference, from one
-    ``rng.random`` call per graph.  Step s takes one uniform u_s for its
-    component, ``searchsorted(cumsum(α_s) / cumsum(α_s)[-1], u_s,
-    side="right")`` as ``rng.choice(K, p=α_s)`` does, then two uniforms per
-    pair: the stream and order of a step-by-step ``rng.choice`` and
-    ``rng.random((pairs_s, 2))``."""
+    ``rng.random`` call per graph.  Step s takes one uniform for its
+    component (``draw_components``, the index ``rng.choice(K, p=α_s)``
+    gives), then two uniforms per pair: the stream and order of a
+    step-by-step ``rng.choice`` and ``rng.random((pairs_s, 2))``."""
     check_mixture_weights(alpha)
-    cdf = np.cumsum(alpha, axis=1)
-    cdf /= cdf[:, -1:]
     per_step = 1 + 2 * np.diff(u.pair_bounds())
     draws = []
     for rng, s0, s1 in zip(rngs, u.step_off, np.append(u.step_off[1:], u.num_steps)):
@@ -282,8 +280,7 @@ def _draw_components_and_noise(
     draws = np.concatenate(draws)
     is_component = np.zeros(draws.shape[0], dtype=bool)
     is_component[np.cumsum(per_step) - per_step] = True
-    # a sorted row's searchsorted(side="right") counts the entries <= u_s
-    k = np.count_nonzero(cdf <= draws[is_component][:, None], axis=1)
+    k = draw_components(alpha, draws[is_component])
     gumbels = -np.log(-np.log(np.clip(draws[~is_component], 1e-12, 1 - 1e-12)))
     return k[u.pair_seg], gumbels[0::2] - gumbels[1::2]
 

@@ -145,14 +145,15 @@ def reference_plan(runs) -> dict:
     """The fields of ``generator.UnionPlan(runs)``, laid out one step at a
     time from ``augmented_edges``: union nodes, rows and pairs count up step
     by step and run by run, and new nodes read the zero row after all rows.
-    A run of several steps lists one edge per distinct (receiver row,
-    sender row) key in key order, the last edge of each key standing for
-    it; a one-step run lists every edge.  The class tables come from
-    ``reference_classes``."""
+    The edges of a run of several steps are numbered by their distinct
+    (receiver row, sender row) key in key order, and each edge of a
+    one-step run is a key of its own.  The class tables come from
+    ``reference_classes``; they and ``round_one_index`` are None when every
+    run is one step."""
     zero_row = sum(rows.shape[0] for rows, _ in runs)
     f = {k: [] for k in ("src_idx", "recv", "send", "edge_pair", "pair_rows", "pair_cols",
-                         "node_step", "node_graph", "step_off", "first", "index")}
-    nodes = pairs = steps = row_off = 0
+                         "node_step", "node_graph", "step_off", "index")}
+    nodes = pairs = steps = row_off = num_keys = 0
     class_keys = []
     for r, (rows, blocks) in enumerate(runs):
         f["step_off"].append(steps)
@@ -177,15 +178,13 @@ def reference_plan(runs) -> dict:
             f["node_step"] += [steps] * n_cur
             f["node_graph"] += [r] * n_cur
             nodes, pairs, steps = nodes + n_cur, pairs + len(cand), steps + 1
-        edges_before = len(f["recv"]) - len(keys)
         if len(blocks) == 1:
-            first, index = list(range(len(keys))), list(range(len(keys)))
+            index = list(range(len(keys)))
         else:
-            last = {key: e for e, key in enumerate(keys)}
-            order = sorted(last)
-            first, index = [last[key] for key in order], [order.index(key) for key in keys]
-        f["index"] += [len(f["first"]) + i for i in index]
-        f["first"] += [edges_before + e for e in first]
+            order = sorted(set(keys))
+            index = [order.index(key) for key in keys]
+        f["index"] += [num_keys + i for i in index]
+        num_keys += max(index, default=-1) + 1
         row_off += rows.shape[0]
     out = {k: np.asarray(v, dtype=np.int64) for k, v in f.items()}
     several_steps = any(len(blocks) > 1 for _, blocks in runs)
@@ -195,8 +194,7 @@ def reference_plan(runs) -> dict:
         "rows": np.concatenate([rows for rows, _ in runs]),
         "src_idx": out["src_idx"],
         "edges": (out["recv"], out["send"]),
-        "round_one_edges": out["first"],
-        "round_one_index": out["index"],
+        "round_one_index": out["index"] if several_steps else None,
         "edge_pair": out["edge_pair"],
         "pairs": (out["pair_rows"], out["pair_cols"]),
         "num_steps": steps,
@@ -206,6 +204,14 @@ def reference_plan(runs) -> dict:
         "x": (out["src_idx"] == zero_row).astype(np.float64),
         "pair_seg": out["node_step"][out["pair_rows"]],
     }
+
+
+def round_one_edges(round_one_index: np.ndarray) -> np.ndarray:
+    """One edge per round-one key of ``UnionPlan.round_one_index``, in key
+    order, the last edge of each key standing for it."""
+    first = np.empty(round_one_index.max(initial=-1) + 1, dtype=np.int64)
+    first[round_one_index] = np.arange(round_one_index.shape[0])
+    return first
 
 
 def reference_classes(class_keys, edges, round_one_index) -> dict:

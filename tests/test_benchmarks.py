@@ -46,6 +46,31 @@ def test_union_memory_benchmark_runs_one_small_step():
     assert records[1]["tape_nodes"] > records[0]["tape_nodes"]
 
 
+def test_sample_benchmark_times_small_samples(tmp_path):
+    path = tmp_path / "sample.json"
+    env = _env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_sample.py"), "--nodes", "3", "20",
+         "--seconds", "0.05", "--max-samples", "2", "--out", str(path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["nodes"] for r in records] == [3, 20]
+    for r in records:
+        assert set(r) == {
+            "nodes", "samples", "sample_ms", "edges", "rss_before_mb", "peak_rss_mb",
+        }
+        assert 1 <= r["samples"] <= 2 and r["sample_ms"] > 0
+        assert 0 <= r["edges"] <= r["nodes"] * (r["nodes"] - 1) // 2
+        assert r["peak_rss_mb"] >= r["rss_before_mb"] > 0
+    # an untrained generator's edge probabilities sit near 0.5
+    assert records[1]["edges"] > 0
+    saved = json.loads(path.read_text())
+    assert saved["results"] == records
+    assert saved["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+
+
 def test_stats_benchmark_times_both_corpora(tmp_path):
     path = tmp_path / "stats.json"
     env = _env()

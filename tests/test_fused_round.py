@@ -17,6 +17,7 @@ from helpers import (
     reference_messages,
     reference_round,
     rel_error,
+    round_one_edges,
 )
 
 from condgraphgen import backend, generator
@@ -242,7 +243,7 @@ def test_round_with_pending_messages_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# round one once per distinct edge (``UnionPlan.round_one``, ``run_rounds``)
+# round one once per distinct edge (``UnionPlan.round_one_index``, ``run_rounds``)
 
 
 def _mixed_union(params, seed, sizes=(7, 1, 4, 10, 5)):
@@ -272,7 +273,8 @@ def _assert_close(got, want, tol=1e-12):
 def test_round_one_table_lists_each_key_once_and_offsets_in_stack():
     params = _params(2, True)
     u, _ = _mixed_union(params, 0)
-    first, index = u.round_one
+    index = u.round_one_index
+    first = round_one_edges(index)
     recv, send = u.edges
     keys = np.stack([_state_keys(u)[recv], _state_keys(u)[send]], axis=1)
     assert np.array_equal(keys, keys[first][index])
@@ -284,9 +286,9 @@ def test_round_one_runs_per_edge_in_one_step_plans_and_without_edges():
     og = decompose(Graph(6, frozenset({(0, 1), (1, 2), (2, 5)}), (0,) * 6, 0), 10)
     for block in [(4,), (3, 4, 5)]:
         one_step = UnionPlan([(og.lower_rows[:block[0]], [block])])
-        assert one_step.edges[0].size > 0 and one_step.round_one is None
+        assert one_step.edges[0].size > 0 and one_step.round_one_index is None
     no_edges = UnionPlan([(np.zeros((1, 10)), [(0,)])] * 3)
-    assert no_edges.edges[0].size == 0 and no_edges.round_one is None
+    assert no_edges.edges[0].size == 0 and no_edges.round_one_index is None
     h0 = initial_states(no_edges, [0, 1, 0], params)
     assert np.array_equal(run_rounds(h0, no_edges, params).value,
                           per_edge_rounds(h0, no_edges.x, no_edges.edges, params).value)
@@ -299,7 +301,7 @@ def test_distinct_round_one_matches_the_per_edge_round(block_size, tied):
     summed over the nodes that share an initial state, to 1e-12."""
     params = _params(block_size, tied, seed=20 + block_size)
     u, labels = _mixed_union(params, block_size)
-    assert u.round_one is not None
+    assert round_one_edges(u.round_one_index).shape[0] < u.edges[0].shape[0]
     with no_grad():
         h0 = initial_states(u, labels, params).value
     weights = np.random.default_rng(block_size).standard_normal(h0.shape)
@@ -394,7 +396,7 @@ def test_class_tables_list_each_key_once(block_size):
     state_keys = _state_keys(u)[u.class_rep]
     keys = np.stack([state_keys[u.class_edges[0]], state_keys[u.class_edges[1]]], axis=1)
     assert np.array_equal(keys, keys[first][index])
-    assert first.shape[0] == u.round_one[0].shape[0]
+    assert first.shape[0] == round_one_edges(u.round_one_index).shape[0]
 
 
 def test_one_step_and_edgeless_plans_get_no_class_tables(monkeypatch):

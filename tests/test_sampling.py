@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from helpers import oracle_generate_batch
 
+from condgraphgen import sampling
 from condgraphgen.classifiers import init_graph_classifier, init_node_classifier
 from condgraphgen.errors import CapacityError, NumericError
-from condgraphgen.generator import GeneratorConfig, init_generator
+from condgraphgen.generator import GeneratorConfig, draw_components, init_generator
 from condgraphgen.graphs import Graph, synthesize_toy_corpus
 from condgraphgen.sampling import generate, generate_batch, sample_num_nodes
 from condgraphgen.training import TrainConfig, train_generator
@@ -243,6 +244,70 @@ def test_non_finite_weights_raise_numeric_error(poisoned):
         gen.head_theta.layers[-1].b.value[0] = np.nan
     with pytest.raises(NumericError):
         generate(0, gen, nodeclf, None, np.random.default_rng(0), num_nodes=6)
+
+
+# ---------------------------------------------------------------------------
+# one node-label read-out per sample, one uniform per component draw
+
+
+def _count_node_reads(monkeypatch) -> list[int]:
+    calls = [0]
+    classify = sampling.classify_nodes
+
+    def counted(states, params):
+        calls[0] += 1
+        return classify(states, params)
+
+    monkeypatch.setattr(sampling, "classify_nodes", counted)
+    return calls
+
+
+def test_node_labels_are_read_once_per_sample(model, monkeypatch):
+    gen, nodeclf = model
+    calls = _count_node_reads(monkeypatch)
+    graphs = generate_batch(1, 5, gen, nodeclf, None, seed=3, num_nodes=7)
+    assert calls[0] == 5 and all(g.num_nodes == 7 for g in graphs)
+    # a start that straddles a block still reads the rest in one call
+    path = Graph(3, frozenset({(0, 1), (1, 2)}), (2, 2, 2), class_label=0)
+    calls[0] = 0
+    g = generate(0, gen, nodeclf, None, np.random.default_rng(4), num_nodes=8, start=path)
+    assert calls[0] == 1 and g.num_nodes == 8
+
+
+def test_no_node_labels_are_read_when_start_has_the_target_count(model, monkeypatch):
+    gen, nodeclf = model
+    calls = _count_node_reads(monkeypatch)
+    path = Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}), (2, 0, 1, 2), class_label=1)
+    g = generate(0, gen, nodeclf, None, np.random.default_rng(4), num_nodes=4, start=path)
+    assert calls[0] == 0 and sorted(g.node_labels) == [0, 1, 2, 2]
+
+
+def test_component_draw_matches_rng_choice():
+    """The index and the RNG state after the draw, on random mixture rows,
+    rows with zero weights and one-hot rows."""
+    rng = np.random.default_rng(70)
+    rows = []
+    for k in (1, 2, 3, 7):
+        for _ in range(40):
+            alpha = rng.dirichlet(np.ones(k))
+            if k > 1 and rng.random() < 0.5:
+                alpha[rng.choice(k, rng.integers(1, k), replace=False)] = 0.0
+                alpha /= alpha.sum()
+            rows.append(alpha)
+        rows.append(np.eye(k)[k - 1])
+        rows.append(np.eye(k)[0])
+    for i, alpha in enumerate(rows):
+        want_rng, got_rng = np.random.default_rng(i), np.random.default_rng(i)
+        want = want_rng.choice(alpha.shape[0], p=alpha)
+        got = draw_components(alpha[None, :], got_rng.random(1))
+        assert got.shape == (1,) and got[0] == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # several rows at once, as training draws them
+    stacked = [r for r in rows if r.shape[0] == 7]
+    uniforms = np.random.default_rng(71).random(len(stacked))
+    want = [np.searchsorted(np.cumsum(a) / np.cumsum(a)[-1], u, side="right")
+            for a, u in zip(stacked, uniforms)]
+    assert np.array_equal(draw_components(np.stack(stacked), uniforms), want)
 
 
 def test_class_label_out_of_range(model):
