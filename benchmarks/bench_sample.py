@@ -2,10 +2,13 @@
 
 Each node count runs in its own child process, so ``ru_maxrss`` is that
 count's peak.  The generator is freshly initialized from ``--seed`` with the
-default ``TrainConfig``, ``max_nodes`` raised to n above its default of 16
-(an untrained generator's edge probabilities sit near 0.5, so its samples
-are dense), and only the public ``generate_batch`` is called, for class 1
-with ``num_nodes = n``.
+default ``TrainConfig``, ``max_nodes`` raised to n above its default of 16.
+An untrained edge head gives every pair a probability near 0.5, and a
+sample's cost grows with its edges, so the head is pinned to one edge
+probability that gives a mean degree of about 2.2 (NCI1's, as in
+``bench_union_memory.py``); the mixture weights and node states stay
+untrained.  Only the public ``generate_batch`` is called, for class 1 with
+``num_nodes = n``.
 The child first draws one sample, which also pays the process's one-off
 costs, then times one ``generate_batch`` call of as many samples as fit in
 ``--seconds`` at that rate (at most ``--max-samples``); when the first
@@ -15,13 +18,13 @@ sample alone takes longer than ``--seconds``, it is the one reported.
 
 runs 6, 9 and 12 nodes (the ``pipebench`` sample sizes) and 111 (NCI1's
 largest graph) unless ``--nodes`` says otherwise; ``--nodes 620``
-(PROTEINS' largest graph) draws one sample of several seconds and several
-hundred MB.  It prints one JSON line per node count (``samples``, the
-samples timed; ``sample_ms``, wall time per sample; ``edges``, the mean
-edge count of the timed samples; ``rss_before_mb`` and ``peak_rss_mb``,
-the peak RSS before the first sample and after the timed call) and, with
-``--out``, writes them to a JSON file with the git commit and the
-``*_NUM_THREADS`` variables (see ``record.py``).
+(PROTEINS' largest graph) takes longer.  It prints one JSON line per node
+count (``samples``, the samples timed; ``sample_ms``, wall time per
+sample; ``edges``, the mean edge count of the timed samples;
+``rss_before_mb`` and ``peak_rss_mb``, the peak RSS before the first
+sample and after the timed call) and, with ``--out``, writes them to a
+JSON file with the git commit and the ``*_NUM_THREADS`` variables (see
+``record.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ def sample(n: int, seed: int, seconds: float, max_samples: int) -> dict:
     config = TrainConfig(max_nodes=max(n, TrainConfig.max_nodes), seed=seed)
     gen = init_generator(config.generator_config(2), rng)
     nodeclf = init_node_classifier(gen.config.hidden_dim, 3, rng)
+    edge_prob = min(0.5, 2.2 / max(n - 1, 1))
+    final = gen.head_theta.layers[-1]
+    final.W.value[:] = 0.0
+    final.b.value[:] = np.log(edge_prob / (1.0 - edge_prob))
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     graphs = generate_batch(1, 1, gen, nodeclf, None, seed, num_nodes=n)
