@@ -11,8 +11,8 @@ untrained.  Only the public ``generate_batch`` is called, for class 1 with
 ``num_nodes = n``.
 The child first draws one sample, which also pays the process's one-off
 costs, then times one ``generate_batch`` call of as many samples as fit in
-``--seconds`` at that rate (at most ``--max-samples``); when the first
-sample alone takes longer than ``--seconds``, it is the one reported.
+``--seconds`` at that rate; when the first sample alone takes longer than
+``--seconds``, it is the one reported.
 
     PYTHONPATH=src python3 benchmarks/bench_sample.py
 
@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 
-def sample(n: int, seed: int, seconds: float, max_samples: int) -> dict:
+def sample(n: int, seed: int, seconds: float) -> dict:
     from condgraphgen import TrainConfig, generate_batch
     from condgraphgen.classifiers import init_node_classifier
     from condgraphgen.generator import init_generator
@@ -56,7 +56,7 @@ def sample(n: int, seed: int, seconds: float, max_samples: int) -> dict:
     start = time.perf_counter()
     graphs = generate_batch(1, 1, gen, nodeclf, None, seed, num_nodes=n)
     wall = time.perf_counter() - start
-    count = min(max_samples, int(seconds / wall))
+    count = int(seconds / wall)
     if count >= 1:
         start = time.perf_counter()
         graphs = generate_batch(1, count, gen, nodeclf, None, seed + 1, num_nodes=n)
@@ -78,18 +78,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=3.0,
                         help="sampling time to aim for per node count")
-    parser.add_argument("--max-samples", type=int, default=500)
     parser.add_argument("--out", help="JSON file for the results")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(sample(args.child, args.seed, args.seconds, args.max_samples)))
+        print(json.dumps(sample(args.child, args.seed, args.seconds)))
         return 0
     results = []
     for n in args.nodes:
         out = subprocess.run(
             [sys.executable, __file__, "--child", str(n), "--seed", str(args.seed),
-             "--seconds", str(args.seconds), "--max-samples", str(args.max_samples)],
+             "--seconds", str(args.seconds)],
             capture_output=True, text=True, check=True,
         )
         results.append(json.loads(out.stdout))

@@ -52,7 +52,7 @@ def test_sample_benchmark_times_small_samples(tmp_path):
     env["OPENBLAS_NUM_THREADS"] = "2"
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_sample.py"), "--nodes", "3", "20",
-         "--seconds", "0.05", "--max-samples", "2", "--out", str(path)],
+         "--seconds", "0.05", "--out", str(path)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     records = [json.loads(line) for line in out.stdout.splitlines()]
@@ -61,10 +61,10 @@ def test_sample_benchmark_times_small_samples(tmp_path):
         assert set(r) == {
             "nodes", "samples", "sample_ms", "edges", "rss_before_mb", "peak_rss_mb",
         }
-        assert 1 <= r["samples"] <= 2 and r["sample_ms"] > 0
+        assert r["samples"] >= 1 and r["sample_ms"] > 0
         assert 0 <= r["edges"] <= r["nodes"] * (r["nodes"] - 1) // 2
         assert r["peak_rss_mb"] >= r["rss_before_mb"] > 0
-    # an untrained generator's edge probabilities sit near 0.5
+    # the pinned edge head gives about 2.2 x 20 / 2 = 22 expected edges
     assert records[1]["edges"] > 0
     saved = json.loads(path.read_text())
     assert saved["results"] == records
