@@ -113,15 +113,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -240,47 +231,8 @@ def mul(a, b) -> Tensor:
     return _make(out_val, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value / b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    return _make(out_val, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of 2-d operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul() takes 2-d operands")
-    out_val = _product(a.value, b.value)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.value.T)
-        if b.requires_grad:
-            b._accumulate(a.value.T @ g)
-
-    return _make(out_val, (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out_val = np.maximum(x.value, 0.0)
-
-    def backward(g):
-        x._accumulate(g * (x.value > 0.0))
-
-    return _make(out_val, (x,), backward)
 
 
 def _sigmoid_val(v: Array) -> Array:

@@ -125,10 +125,13 @@ def _rebuild_generator(header: dict, arrays: dict[str, np.ndarray]) -> Generator
     missing = [key for key, _ in _GEN_HEADER if key not in header]
     if missing:
         raise DataError(f"checkpoint header is missing generator fields {missing}")
+    for key, _ in _GEN_HEADER:
+        if not isinstance(header[key], int) or isinstance(header[key], bool):
+            raise DataError(f"checkpoint header field {key} must be an integer")
     tied = not any(name.startswith("gen/round/1/") for name in arrays)
     try:
         config = GeneratorConfig(
-            **{name: int(header[key]) for key, name in _GEN_HEADER}, tied_rounds=tied
+            **{name: header[key] for key, name in _GEN_HEADER}, tied_rounds=tied
         )
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint header is not a valid configuration: {exc}") from exc

@@ -37,7 +37,6 @@ from .sampling import generate_batch
 from .training import (
     TrainConfig,
     load_train_config,
-    train_config_to_dict,
     train_generator,
 )
 from .tu_io import atomic_open, load_graph_json, load_graph_list, load_tu, save_graph_json
@@ -149,7 +148,7 @@ def cmd_train(args) -> int:
         if clf_params is None:
             raise DependencyError(f"{clf_path} holds no graph-classifier parameters")
 
-    _write_json(out / "config.json", train_config_to_dict(config))
+    _write_json(out / "config.json", dataclasses.asdict(config))
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     with open(out / "logs" / "train.jsonl", "w", encoding="utf-8") as fh:

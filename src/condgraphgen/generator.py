@@ -165,36 +165,6 @@ def step_edges(lower_rows: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.nd
     return np.asarray([2 * (prefix[b[0]] + sum(b)) for b in blocks], dtype=np.int64)
 
 
-def _round_one(
-    local: np.ndarray,
-    edges: tuple[np.ndarray, np.ndarray],
-    edge_run: np.ndarray,
-    run_rows: np.ndarray,
-    run_steps: np.ndarray,
-) -> np.ndarray:
-    """Each edge's round-one key index of a plan (see UnionPlan), from each
-    node's row within its run, ``run_rows`` for the zero row, and each
-    edge's run: the distinct (run, receiver row, sender row) keys are
-    numbered in key order.  The keys of a run of several steps are counted
-    in a dense table of (rows + 1)² flags, not sorted; a one-step run keys
-    each edge by its place, so each of its edges is a key of its own."""
-    recv, send = edges
-    num_edges = recv.shape[0]
-    multi = run_steps > 1
-    width = run_rows + 1
-    run_edge_off = np.searchsorted(edge_run, np.arange(run_rows.shape[0]))
-    table = np.where(multi, width * width, np.diff(run_edge_off, append=num_edges))
-    key = np.where(
-        multi[edge_run],
-        local[recv] * width[edge_run] + local[send],
-        np.arange(num_edges) - run_edge_off[edge_run],
-    )
-    key += (np.cumsum(table) - table)[edge_run]
-    present = np.zeros(table.sum(), dtype=bool)
-    present[key] = True
-    return (np.cumsum(present) - 1)[key]
-
-
 def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One entry per distinct key, in key order, the last of each key
     standing for it, and each entry's index into that list."""
@@ -232,21 +202,24 @@ class UnionPlan:
     The class tables are None when every run is one step.  Two edges of one
     run whose receivers read the same row and whose senders read the same
     row carry the same first-round message, flag included, whatever their
-    steps.  ``round_one_index`` numbers these (run, receiver row, sender
-    row) keys in key order, one entry per edge; each edge of a one-step run
-    is a key of its own.  A prefix node
-    receives from its row's earlier neighbours, from those of its later
-    neighbours already in the step's prefix, and from each of the block's
-    new nodes, in that order, so two nodes of one run with the same row,
-    the same count of later neighbours in the prefix and the same block
+    steps.  An edge's round-one key is one integer, ``run × max(width²,
+    edges)`` plus ``receiver row × width + sender row`` with ``width`` the
+    zero row plus one, so within a run keys sort by (receiver row, sender
+    row) and the zero row after every real row; in a one-step run the edge's
+    own place stands for the rows, so each of its edges is a key of its own.
+    A prefix node receives from its row's earlier neighbours, from those of
+    its later neighbours already in the step's prefix, and from each of the
+    block's new nodes, in that order, so two nodes of one run with the same
+    row, the same count of later neighbours in the prefix and the same block
     size hold one state after round one.  ``node_class`` numbers these
     round-one classes in key order, a new node being a class of its own
     after all others, and ``class_rep`` holds each class's first node;
     ``class_edges`` gives the (receiver class, sender class) of each edge
-    into a representative, in edge order, and ``class_round_one`` the
-    round-one table on those edges as (first, index).  ``round_two`` is
-    the table of all edges keyed by (receiver class, sender class), laid
-    out as the round-one table.
+    into a representative, in edge order, and ``class_round_one`` the table
+    of those edges by round-one key as (first, index), made by one sort;
+    every round-one key of the plan has such an edge.  ``round_two`` is the
+    table of all edges keyed by (receiver class, sender class), laid out as
+    the round-one table.
     """
 
     def __init__(self, runs: Sequence[tuple[np.ndarray, Sequence[Sequence[int]]]]):
@@ -320,10 +293,6 @@ class UnionPlan:
         if run_steps.max() == 1:
             self._no_classes()
             return
-        self.round_one_index = _round_one(
-            np.where(is_new, run_rows[step_run][node_step], local),
-            self.edges, np.repeat(step_run, 2 * half), run_rows, run_steps,
-        )
         # a prefix node's round-one class key: (row, later neighbours of
         # the row below the step's first new node, block size), the counts
         # read from one cumulative sum down the rows; a new node's key is
@@ -340,8 +309,16 @@ class UnionPlan:
                                                        return_inverse=True)
         # every round-one key of the plan has an edge into a representative
         into_rep = np.flatnonzero(self.class_rep[self.node_class[recv]] == recv)
-        self.class_edges = (self.node_class[recv[into_rep]], self.node_class[send[into_rep]])
-        self.class_round_one = _distinct(self.round_one_index[into_rep])
+        rep_recv, rep_send = recv[into_rep], send[into_rep]
+        self.class_edges = (self.node_class[rep_recv], self.node_class[rep_send])
+        # an edge's round-one key: its run, then (receiver row, sender row)
+        # in a run of several steps, the zero row after every real row, or
+        # its own place in a one-step run
+        span = zero_row + 1
+        edge_run = step_run[node_step[rep_recv]]
+        key = np.where(run_steps[edge_run] > 1,
+                       self.src_idx[rep_recv] * span + self.src_idx[rep_send], into_rep)
+        self.class_round_one = _distinct(edge_run * max(span * span, num_edges) + key)
         self.round_two = _distinct(
             self.node_class[recv] * self.class_rep.shape[0] + self.node_class[send]
         )
@@ -350,7 +327,7 @@ class UnionPlan:
         """A plan whose runs are one step each gets no class tables: its
         nodes are all of their own class."""
         self.node_class = self.class_rep = self.class_edges = None
-        self.round_one_index = self.class_round_one = self.round_two = None
+        self.class_round_one = self.round_two = None
 
     def _one_step(self, block: Sequence[int]) -> None:
         """The fields of a plan of one step of one graph, the plan sampling

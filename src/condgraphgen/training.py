@@ -65,6 +65,7 @@ from .generator import (
     GeneratorConfig,
     GeneratorParams,
     UnionPlan,
+    candidate_pairs,
     check_mixture_weights,
     draw_components,
     init_generator,
@@ -158,10 +159,6 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def train_config_to_dict(config: TrainConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def load_train_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -250,11 +247,11 @@ def _teacher(og: OrderedGraph, blocks: Sequence[Sequence[int]], gamma: float):
     """What the losses of a run of consecutive steps ``blocks`` of one graph
     read, from the run's block bounds: each candidate pair's teacher bit,
     each step's condition weight gamma^(nodes missing), and each new node's
-    node-label weight (its step's, shared by the block) and target."""
+    node-label weight (its step's, shared by the block) and target.  The
+    run's blocks are consecutive, so its pairs are those of its new nodes
+    a..c-1 taken as one block, in the order of ``candidate_pairs``."""
     n, a, c = og.base.num_nodes, blocks[0][0], blocks[-1][-1] + 1
-    # the run's candidate pairs are rows a..c-1 of the strict lower
-    # triangle, read in row order
-    bits = og.lower_rows[a:c, :c][np.tri(c, c, -1, dtype=bool)[a:c]].astype(np.float64)
+    bits = og.lower_rows[candidate_pairs(range(a, c))].astype(np.float64)
     ends = [block[-1] + 1 for block in blocks]
     w_steps = gamma ** (n - np.asarray(ends, dtype=np.float64))
     w_node = np.repeat(

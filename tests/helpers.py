@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient oracle, error norms, the
-round-trip oracle for ordered graphs, the two-branch sigmoid, softplus and
+round-trip oracle for ordered graphs, the autodiff ops that only tests call
+(``div``, ``matmul``, ``relu``), the two-branch sigmoid, softplus and
 the composed log-sigmoid that the fused ops are held to, the op-by-op reference for one
 message-passing round and for the graph classifier's read-out, the per-step
 reference oracle for the generator and the graph classifier, and the
@@ -35,8 +36,6 @@ from condgraphgen.autodiff import (
     log_sigmoid,
     log_softmax,
     logsumexp,
-    matmul,
-    relu,
     segment_sum,
     sigmoid,
     softmax,
@@ -147,8 +146,8 @@ def reference_plan(runs) -> dict:
     by step and run by run, and new nodes read the zero row after all rows.
     The edges of a run of several steps are numbered by their distinct
     (receiver row, sender row) key in key order, and each edge of a
-    one-step run is a key of its own.  The class tables come from
-    ``reference_classes``; they and ``round_one_index`` are None when every
+    one-step run is a key of its own; these round-one keys go to
+    ``reference_classes`` for the class tables, which are None when every
     run is one step."""
     zero_row = sum(rows.shape[0] for rows, _ in runs)
     f = {k: [] for k in ("src_idx", "recv", "send", "edge_pair", "pair_rows", "pair_cols",
@@ -194,7 +193,6 @@ def reference_plan(runs) -> dict:
         "rows": np.concatenate([rows for rows, _ in runs]),
         "src_idx": out["src_idx"],
         "edges": (out["recv"], out["send"]),
-        "round_one_index": out["index"] if several_steps else None,
         "edge_pair": out["edge_pair"],
         "pairs": (out["pair_rows"], out["pair_cols"]),
         "num_steps": steps,
@@ -206,15 +204,7 @@ def reference_plan(runs) -> dict:
     }
 
 
-def round_one_edges(round_one_index: np.ndarray) -> np.ndarray:
-    """One edge per round-one key of ``UnionPlan.round_one_index``, in key
-    order, the last edge of each key standing for it."""
-    first = np.empty(round_one_index.max(initial=-1) + 1, dtype=np.int64)
-    first[round_one_index] = np.arange(round_one_index.shape[0])
-    return first
-
-
-def reference_classes(class_keys, edges, round_one_index) -> dict:
+def reference_classes(class_keys, edges, round_one_key) -> dict:
     """The class tables of ``generator.UnionPlan`` from each union node's
     round-one class key, one node at a time: a prefix node's (run, row,
     later neighbours of the row in the step's prefix, block size), a new
@@ -244,13 +234,55 @@ def reference_classes(class_keys, edges, round_one_index) -> dict:
         "class_rep": ints(class_rep),
         "class_edges": (ints([node_class[recv[e]] for e in into_rep]),
                         ints([node_class[send[e]] for e in into_rep])),
-        "class_round_one": table([round_one_index[e] for e in into_rep]),
+        "class_round_one": table([round_one_key[e] for e in into_rep]),
         "round_two": table([(node_class[r], node_class[s]) for r, s in zip(recv, send)]),
     }
 
 
 # ---------------------------------------------------------------------------
 # ops only the tests use, and the op-by-op message-passing round
+
+
+def div(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_val = a.value / b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(autodiff._unbroadcast(g / b.value, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(
+                autodiff._unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
+            )
+
+    return autodiff._make(out_val, (a, b), backward)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product of 2-d operands, its forward through the package's
+    one product (``autodiff._product``)."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError("matmul() takes 2-d operands")
+    out_val = autodiff._product(a.value, b.value)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.value.T)
+        if b.requires_grad:
+            b._accumulate(a.value.T @ g)
+
+    return autodiff._make(out_val, (a, b), backward)
+
+
+def relu(x) -> Tensor:
+    x = as_tensor(x)
+    out_val = np.maximum(x.value, 0.0)
+
+    def backward(g):
+        x._accumulate(g * (x.value > 0.0))
+
+    return autodiff._make(out_val, (x,), backward)
 
 
 def masked_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -363,11 +395,11 @@ def reference_conv(conv: ConvLayer, h, recv, send, weight, degree=None) -> Tenso
     count clipped below at 1."""
     n = h.shape[0]
     if weight is None:
-        neigh_mean = segment_sum(gather_rows(h, send), recv, n) / degree
+        neigh_mean = div(segment_sum(gather_rows(h, send), recv, n), degree)
     else:
         neigh_sum = segment_sum(gather_rows(h, send) * weight, recv, n)
         denom = clip(segment_sum(weight, recv, n), 1.0, np.inf)
-        neigh_mean = neigh_sum / denom
+        neigh_mean = div(neigh_sum, denom)
     return relu(matmul(h, conv.w_self) + matmul(neigh_mean, conv.w_neigh) + conv.bias)
 
 

@@ -233,6 +233,19 @@ def test_incomplete_header_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value", [("B", 2.9), ("R", 3.7), ("B", True), ("R", "3")])
+def test_header_value_that_is_not_an_integer_rejected(tmp_path, key, value):
+    """No array shape depends on B or R, so the header check is all that
+    stops a truncated or coerced value from loading."""
+    def mutate(p):
+        header = json.loads(str(p["__config__"]))
+        p["__config__"] = np.array(json.dumps({**header, key: value}))
+
+    path = corrupt_archive(tmp_path, mutate)
+    with pytest.raises(DataError, match=f"header field {key} must be an integer"):
+        load_checkpoint(path)
+
+
 def test_non_archive_file_rejected(tmp_path):
     path = tmp_path / "not-an-archive.npz"
     path.write_text("plain text")

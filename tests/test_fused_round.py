@@ -17,7 +17,6 @@ from helpers import (
     reference_messages,
     reference_round,
     rel_error,
-    round_one_edges,
 )
 
 from condgraphgen import backend, generator
@@ -243,7 +242,7 @@ def test_round_with_pending_messages_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# round one once per distinct edge (``UnionPlan.round_one_index``, ``run_rounds``)
+# round one once per distinct edge (``UnionPlan.class_round_one``, ``run_rounds``)
 
 
 def _mixed_union(params, seed, sizes=(7, 1, 4, 10, 5)):
@@ -264,6 +263,12 @@ def _state_keys(u):
     return u.node_graph * (u.rows.shape[0] + 1) + u.src_idx
 
 
+def _round_one_keys(u, recv, send):
+    """The (receiver state key, sender state key) of each edge: edges of a
+    run of several steps with one such key carry one round-one message."""
+    return np.stack([_state_keys(u)[recv], _state_keys(u)[send]], axis=1)
+
+
 def _assert_close(got, want, tol=1e-12):
     for a, b in zip(got, want):
         assert a is not None and b is not None
@@ -273,12 +278,10 @@ def _assert_close(got, want, tol=1e-12):
 def test_round_one_table_lists_each_key_once_and_offsets_in_stack():
     params = _params(2, True)
     u, _ = _mixed_union(params, 0)
-    index = u.round_one_index
-    first = round_one_edges(index)
-    recv, send = u.edges
-    keys = np.stack([_state_keys(u)[recv], _state_keys(u)[send]], axis=1)
+    first, index = u.class_round_one
+    keys = _round_one_keys(u, *(u.class_rep[c] for c in u.class_edges))
     assert np.array_equal(keys, keys[first][index])
-    assert len({tuple(k) for k in keys[first]}) == first.shape[0] < recv.shape[0]
+    assert len({tuple(k) for k in keys[first]}) == first.shape[0] < u.edges[0].shape[0]
 
 
 def test_round_one_runs_per_edge_in_one_step_plans_and_without_edges():
@@ -286,9 +289,9 @@ def test_round_one_runs_per_edge_in_one_step_plans_and_without_edges():
     og = decompose(Graph(6, frozenset({(0, 1), (1, 2), (2, 5)}), (0,) * 6, 0), 10)
     for block in [(4,), (3, 4, 5)]:
         one_step = UnionPlan([(og.lower_rows[:block[0]], [block])])
-        assert one_step.edges[0].size > 0 and one_step.round_one_index is None
+        assert one_step.edges[0].size > 0 and one_step.class_round_one is None
     no_edges = UnionPlan([(np.zeros((1, 10)), [(0,)])] * 3)
-    assert no_edges.edges[0].size == 0 and no_edges.round_one_index is None
+    assert no_edges.edges[0].size == 0 and no_edges.class_round_one is None
     h0 = initial_states(no_edges, [0, 1, 0], params)
     assert np.array_equal(run_rounds(h0, no_edges, params).value,
                           per_edge_rounds(h0, no_edges.x, no_edges.edges, params).value)
@@ -301,7 +304,7 @@ def test_distinct_round_one_matches_the_per_edge_round(block_size, tied):
     summed over the nodes that share an initial state, to 1e-12."""
     params = _params(block_size, tied, seed=20 + block_size)
     u, labels = _mixed_union(params, block_size)
-    assert round_one_edges(u.round_one_index).shape[0] < u.edges[0].shape[0]
+    assert u.class_round_one[0].shape[0] < u.edges[0].shape[0]
     with no_grad():
         h0 = initial_states(u, labels, params).value
     weights = np.random.default_rng(block_size).standard_normal(h0.shape)
@@ -393,10 +396,10 @@ def test_class_tables_list_each_key_once(block_size):
     assert np.array_equal(u.class_edges[0], u.node_class[recv[into_rep]])
     assert np.array_equal(u.class_edges[1], u.node_class[send[into_rep]])
     first, index = u.class_round_one
-    state_keys = _state_keys(u)[u.class_rep]
-    keys = np.stack([state_keys[u.class_edges[0]], state_keys[u.class_edges[1]]], axis=1)
+    keys = _round_one_keys(u, *(u.class_rep[c] for c in u.class_edges))
     assert np.array_equal(keys, keys[first][index])
-    assert first.shape[0] == round_one_edges(u.round_one_index).shape[0]
+    # and every round-one key of the plan's edges has a representative's
+    assert first.shape[0] == np.unique(_round_one_keys(u, recv, send), axis=0).shape[0]
 
 
 def test_one_step_and_edgeless_plans_get_no_class_tables(monkeypatch):

@@ -45,7 +45,6 @@ from condgraphgen.training import (
     clip_gradients,
     load_train_config,
     train_config_from_dict,
-    train_config_to_dict,
     train_generator,
     train_step,
 )
@@ -78,7 +77,7 @@ def small_clf(num_labels=3, num_classes=2, seed=0):
 
 def test_config_round_trip():
     cfg = TrainConfig(**SMALL)
-    assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+    assert train_config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_config_rejects_unknown_keys():
