@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import subprocess
 import sys
 import time
 
@@ -84,19 +83,10 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(sample(args.child, args.seed, args.seconds)))
         return 0
-    results = []
-    for n in args.nodes:
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n), "--seed", str(args.seed),
-             "--seconds", str(args.seconds)],
-            capture_output=True, text=True, check=True,
-        )
-        results.append(json.loads(out.stdout))
-        print(out.stdout.strip(), flush=True)
-    if args.out:
-        import record
+    import record
 
-        record.write(args.out, results)
+    options = ["--seed", str(args.seed), "--seconds", str(args.seconds)]
+    record.run_children(__file__, args.nodes, options, args.out)
     return 0
 
 

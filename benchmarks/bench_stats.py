@@ -26,7 +26,6 @@ import argparse
 import json
 import resource
 import statistics
-import subprocess
 import sys
 import time
 
@@ -111,22 +110,15 @@ def main(argv=None) -> int:
     parser.add_argument("--child", choices=sorted(CORPORA), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.graphs, args.repeats, args.seed)))
+        count = args.graphs or DEFAULT_GRAPHS[args.child]
+        print(json.dumps(measure(args.child, count, args.repeats, args.seed)))
         return 0
-    results = []
-    for corpus in CORPORA:
-        count = args.graphs or DEFAULT_GRAPHS[corpus]
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", corpus, "--graphs", str(count),
-             "--repeats", str(args.repeats), "--seed", str(args.seed)],
-            capture_output=True, text=True, check=True,
-        )
-        results.append(json.loads(out.stdout))
-        print(out.stdout.strip(), flush=True)
-    if args.out:
-        import record
+    import record
 
-        record.write(args.out, results)
+    options = ["--repeats", str(args.repeats), "--seed", str(args.seed)]
+    if args.graphs:
+        options += ["--graphs", str(args.graphs)]
+    record.run_children(__file__, CORPORA, options, args.out)
     return 0
 
 

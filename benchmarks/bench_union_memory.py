@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import subprocess
 import sys
 import time
 
@@ -109,18 +108,9 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(one_step(args.child, args.seed)))
         return 0
-    results = []
-    for n in args.nodes:
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", str(n), "--seed", str(args.seed)],
-            capture_output=True, text=True, check=True,
-        )
-        results.append(json.loads(out.stdout))
-        print(out.stdout.strip(), flush=True)
-    if args.out:
-        import record
+    import record
 
-        record.write(args.out, results)
+    record.run_children(__file__, args.nodes, ["--seed", str(args.seed)], args.out)
     return 0
 
 

@@ -3,7 +3,7 @@ commit they were measured at and the thread settings they depend on.
 
 Bits and speed both change with the BLAS thread count, so the file records
 every ``*_NUM_THREADS`` variable that is set and the CPU count next to the
-results.
+results.  ``run_children`` runs a script's cases one child process each.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +45,19 @@ def write(path: str, results) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+
+
+def run_children(script: str, cases, options: list[str], out: str | None) -> None:
+    """Run ``script --child CASE`` with ``options`` in a fresh process per
+    case, so that each child's ``ru_maxrss`` is its case's peak; print the
+    JSON line each child prints and, given ``out``, write them as a list."""
+    results = []
+    for case in cases:
+        child = subprocess.run(
+            [sys.executable, script, "--child", str(case), *options],
+            capture_output=True, text=True, check=True,
+        )
+        results.append(json.loads(child.stdout))
+        print(child.stdout.strip(), flush=True)
+    if out:
+        write(out, results)

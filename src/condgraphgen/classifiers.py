@@ -19,7 +19,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .autodiff import (
 )
 from .datasets import DatasetSplit
 from .errors import DataError
-from .graphs import union_edges
+from .graphs import balanced_cuts, union_edges
 
 CONV_CHANNELS = 32
 NODE_HIDDEN = (256, 256)
@@ -273,28 +272,12 @@ def _discrete_logits(graphs, params: GraphClassifierParams) -> Tensor:
     )
 
 
-# Directed edges per union in ``class_distributions``: consecutive graphs
-# share a union up to this many, and a graph above it alone is one union.
-# On 589 NCI1-shaped graphs one union of all of them raised a pipeline's
-# peak RSS from 103.9 MB (training's) to 123.7 MB; at this budget it stays
-# within 1.5 MB of training's.  Budgets of 2^11 to 2^14 edges read 505 such
-# graphs in 25-26 ms, against 43-44 ms at 2^15 and in one union.
+# Directed edges per union in ``class_distributions``.  On 589 NCI1-shaped
+# graphs one union of all of them raised a pipeline's peak RSS from
+# 103.9 MB (training's) to 123.7 MB; at this budget it stays within 1.5 MB
+# of training's.  Budgets of 2^11 to 2^14 edges read 505 such graphs in
+# 25-26 ms, against 43-44 ms at 2^15 and in one union.
 READOUT_EDGES = 1 << 14
-
-
-def _readout_unions(graphs) -> Iterator[list]:
-    """Consecutive runs of ``graphs`` of at most ``READOUT_EDGES`` directed
-    edges each, unless one graph holds more."""
-    union: list = []
-    used = 0
-    for g in graphs:
-        if union and used + 2 * g.num_edges > READOUT_EDGES:
-            yield union
-            union, used = [], 0
-        union.append(g)
-        used += 2 * g.num_edges
-    if union:
-        yield union
 
 
 def class_log_probs(logits) -> Tensor:
@@ -308,12 +291,16 @@ def class_log_probs(logits) -> Tensor:
 @no_grad()
 def class_distributions(params: GraphClassifierParams, graphs) -> np.ndarray:
     """Class distribution of each discrete graph, one row per graph (see
-    ``class_log_probs``).  Consecutive graphs are classified together as
-    one union under ``READOUT_EDGES``; a row's bits do not depend on the
-    union it falls in (see ``autodiff._product``)."""
+    ``class_log_probs``).  Consecutive graphs are classified together, cut
+    by their directed edges into k = ceil(total / ``READOUT_EDGES``) unions
+    (``graphs.balanced_cuts``); a union holds about total / k directed
+    edges and exceeds that by less than one graph.  A row's bits do not
+    depend on the union it falls in (see ``autodiff._product``)."""
+    edges = np.array([2 * g.num_edges for g in graphs], dtype=np.int64)
+    cuts = balanced_cuts(edges, READOUT_EDGES)
     rows = [
-        np.exp(class_log_probs(_discrete_logits(union, params)).value)
-        for union in _readout_unions(graphs)
+        np.exp(class_log_probs(_discrete_logits(graphs[a:b], params)).value)
+        for a, b in zip(cuts[:-1], cuts[1:])
     ]
     return np.concatenate(rows) if rows else np.zeros((0, params.num_classes))
 

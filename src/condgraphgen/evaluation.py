@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import backend
 from .classifiers import GraphClassifierParams, class_distributions
-from .graphs import Graph, union_edges
+from .graphs import Graph, balanced_cuts, union_edges
 
 STAT_FIELDS = ("lcc", "tc", "cpl", "mean_d", "gini")
 _STAT_HEADERS = ("LCC", "TC", "CPL", "MeanD", "GINI")
@@ -37,10 +38,10 @@ class GraphStats:
         return {f: getattr(self, f) for f in STAT_FIELDS}
 
 
-# A chunk's union holds (directed edges + nodes) x bitset words below this
-# bound, so each of the search's arrays takes at most about 512 KB whatever
-# the corpus size; a graph above it alone is one chunk.  Larger chunks were
-# no faster on NCI1-shaped or dense 111-node corpora.
+# (Directed edges + nodes) x bitset words per chunk's union (see
+# ``_chunks``): a chunk holds at most this many words plus one graph's, so
+# each of the search's arrays takes about 512 KB whatever the corpus size.
+# Larger chunks were no faster on NCI1-shaped or dense 111-node corpora.
 CHUNK_WORDS = 1 << 16
 
 
@@ -57,8 +58,9 @@ def corpus_stats(graphs: Sequence[Graph]) -> list[GraphStats]:
     among tied largest components the one holding the lowest node id counts.
 
     The graphs are sorted by node count and cut into chunks of one bitset
-    width under ``CHUNK_WORDS``; each chunk is one block-diagonal union and
-    one multi-source search (``backend.sp_pair_sum``).
+    width under ``CHUNK_WORDS`` (see ``_chunks``); each chunk is one
+    block-diagonal union and one multi-source search
+    (``backend.sp_pair_sum``).
     """
     out = np.zeros((len(graphs), len(STAT_FIELDS)))
     for chunk in _chunks(graphs):
@@ -71,23 +73,17 @@ def _words(num_nodes: int) -> int:
 
 
 def _chunks(graphs: Sequence[Graph]) -> Iterator[list[int]]:
-    """Input positions of consecutive size-sorted graphs, one bitset width
-    per chunk and at most ``CHUNK_WORDS`` words unless one graph is more."""
+    """Input positions of size-sorted graphs, one bitset width per chunk.
+    Each width's graphs are cut by their (directed edges + nodes) × words
+    into k = ceil(total / ``CHUNK_WORDS``) chunks (``graphs.balanced_cuts``),
+    each of about total / k words and above that by less than one graph."""
     order = sorted(range(len(graphs)), key=lambda i: graphs[i].num_nodes)
-    chunk: list[int] = []
-    used = width = 0
-    for i in order:
-        g = graphs[i]
-        words = _words(g.num_nodes)
-        cost = (2 * g.num_edges + g.num_nodes) * words
-        if chunk and (words != width or used + cost > CHUNK_WORDS):
-            yield chunk
-            chunk, used = [], 0
-        chunk.append(i)
-        used += cost
-        width = words
-    if chunk:
-        yield chunk
+    for words, group in groupby(order, key=lambda i: _words(graphs[i].num_nodes)):
+        group = list(group)
+        cost = [(2 * graphs[i].num_edges + graphs[i].num_nodes) * words for i in group]
+        cuts = balanced_cuts(np.array(cost, dtype=np.int64), CHUNK_WORDS)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            yield group[a:b]
 
 
 def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:

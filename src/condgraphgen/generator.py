@@ -210,14 +210,15 @@ class UnionPlan:
     A prefix node receives from its row's earlier neighbours, from those of
     its later neighbours already in the step's prefix, and from each of the
     block's new nodes, in that order, so two nodes of one run with the same
-    row, the same count of later neighbours in the prefix and the same block
-    size hold one state after round one.  ``node_class`` numbers these
-    round-one classes in key order, a new node being a class of its own
-    after all others, and ``class_rep`` holds each class's first node;
-    ``class_edges`` gives the (receiver class, sender class) of each edge
-    into a representative, in edge order, and ``class_round_one`` the table
-    of those edges by round-one key as (first, index), made by one sort;
-    every round-one key of the plan has such an edge.  ``round_two`` is the
+    row, the same count of later neighbours in the prefix (its observed
+    edges in the step) and the same block size hold one state after round
+    one.  ``node_class`` numbers these round-one classes in key order, a
+    new node being a class of its own after all others, and ``class_rep``
+    holds each class's first node; ``class_edges`` gives the (receiver
+    class, sender class) of each edge into a representative, in edge order,
+    and ``class_round_one`` the table of those edges by round-one key as
+    (first, index), made by one sort; every round-one key of the plan has
+    such an edge.  ``round_two`` is the
     table of all edges keyed by (receiver class, sender class), laid out as
     the round-one table.
     """
@@ -295,13 +296,12 @@ class UnionPlan:
             return
         # a prefix node's round-one class key: (row, later neighbours of
         # the row below the step's first new node, block size), the counts
-        # read from one cumulative sum down the rows; a new node's key is
-        # its own, above every row's
+        # taken over the step's observed edges, whose sender v is the
+        # earlier node; a new node's key is its own, above every row's
         old = np.flatnonzero(~is_new)
-        col, step_of = local[old], node_step[old]
-        row = col + row_off[step_of]
-        later = np.cumsum(self.rows, axis=0, dtype=np.int32)
-        later = later[row_off[step_of] + start[step_of] - 1, col] - later[row, col]
+        step_of = node_step[old]
+        row = local[old] + row_off[step_of]
+        later = np.bincount(v[~cand], minlength=is_new.shape[0])[old]
         width, sizes = self.rows.shape[1] + 1, size.max() + 1
         key = zero_row * width * sizes + np.arange(is_new.shape[0])
         key[old] = (row * width + later) * sizes + size[step_of]

@@ -110,6 +110,22 @@ def union_edges(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray, np.nda
     return n, m, pairs
 
 
+def balanced_cuts(costs: np.ndarray, budget: int) -> np.ndarray:
+    """Bounds of k = ceil(total / budget) consecutive runs of items with
+    about total / k cost each: cut j sits at the item boundary nearest
+    j·total/k, so no item is split and a run exceeds total / k by less than
+    one item.  Training cuts a minibatch's steps, the classifier read-out
+    and the statistics their graphs, each into unions this way."""
+    before = np.concatenate([[0], np.cumsum(costs)])
+    k = -(-int(before[-1]) // budget)
+    targets = before[-1] * np.arange(1, k) / k
+    cut = np.searchsorted(before, targets)
+    cut -= targets - before[cut - 1] < before[cut] - targets
+    # the cuts never decrease; drop repeats (an item larger than a run)
+    bounds = np.concatenate([[0], cut, [costs.shape[0]]])
+    return bounds[np.diff(bounds, prepend=-1) > 0]
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """A graph together with its canonical permutation and lower-triangular rows.

@@ -122,8 +122,7 @@ def generate(
             rows, cols = plan.pairs
             keep = rows >= n_fixed
             lower[rows[keep], cols[keep]] = bits[keep].astype(np.float64)
-        # a one-step plan lays out the prefix, then the block
-        states[block[0]:block[-1] + 1] = h.value[block[0]:]
+        states[block[0]:block[-1] + 1] = h.value[plan.new_nodes]
     if n_fixed < n:
         dists = classify_nodes(states[n_fixed:], nodeclf_params)
         labels[n_fixed:] = np.argmax(dists.value, axis=1)

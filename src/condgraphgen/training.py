@@ -74,7 +74,7 @@ from .generator import (
     run_rounds,
     step_edges,
 )
-from .graphs import Graph, OrderedGraph, block_partition, decompose
+from .graphs import Graph, OrderedGraph, balanced_cuts, block_partition, decompose
 
 
 # the generator's fields that a training config sets, under the same names
@@ -107,6 +107,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.tau <= 0.0 or self.tau_end <= 0.0:
@@ -351,21 +354,6 @@ def _batch_losses(
 UNION_EDGE_BUDGET = 2**12
 
 
-def _balanced_cuts(step_edges: np.ndarray, budget: int) -> np.ndarray:
-    """Bounds of k = ceil(total / budget) consecutive runs of steps with
-    about total / k union edges each: cut j sits at the step boundary
-    nearest j·total/k, so a step is never split and, unlike greedy filling,
-    no run is left much larger than the others."""
-    before = np.concatenate([[0], np.cumsum(step_edges)])
-    k = -(-int(before[-1]) // budget)
-    targets = before[-1] * np.arange(1, k) / k
-    cut = np.searchsorted(before, targets)
-    cut -= targets - before[cut - 1] < before[cut] - targets
-    # the cuts never decrease; drop repeats (a step larger than a run)
-    bounds = np.concatenate([[0], cut, [step_edges.shape[0]]])
-    return bounds[np.diff(bounds, prepend=-1) > 0]
-
-
 def _chunks(batch, rngs, blocks, cuts, gamma):
     """Each run of steps [a, b) of the batch's (graph, step) sequence as the
     arguments of ``_batch_losses`` for those steps: one union plan with a
@@ -470,7 +458,7 @@ def train_step(
     receives gradients).
 
     A batch whose union holds more than ``UNION_EDGE_BUDGET`` edges (counted
-    by ``step_edges``) runs as ``_balanced_cuts`` chunks of consecutive
+    by ``step_edges``) runs as ``graphs.balanced_cuts`` chunks of consecutive
     steps, each with its own forward and backward over the one union plan
     it builds; no plan outlives its chunk.  The loss terms sum over steps and
     every graph draws from its own RNG in step order, so the update equals
@@ -489,7 +477,7 @@ def train_step(
 
     blocks = [block_partition(og.base.num_nodes, config.block_size) for og, _ in batch]
     edges = np.concatenate([step_edges(og.lower_rows, b) for (og, _), b in zip(batch, blocks)])
-    cuts = _balanced_cuts(edges, UNION_EDGE_BUDGET)
+    cuts = balanced_cuts(edges, UNION_EDGE_BUDGET)
     opt.zero_grad()
     parts = [
         _chunk_backward(chunk, gen_params, clf_params, nodeclf_params, config, tau,

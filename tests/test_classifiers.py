@@ -23,7 +23,7 @@ from condgraphgen.classifiers import (
 )
 from condgraphgen.datasets import stratified_split
 from condgraphgen.errors import DataError
-from condgraphgen.graphs import Graph, synthesize_toy_corpus, union_edges
+from condgraphgen.graphs import Graph, balanced_cuts, synthesize_toy_corpus, union_edges
 
 
 def small_clf(seed=0, feature_dim=3, num_classes=2):
@@ -250,29 +250,46 @@ def test_classifier_training_through_the_op_by_op_read_out_is_identical(toy_spli
         assert np.array_equal(a.value, b.value)
 
 
-def test_read_out_unions_keep_predictions(monkeypatch):
-    params = small_clf(10)
-    graphs = synthesize_toy_corpus(40, (4, 16), seed=12) + [Graph(2, frozenset(), (1, 0), 0)]
-    one_union = class_distributions(params, graphs)
+def count_unions(monkeypatch):
+    """Record the graphs of each union ``class_distributions`` reads."""
     unions = []
     logits = classifiers._discrete_logits
 
     def counted(parts, p):
-        unions.append((len(parts), sum(2 * g.num_edges for g in parts)))
+        unions.append(list(parts))
         return logits(parts, p)
 
     monkeypatch.setattr(classifiers, "_discrete_logits", counted)
+    return unions
+
+
+def test_read_out_unions_keep_predictions(monkeypatch):
+    params = small_clf(10)
+    graphs = synthesize_toy_corpus(40, (4, 16), seed=12) + [Graph(2, frozenset(), (1, 0), 0)]
+    one_union = class_distributions(params, graphs)
+    unions = count_unions(monkeypatch)
     monkeypatch.setattr(classifiers, "READOUT_EDGES", 120)
     chunked = class_distributions(params, graphs)
-    # consecutive graphs fill each union up to the budget; a dense graph
-    # above it is a union of its own
-    assert len(unions) > 5 and sum(k for k, _ in unions) == len(graphs)
-    assert all(e <= 120 or k == 1 for k, e in unions)
-    assert any(e > 120 for _, e in unions) and any(k > 1 for k, _ in unions)
+    # the unions are the balanced runs of whole graphs by directed edges
+    edges = np.array([2 * g.num_edges for g in graphs])
+    cuts = balanced_cuts(edges, 120)
+    assert len(unions) == len(cuts) - 1 > 5
+    assert unions == [graphs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     assert chunked.shape == one_union.shape
     # every product of the read-out is padded, so a row's bits do not
     # depend on the union it falls in
     assert np.array_equal(chunked, one_union)
+
+
+def test_read_out_cuts_graphs_into_the_fewest_unions(monkeypatch):
+    # 60 + 70 + 60 + 70 directed edges under 120 make ceil(260 / 120) = 3
+    # unions; filling each union up to the budget would make 4
+    pairs = [(i, j) for j in range(10) for i in range(j)]
+    graphs = [Graph(10, frozenset(pairs[:m]), (0,) * 10, 0) for m in (30, 35, 30, 35)]
+    unions = count_unions(monkeypatch)
+    monkeypatch.setattr(classifiers, "READOUT_EDGES", 120)
+    class_distributions(small_clf(11), graphs)
+    assert unions == [graphs[:1], graphs[1:3], graphs[3:]]
 
 
 def test_classify_graph_permutation_invariant():

@@ -11,9 +11,10 @@ from condgraphgen.checkpoint import load_checkpoint
 from condgraphgen.classifiers import ClassifierTrainConfig
 from condgraphgen.cli import main
 from condgraphgen.datasets import load_run_dataset
+from condgraphgen.errors import ConfigError
 from condgraphgen.evaluation import build_report, corpus_stats, mean_stats
 from condgraphgen.tu_io import load_graph_json, save_graph_list
-from condgraphgen.training import UNION_EDGE_BUDGET, load_train_config
+from condgraphgen.training import UNION_EDGE_BUDGET, load_train_config, train_config_from_dict
 
 FAST_CONFIG = {
     "block_size": 2,
@@ -127,6 +128,22 @@ def test_train_rejects_unknown_config_key(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**FAST_CONFIG, "mystery": 1}))
     assert main(["train", "--out", str(run), "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "key", ["lr", "tau", "tau_end", "clip_norm", "lambda_condition", "lambda_node_label"]
+)
+def test_non_finite_config_values_exit_two(tmp_path, capsys, key, value):
+    # Python's json reads NaN and Infinity, and no range check rejects them
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        train_config_from_dict({key: value})
+    run = tmp_path / "run"
+    assert main(["ingest", "--toy", "20", "--out", str(run)]) == 0
+    config = write_config(tmp_path, **{key: value})
+    assert main(["train", "--out", str(run), "--config", config]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (run / "checkpoints" / "generator.npz").exists()
 
 
 def test_train_writes_resolved_config_and_log(pipeline_run):

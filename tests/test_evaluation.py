@@ -252,6 +252,17 @@ def test_corpus_stats_equal_the_per_graph_reference():
     assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
 
 
+def test_statistics_cut_a_width_into_the_fewest_chunks(monkeypatch):
+    # (2 edges + nodes) x one word of 60 + 70 + 60 + 70 under 120 make
+    # ceil(260 / 120) = 3 chunks; filling each chunk up to the budget
+    # would make 4
+    pairs = [(i, j) for j in range(10) for i in range(j)]
+    graphs = [make_graph(10, pairs[:m]) for m in (25, 30, 25, 30)]
+    monkeypatch.setattr(evaluation, "CHUNK_WORDS", 120)
+    assert [list(c) for c in evaluation._chunks(graphs)] == [[0], [1, 2], [3]]
+    assert corpus_stats(graphs) == [reference_graph_stats(g) for g in graphs]
+
+
 def isolated_union():
     """Graphs with isolated nodes at the union's start, inside graphs,
     between graphs and at its end, up to 70 nodes (two bitset words)."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from condgraphgen.errors import CapacityError
 from condgraphgen.graphs import (
     Graph,
+    balanced_cuts,
     block_partition,
     canonical_ordering,
     decompose,
@@ -158,6 +159,22 @@ def test_union_edges_equal_the_tuple_iteration(graphs):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     assert got[2].shape == (sum(g.num_edges for g in graphs), 2)
     assert got[2].flags.writeable
+
+
+def test_balanced_cuts_keep_items_whole_and_runs_even():
+    costs = np.array([0, 10, 30, 5, 40, 40, 1, 2, 60, 12])
+    for budget in (1, 20, 50, 100, 200, 10**6):
+        cuts = balanced_cuts(costs, budget)
+        assert cuts[0] == 0 and cuts[-1] == costs.shape[0]
+        assert (np.diff(cuts) > 0).all()
+        runs = np.add.reduceat(costs, cuts[:-1])
+        k = -(-int(costs.sum()) // budget)
+        assert len(runs) <= max(k, 1)
+        # a run exceeds total / k by less than one item
+        assert runs.max() < costs.sum() / max(k, 1) + costs.max()
+    assert balanced_cuts(costs, 200).tolist() == [0, 10]
+    assert balanced_cuts(costs, 100).tolist() == [0, 5, 10]
+    assert balanced_cuts(np.zeros(3, dtype=np.int64), 4).tolist() == [0, 3]
 
 
 class TestEdgeArray:

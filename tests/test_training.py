@@ -685,22 +685,6 @@ def test_chunk_plans_embed_only_the_rows_their_steps_read(monkeypatch):
         assert np.array_equal(np.unique(plan.src_idx), np.arange(plan.rows.shape[0] + 1))
 
 
-def test_balanced_cuts_keep_steps_whole_and_runs_even():
-    step_edges = np.array([0, 10, 30, 5, 40, 40, 1, 2, 60, 12])
-    for budget in (1, 20, 50, 100, 200, 10**6):
-        cuts = T._balanced_cuts(step_edges, budget)
-        assert cuts[0] == 0 and cuts[-1] == step_edges.shape[0]
-        assert (np.diff(cuts) > 0).all()
-        runs = np.add.reduceat(step_edges, cuts[:-1])
-        k = -(-int(step_edges.sum()) // budget)
-        assert len(runs) <= max(k, 1)
-        # a run exceeds total / k by less than one step
-        assert runs.max() < step_edges.sum() / max(k, 1) + step_edges.max()
-    assert T._balanced_cuts(step_edges, 200).tolist() == [0, 10]
-    assert T._balanced_cuts(step_edges, 100).tolist() == [0, 5, 10]
-    assert T._balanced_cuts(np.zeros(3, dtype=np.int64), 4).tolist() == [0, 3]
-
-
 def test_non_finite_gradient_in_an_early_chunk_raises(monkeypatch):
     cfg, batch, gen, clf, nodeclf, opt, rngs = setup_step()
     monkeypatch.setattr(T, "UNION_EDGE_BUDGET", 60)
